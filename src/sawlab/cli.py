@@ -318,7 +318,7 @@ def _cmd_pattern(args, cfg, table, artifacts) -> int:
 
 
 def _cmd_verify(args, cfg, table, artifacts) -> int:
-    results = run_verify(args.d, args.n_max, table=table, workers=cfg.workers)
+    results = run_verify(args.d, args.n_max, table=table)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

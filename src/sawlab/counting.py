@@ -5,9 +5,17 @@ coordinate is offset into [0, 2L] and given a fixed bit field, so a vertex
 is one int and a step is one addition.  Packing is lossless because every
 reachable coordinate is bounded by the walk extent L.
 
-Counts are exact Python integers.  Optional node budgets raise
-``BudgetExceededError``; optional checkpoints save partial sums per prefix
-task so an aborted count can resume.
+Two recursive kernels do all the searching.  ``_count_depths`` adds the
+number of j-step extensions of a walk, for every j, into a list of counts
+per depth.  ``_walk`` calls a visitor at every vertex it adds, in
+lexicographic order of the step codes; a false return prunes below that
+vertex and an exception ends the search.
+
+A node budget charges one node for every vertex either kernel adds, the
+prefix walk that cuts a count into tasks included, so a count fits it or
+raises ``BudgetExceededError`` the same way serially, on a process pool or
+resumed from a checkpoint.  Counts are exact Python integers; optional
+checkpoints keep the counts and nodes of every finished prefix task.
 """
 
 from __future__ import annotations
@@ -15,14 +23,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceededError
-from .lattice import Coords, LatticePoint, Path, TwoSidedPath, empty_two_sided, origin
+from .errors import BudgetExceededError, CheckpointIgnoredWarning
+from .lattice import Coords, LatticePoint, Path, TwoSidedPath, empty_two_sided
 
 _UNLIMITED = 1 << 62
+_SPLIT_DEPTH = 3  # prefix length at which a count is cut into tasks
+_CHECKPOINT_EVERY = 32  # finished tasks between checkpoint writes
 
 
 class CountTable:
@@ -110,242 +121,188 @@ def _unpack(key: int, dimension: int, width: int, extent: int) -> Coords:
 
 
 # ---------------------------------------------------------------------------
-# core depth-first loops
+# the two search kernels
 
 
-def _count_below(head: int, depth: int, occupied: set, deltas, budget: list) -> int:
-    if depth == 0:
-        return 1
-    total = 0
-    nxt_depth = depth - 1
+class _Found(Exception):
+    """Raised by a visitor to end a walk early."""
+
+
+def _budget(node_budget: int | None = None) -> list:
+    """The budget list both kernels charge: [nodes left, limit]."""
+    limit = _UNLIMITED if node_budget is None else node_budget
+    return [limit, limit]
+
+
+def _count_depths(head: int, level: int, depth: int, occupied: set, deltas,
+                  budget: list, counts: list) -> None:
+    """Add one to counts[j] for every extension of ``head``, a walk of
+    ``level`` steps, to a walk of j steps, for level < j <= depth."""
+    nxt_level = level + 1
+    found = 0
     for delta in deltas:
         nxt = head + delta
         if nxt not in occupied:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError(budget[1])
-            if nxt_depth == 0:
-                total += 1
-            else:
+            found += 1
+            if nxt_level < depth:
                 occupied.add(nxt)
-                total += _count_below(nxt, nxt_depth, occupied, deltas, budget)
+                _count_depths(nxt, nxt_level, depth, occupied, deltas, budget,
+                              counts)
                 occupied.discard(nxt)
-    return total
+    counts[nxt_level] += found
+    budget[0] -= found
+    if budget[0] < 0:
+        raise BudgetExceededError(budget[1], budget[1] - budget[0])
 
 
-def _exists_below(head: int, depth: int, occupied: set, deltas) -> bool:
-    if depth == 0:
-        return True
-    for delta in deltas:
-        nxt = head + delta
-        if nxt not in occupied:
-            if depth == 1:
-                return True
-            occupied.add(nxt)
-            found = _exists_below(nxt, depth - 1, occupied, deltas)
-            occupied.discard(nxt)
-            if found:
-                return True
-    return False
+def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
+          codes: list, visit) -> None:
+    """Pre-order visit of every extension of ``head`` by 1..depth steps.
 
-
-def _leaves_by_endpoint(head: int, depth: int, occupied: set, deltas,
-                        hist: dict, budget: list) -> None:
-    if depth == 0:
-        hist[head] = hist.get(head, 0) + 1
-        return
-    for delta in deltas:
-        nxt = head + delta
-        if nxt not in occupied:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError(budget[1])
-            if depth == 1:
-                hist[nxt] = hist.get(nxt, 0) + 1
-            else:
-                occupied.add(nxt)
-                _leaves_by_endpoint(nxt, depth - 1, occupied, deltas, hist, budget)
-                occupied.discard(nxt)
-    return
-
-
-def _enumerate_below(head: int, depth: int, occupied: set, deltas,
-                     stack: bytearray, acc: list) -> None:
-    if depth == 0:
-        acc.append(bytes(stack))
-        return
+    ``visit(nxt)`` runs at every added vertex while ``codes`` ends in the
+    step to it, in lexicographic order of the codes.  A false return prunes
+    below that vertex; an exception ends the walk.
+    """
     for code, delta in enumerate(deltas):
         nxt = head + delta
-        if nxt not in occupied:
-            stack.append(code)
-            if depth == 1:
-                acc.append(bytes(stack))
-            else:
-                occupied.add(nxt)
-                _enumerate_below(nxt, depth - 1, occupied, deltas, stack, acc)
-                occupied.discard(nxt)
-            stack.pop()
-    return
+        if nxt in occupied:
+            continue
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceededError(budget[1], budget[1] - budget[0])
+        codes.append(code)
+        if visit(nxt) and depth > 1:
+            occupied.add(nxt)
+            _walk(nxt, depth - 1, occupied, deltas, budget, codes, visit)
+            occupied.discard(nxt)
+        codes.pop()
 
 
 # ---------------------------------------------------------------------------
 # prefix tasks, parallel reduction, checkpoints
 
 
-def _prefix_tasks(head: int, depth: int, occupied: set, deltas, split: int):
-    """All extendable prefixes of length ``split``; each task is
-    (added vertex keys, new head, remaining depth)."""
-    tasks = []
+def _count_task(payload) -> tuple[list[int] | None, int]:
+    """Counts per depth below one prefix task and the nodes it charged; the
+    counts are None when it ran past the ``nodes_left`` it was given."""
+    deltas, blocked, head, level, depth, pos_head, pos_depth, nodes_left = payload
+    occupied, budget, codes = set(blocked), _budget(nodes_left), []
+    counts = [0] * ((depth if pos_head is None else pos_depth) + 1)
 
-    def rec(h, taken, left):
-        if left == 0:
-            tasks.append((tuple(taken), h, depth - split))
-            return
-        for delta in deltas:
-            nxt = h + delta
-            if nxt not in occupied:
-                occupied.add(nxt)
-                taken.append(nxt)
-                rec(nxt, taken, left - 1)
-                taken.pop()
-                occupied.discard(nxt)
+    def count_positive(occ: set) -> None:  # below a finished negative side
+        counts[0] += 1
+        if pos_depth:
+            _count_depths(pos_head, 0, pos_depth, occ, deltas, budget, counts)
 
-    rec(head, [], split)
-    return tasks
-
-
-def _count_task(payload) -> int:
-    """Worker entry point; payload carries only ints (picklable)."""
-    deltas, blocked, head, depth, pos_head, pos_depth, node_budget = payload
-    occupied = set(blocked)
-    budget = [node_budget, node_budget]
-    if pos_head is None:
-        return _count_below(head, depth, occupied, deltas, budget)
-    return _count_two_sided_below(head, depth, pos_head, pos_depth,
-                                  occupied, deltas, budget)
+    try:
+        if pos_head is None:
+            _count_depths(head, level, depth, occupied, deltas, budget, counts)
+        elif level == depth:
+            count_positive(occupied)
+        else:
+            _walk(head, depth - level, occupied, deltas, budget, codes,
+                  lambda nxt: len(codes) < depth - level
+                  or count_positive(occupied | {nxt}))
+    except BudgetExceededError:
+        counts = None
+    return counts, nodes_left - budget[0]
 
 
-def _count_two_sided_below(neg_head: int, neg_depth: int, pos_head: int,
-                           pos_depth: int, occupied: set, deltas,
-                           budget: list) -> int:
-    if neg_depth == 0:
-        return _count_below(pos_head, pos_depth, occupied, deltas, budget)
-    total = 0
-    for delta in deltas:
-        nxt = neg_head + delta
-        if nxt not in occupied:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError(budget[1])
-            occupied.add(nxt)
-            total += _count_two_sided_below(nxt, neg_depth - 1, pos_head,
-                                            pos_depth, occupied, deltas, budget)
-            occupied.discard(nxt)
-    return total
+def _load_checkpoint(path: str | None, signature: str) -> dict:
+    """Finished prefix tasks saved at ``path``: index -> (counts, nodes)."""
+    if path is None or not os.path.exists(path):
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if data["signature"] != signature:
+            raise ValueError("it belongs to another count")
+        return {int(k): ([int(c) for c in v["counts"]], int(v["nodes"]))
+                for k, v in data["done"].items()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        warnings.warn(f"ignoring checkpoint {path} ({exc}); counting from the "
+                      "start", CheckpointIgnoredWarning, stacklevel=4)
+        return {}
 
 
-class _Checkpoint:
-    """Partial sums per prefix task, written atomically."""
-
-    def __init__(self, path: str, signature: str, interval: int = 32):
-        self.path = path
-        self.signature = signature
-        self.interval = interval
-        self.done: dict[int, int] = {}
-        self._pending = 0
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    data = json.load(fh)
-                if data.get("signature") == signature:
-                    self.done = {int(k): int(v) for k, v in data["done"].items()}
-            except (OSError, ValueError, KeyError):
-                pass
-
-    def record(self, index: int, value: int) -> None:
-        self.done[index] = value
-        self._pending += 1
-        if self._pending >= self.interval:
-            self.flush()
-
-    def flush(self) -> None:
-        tmp = self.path + ".tmp"
-        payload = {
-            "signature": self.signature,
-            "done": {str(k): str(v) for k, v in self.done.items()},
-        }
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, self.path)
-        self._pending = 0
-
-    def finish(self) -> None:
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
+def _save_checkpoint(path: str, signature: str, done: dict) -> None:
+    """Write the finished tasks atomically."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump({"signature": signature,
+                   "done": {str(k): {"counts": counts, "nodes": nodes}
+                            for k, (counts, nodes) in done.items()}}, fh)
+    os.replace(tmp, path)
 
 
 def _signature(*parts) -> str:
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+    return hashlib.sha256(repr((_SPLIT_DEPTH, *parts)).encode()).hexdigest()[:16]
 
 
-def _run_engine(deltas, blocked: frozenset, head: int, depth: int, *,
+def _run_engine(deltas, blocked, head: int, depth: int, *,
                 pos_head: int | None = None, pos_depth: int = 0,
                 workers: int = 1, node_budget: int | None = None,
-                checkpoint_path: str | None = None, split_depth: int = 3,
-                signature: str = "") -> int:
-    """Count completions of a search root, optionally split into prefix tasks."""
-    budget_total = node_budget if node_budget is not None else _UNLIMITED
-    if workers <= 1 and checkpoint_path is None:
-        occupied = set(blocked)
-        budget = [budget_total, budget_total]
+                checkpoint_path: str | None = None,
+                signature: str = "") -> list[int]:
+    """Counts per depth: counts[j] is the number of j-step extensions of
+    ``head`` or, with ``pos_head`` set, of pairs of a full ``depth``-step
+    negative side and a j-step positive side.
+
+    The first ``_SPLIT_DEPTH`` levels are walked here (one-sided counts up
+    to the split come from this walk) and cut into prefix tasks, run
+    in-process when ``workers == 1`` and on a process pool otherwise.
+    """
+    budget = _budget(node_budget)
+    limit = budget[1]
+    split = min(_SPLIT_DEPTH, depth)
+    counts = [0] * ((depth if pos_head is None else pos_depth) + 1)
+    counts[0] = int(pos_head is None)
+    tasks = [] if split else [((), head)]
+    codes, taken = [], [0] * split
+
+    def visit(nxt: int) -> bool:
+        level = len(codes)
+        taken[level - 1] = nxt
         if pos_head is None:
-            return _count_below(head, depth, occupied, deltas, budget)
-        return _count_two_sided_below(head, depth, pos_head, pos_depth,
-                                      occupied, deltas, budget)
+            counts[level] += 1
+        if level == split:
+            tasks.append((tuple(taken), nxt))
+        return True
 
-    split = min(split_depth, depth)
-    occupied = set(blocked)
-    tasks = _prefix_tasks(head, depth if pos_head is None else depth, occupied,
-                          deltas, split) if split > 0 else []
-    if split == 0:
-        tasks = [((), head, depth)]
-    checkpoint = (_Checkpoint(checkpoint_path, signature)
-                  if checkpoint_path is not None else None)
-    per_task_budget = (budget_total if budget_total == _UNLIMITED
-                       else max(1, budget_total // max(1, len(tasks))))
-    payloads = []
-    pending_idx = []
-    for idx, (taken, task_head, remaining) in enumerate(tasks):
-        if checkpoint is not None and idx in checkpoint.done:
-            continue
-        payloads.append((deltas, tuple(blocked) + taken, task_head, remaining,
-                         pos_head, pos_depth, per_task_budget))
-        pending_idx.append(idx)
+    if split:
+        _walk(head, split, set(blocked), deltas, budget, codes, visit)
+    if pos_head is None and split == depth:
+        tasks = []  # the prefix walk has counted every level
 
-    results: dict[int, int] = dict(checkpoint.done) if checkpoint else {}
+    done = _load_checkpoint(checkpoint_path, signature)
+    charged = limit - budget[0] + sum(nodes for _, nodes in done.values())
+    pending = [i for i in range(len(tasks)) if i not in done]
+    payloads = [(deltas, tuple(blocked) + tasks[i][0], tasks[i][1], split, depth,
+                 pos_head, pos_depth, max(0, limit - charged)) for i in pending]
+    pool = (ProcessPoolExecutor(max_workers=workers)
+            if workers > 1 and payloads else None)
     try:
-        if workers > 1 and payloads:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for idx, value in zip(pending_idx, pool.map(_count_task, payloads,
-                                                            chunksize=16)):
-                    results[idx] = value
-                    if checkpoint is not None:
-                        checkpoint.record(idx, value)
-        else:
-            for idx, payload in zip(pending_idx, payloads):
-                results[idx] = _count_task(payload)
-                if checkpoint is not None:
-                    checkpoint.record(idx, value=results[idx])
-    except BudgetExceededError:
-        if checkpoint is not None:
-            checkpoint.flush()
-        raise BudgetExceededError(budget_total, checkpoint_path) from None
-    total = sum(results[i] for i in sorted(results))
-    if checkpoint is not None:
-        checkpoint.finish()
-    return total
+        outputs = (pool.map(_count_task, payloads, chunksize=16)
+                   if pool is not None else map(_count_task, payloads))
+        for idx, (task_counts, used) in zip(pending, outputs):
+            charged += used
+            if charged > limit:  # also when the task ran out on its own
+                break
+            done[idx] = (task_counts, used)
+            if checkpoint_path is not None and len(done) % _CHECKPOINT_EVERY == 0:
+                _save_checkpoint(checkpoint_path, signature, done)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if charged > limit:
+        if checkpoint_path is not None:
+            _save_checkpoint(checkpoint_path, signature, done)
+        raise BudgetExceededError(limit, charged, checkpoint_path)
+    for task_counts, _ in done.values():
+        counts = [a + b for a, b in zip(counts, task_counts)]
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+        os.remove(checkpoint_path)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +311,12 @@ def _run_engine(deltas, blocked: frozenset, head: int, depth: int, *,
 
 def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
                workers: int = 1, node_budget: int | None = None,
-               checkpoint_path: str | None = None, split_depth: int = 3) -> int:
+               checkpoint_path: str | None = None) -> int:
     """Exact number of n-step self-avoiding walks from the origin.
 
     The first step is fixed to +e1 and the result multiplied by 2d; every
-    condition-free count has that symmetry.
+    condition-free count has that symmetry.  The same search yields c_k for
+    every k <= n, and all of them go into the table.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -366,20 +324,20 @@ def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
     cached = table.get("plain", n)
     if cached is not None:
         return cached
-    if n == 0:
-        value = 1
-    else:
+    counts = [1]
+    if n > 0:
         width, origin_key, deltas = _pack_params(dimension, n)
         first = origin_key + deltas[0]
-        blocked = frozenset((origin_key, first))
-        value = 2 * dimension * _run_engine(
-            deltas, blocked, first, n - 1,
+        below = _run_engine(
+            deltas, frozenset((origin_key, first)), first, n - 1,
             workers=workers, node_budget=node_budget,
-            checkpoint_path=checkpoint_path, split_depth=split_depth,
-            signature=_signature(dimension, "plain", n, split_depth),
+            checkpoint_path=checkpoint_path,
+            signature=_signature(dimension, "plain", n),
         )
-    table.put("plain", n, None, value)
-    return value
+        counts += [2 * dimension * c for c in below]
+    for k, value in enumerate(counts):
+        table.put("plain", k, None, value)
+    return counts[n]
 
 
 def endpoint_histogram(dimension: int, n: int, *,
@@ -389,12 +347,30 @@ def endpoint_histogram(dimension: int, n: int, *,
     table = table or default_table(dimension)
     width, origin_key, deltas = _pack_params(dimension, n)
     hist: dict[int, int] = {}
+    occupied = {origin_key}
+    budget = _budget(node_budget)
+    codes: list[int] = []
+
+    def add_ends(head: int) -> bool:
+        # the last step inline: a visit per end would cost a third more
+        found = 0
+        for delta in deltas:
+            end = head + delta
+            if end not in occupied:
+                hist[end] = hist.get(end, 0) + 1
+                found += 1
+        budget[0] -= found
+        if budget[0] < 0:
+            raise BudgetExceededError(budget[1], budget[1] - budget[0])
+        return False
+
     if n == 0:
         hist[origin_key] = 1
+    elif n == 1:
+        add_ends(origin_key)
     else:
-        limit = node_budget if node_budget is not None else _UNLIMITED
-        _leaves_by_endpoint(origin_key, n, {origin_key}, deltas, hist,
-                            [limit, limit])
+        _walk(origin_key, n - 1, occupied, deltas, budget, codes,
+              lambda nxt: len(codes) < n - 1 or add_ends(nxt))
     out = {}
     for key, value in hist.items():
         coords = _unpack(key, dimension, width, n)
@@ -426,8 +402,7 @@ def count_ending_at(dimension: int, n: int, point: Coords | LatticePoint, *,
 def count_extensions(dimension: int, n: int, prefix: Path, *,
                      table: CountTable | None = None, workers: int = 1,
                      node_budget: int | None = None,
-                     checkpoint_path: str | None = None,
-                     split_depth: int = 3) -> int:
+                     checkpoint_path: str | None = None) -> int:
     """Number of n-step walks starting with ``prefix``.
 
     Equals the number of (n-k)-step walks escaping the prefix, counted by a
@@ -446,19 +421,16 @@ def count_extensions(dimension: int, n: int, prefix: Path, *,
     cached = table.get("prefix", n, prefix.steps)
     if cached is not None:
         return cached
-    if k == n:
-        value = 1
-    else:
-        anchored = prefix.re_anchored()
-        width, origin_key, deltas = _pack_params(dimension, n)
-        blocked = frozenset(_pack(v, width, n) for v in anchored.vertices)
-        head = _pack(anchored.end, width, n)
-        value = _run_engine(
-            deltas, blocked, head, n - k,
-            workers=workers, node_budget=node_budget,
-            checkpoint_path=checkpoint_path, split_depth=split_depth,
-            signature=_signature(dimension, "prefix", n, prefix.steps, split_depth),
-        )
+    anchored = prefix.re_anchored()
+    width, origin_key, deltas = _pack_params(dimension, n)
+    blocked = frozenset(_pack(v, width, n) for v in anchored.vertices)
+    head = _pack(anchored.end, width, n)
+    value = _run_engine(
+        deltas, blocked, head, n - k,
+        workers=workers, node_budget=node_budget,
+        checkpoint_path=checkpoint_path,
+        signature=_signature(dimension, "prefix", n, prefix.steps),
+    )[-1]
     table.put("prefix", n, prefix.steps, value)
     return value
 
@@ -476,15 +448,25 @@ def has_extension(dimension: int, extra_steps: int, prefix: Path) -> bool:
     width, origin_key, deltas = _pack_params(dimension, extent)
     occupied = {_pack(v, width, extent) for v in anchored.vertices}
     head = _pack(anchored.end, width, extent)
-    return _exists_below(head, extra_steps, occupied, deltas)
+    codes: list[int] = []
+
+    def visit(nxt: int) -> bool:
+        if len(codes) == extra_steps:
+            raise _Found
+        return True
+
+    try:
+        _walk(head, extra_steps, occupied, deltas, _budget(), codes, visit)
+    except _Found:
+        return True
+    return False
 
 
 def count_two_sided(dimension: int, m: int, n: int,
                     xi: TwoSidedPath | None = None, *,
                     table: CountTable | None = None, workers: int = 1,
                     node_budget: int | None = None,
-                    checkpoint_path: str | None = None,
-                    split_depth: int = 3) -> int:
+                    checkpoint_path: str | None = None) -> int:
     """Number of two-sided walks with side lengths (m, n) extending ``xi``.
 
     A two-sided walk is a pair in SAW_m x SAW_n whose sides meet only at
@@ -511,9 +493,9 @@ def count_two_sided(dimension: int, m: int, n: int,
         deltas, blocked, neg_head, m - xi.neg_length,
         pos_head=pos_head, pos_depth=n - xi.pos_length,
         workers=workers, node_budget=node_budget,
-        checkpoint_path=checkpoint_path, split_depth=split_depth,
-        signature=_signature(dimension, "two_sided", m, n, key, split_depth),
-    )
+        checkpoint_path=checkpoint_path,
+        signature=_signature(dimension, "two_sided", m, n, key),
+    )[-1]
     table.put("two_sided", m + n, key, value)
     return value
 
@@ -527,19 +509,14 @@ def enumerate_paths(dimension: int, n: int, prefix: Path | None = None) -> list[
     if prefix is not None and len(prefix) > n:
         raise ValueError("prefix longer than requested length")
     width, origin_key, deltas = _pack_params(dimension, n)
-    if prefix is None:
-        occupied = {origin_key}
-        head = origin_key
-        stack = bytearray()
-        depth = n
-    else:
-        anchored = prefix.re_anchored()
-        occupied = {_pack(v, width, n) for v in anchored.vertices}
-        head = _pack(anchored.end, width, n)
-        stack = bytearray(anchored.steps)
-        depth = n - len(prefix)
+    anchored = (prefix or Path(dimension)).re_anchored()
+    occupied = {_pack(v, width, n) for v in anchored.vertices}
+    codes = list(anchored.steps)
+    if len(codes) == n:
+        return [bytes(codes)]
     acc: list[bytes] = []
-    _enumerate_below(head, depth, occupied, deltas, stack, acc)
+    _walk(_pack(anchored.end, width, n), n - len(codes), occupied, deltas,
+          _budget(), codes, lambda nxt: len(codes) < n or acc.append(bytes(codes)))
     return acc
 
 
@@ -599,8 +576,10 @@ def asymptotic_table(dimension: int, n_max: int, *,
     amplitude proxy c_n / ratio^n, and the non-intersection ratios
     c_{2m} / c_m^2 for 2m <= n_max."""
     table = table or default_table(dimension)
+    # from the top down: the first count caches all the shorter ones
     counts = [count_saws(dimension, n, table=table, workers=workers,
-                         node_budget=node_budget) for n in range(n_max + 1)]
+                         node_budget=node_budget)
+              for n in reversed(range(n_max + 1))][::-1]
     out = AsymptoticTable(dimension)
     for n, c in enumerate(counts):
         ratio = Fraction(c, counts[n - 1]) if n >= 1 else None

@@ -312,8 +312,7 @@ def estimate_decoupling_stats(dimension: int, prefix1: Path, prefix2: Path,
     """Monte Carlo failure frequencies per iteration and tail-disagreement
     frequencies per shift, with Wilson intervals.
 
-    Each trial runs on its own derived stream, so results do not depend on
-    how trials are split across workers.
+    Each trial runs on its own derived stream, keyed by its index.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

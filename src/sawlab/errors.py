@@ -42,15 +42,19 @@ class PatternLongerThanPathError(SawLabError):
 class BudgetExceededError(SawLabError):
     """An enumeration exceeded its node budget.
 
-    ``checkpoint_path`` points at saved partial progress when checkpointing
-    was enabled for the aborted computation.
+    ``budget`` is the limit and ``nodes`` the nodes charged when the search
+    stopped (more than ``budget``).  ``checkpoint_path`` points at saved
+    partial progress when checkpointing was enabled for the aborted
+    computation.
     """
 
-    def __init__(self, nodes: int, checkpoint_path: str | None = None):
+    def __init__(self, budget: int, nodes: int, checkpoint_path: str | None = None):
+        self.budget = budget
         self.nodes = nodes
         self.checkpoint_path = checkpoint_path
         extra = f" (partial progress in {checkpoint_path})" if checkpoint_path else ""
-        super().__init__(f"enumeration budget exceeded after {nodes} nodes{extra}")
+        super().__init__(
+            f"node budget of {budget} exceeded: {nodes} nodes charged{extra}")
 
 
 class RejectionBudgetExceededError(SawLabError):
@@ -102,3 +106,8 @@ class TruncatedRecordError(SawLabError):
 
 class CorruptCacheWarning(UserWarning):
     """A count-cache line failed its checksum and was skipped."""
+
+
+class CheckpointIgnoredWarning(UserWarning):
+    """A count checkpoint was unreadable or belonged to another count, so
+    the count started over."""

@@ -348,7 +348,3 @@ def symmetry_generators(dimension: int) -> list[SignedPermutation]:
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(SignedPermutation(tuple(perm), plus))
     return gens
-
-
-def code_for_axis(axis: int, positive: bool = True) -> int:
-    return 2 * axis + (0 if positive else 1)

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (CountTable, _pack_params, count_saws, count_two_sided,
-                       default_table)
+from .counting import (CountTable, _budget, _Found, _pack_params, _walk,
+                       count_saws, count_two_sided, default_table)
+from .errors import BudgetExceededError, NotSelfAvoidingError
 from .lattice import Path, SignedPermutation, TwoSidedPath, validate
 from .sampling import SamplerConfig, SawSampler, _coords_from_codes, _radix_powers
 
@@ -41,41 +42,6 @@ def _pattern_multiset(dimension: int, pattern: Path) -> Counter:
     return out
 
 
-def _occurrence_survey(dimension: int, n_max: int, pattern: Path):
-    """Totals of pattern occurrences and walk counts for every n <= n_max,
-    from a single reduced depth-first pass."""
-    k = len(pattern)
-    multiset = _pattern_multiset(dimension, pattern)
-    width, origin_key, deltas = _pack_params(dimension, n_max)
-    totals = [0] * (n_max + 1)
-    counts = [0] * (n_max + 1)
-    stack: list[int] = []
-
-    def rec(head: int, depth: int, occ: int, occupied: set):
-        counts[depth] += 1
-        totals[depth] += occ
-        if depth == n_max:
-            return
-        for code, delta in enumerate(deltas):
-            nxt = head + delta
-            if nxt not in occupied:
-                stack.append(code)
-                if depth + 1 >= k:
-                    occ2 = occ + multiset.get(tuple(stack[-k:]), 0)
-                else:
-                    occ2 = occ
-                occupied.add(nxt)
-                rec(nxt, depth + 1, occ2, occupied)
-                occupied.discard(nxt)
-                stack.pop()
-
-    first = origin_key + deltas[0]
-    stack.append(0)
-    occ0 = multiset.get((0,), 0) if k == 1 else 0
-    rec(first, 1, occ0, {origin_key, first})
-    return totals, counts
-
-
 def exact_mean_density(dimension: int, n: int, pattern: Path, *,
                        table: CountTable | None = None) -> Fraction:
     """Exact E[pattern density over the uniform n-step walk]."""
@@ -94,7 +60,26 @@ def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
     if pattern.dimension != dimension:
         raise ValueError("pattern dimension mismatch")
     table = table or default_table(dimension)
-    totals, counts = _occurrence_survey(dimension, n_max, pattern)
+    # totals[n] and counts[n]: occurrences and walks of length n, first step +e1
+    multiset = _pattern_multiset(dimension, pattern)
+    width, origin_key, deltas = _pack_params(dimension, n_max)
+    totals = [0] * (n_max + 1)
+    counts = [0] * (n_max + 1)
+    occ = [0] * (n_max + 1)  # occurrences along the current walk, per level
+    codes = [0]
+
+    def visit(nxt: int) -> bool:
+        level = len(codes)
+        occ[level] = occ[level - 1] + multiset.get(tuple(codes[-k:]), 0)
+        counts[level] += 1
+        totals[level] += occ[level]
+        return True
+
+    first = origin_key + deltas[0]
+    visit(first)
+    if n_max > 1:
+        _walk(first, n_max - 1, {origin_key, first}, deltas, _budget(), codes,
+              visit)
     out = {}
     for n in range(k, n_max + 1):
         c_n = counts[n] * 2 * dimension
@@ -154,7 +139,12 @@ def two_sided_prefix_prob(dimension: int, m: int, n: int, pattern: Path, *,
 
 @dataclass
 class ProperPatternResult:
-    """Outcome of the bounded proper-internal-pattern search."""
+    """Outcome of the bounded proper-internal-pattern search.
+
+    ``nodes_visited`` is the number of vertices the search added to its
+    walks, the node budget's unit; it is 0 when the tripled pattern is
+    itself the witness.
+    """
 
     status: str  # "yes" | "inconclusive"
     witness: Path | None = None
@@ -180,50 +170,34 @@ def is_proper_internal_pattern(dimension: int, pattern: Path, *,
     # Cheap candidate first: three copies laid end to end.
     try:
         tripled = validate(pattern.steps * 3, dimension)
-    except Exception:
+    except NotSelfAvoidingError:
         tripled = None
     if tripled is not None and len(tripled) <= budget_length:
         return ProperPatternResult("yes", tripled)
 
     width, origin_key, deltas = _pack_params(dimension, budget_length)
-    target = tuple(pattern.steps)
-    stack: list[int] = []
-    visited = [0]
-    witness: list[bytes] = []
+    target = list(pattern.steps)
+    occ = [0] * (budget_length + 1)  # occurrences along the current walk
+    codes: list[int] = []
+    budget = _budget(max_nodes)
 
-    def rec(head: int, depth: int, occ: int, occupied: set) -> bool:
-        visited[0] += 1
-        if visited[0] > max_nodes:
-            return False
-        if occ + (budget_length - depth) < 3:
-            return False
-        for code, delta in enumerate(deltas):
-            nxt = head + delta
-            if nxt in occupied:
-                continue
-            stack.append(code)
-            occ2 = occ
-            if depth + 1 >= k and tuple(stack[-k:]) == target:
-                occ2 += 1
-            if occ2 >= 3:
-                witness.append(bytes(stack))
-                stack.pop()
-                return True
-            if depth + 1 < budget_length:
-                occupied.add(nxt)
-                found = rec(nxt, depth + 1, occ2, occupied)
-                occupied.discard(nxt)
-                if found:
-                    stack.pop()
-                    return True
-            stack.pop()
-        return False
+    def visit(nxt: int) -> bool:
+        level = len(codes)
+        occ[level] = occ[level - 1] + (codes[-k:] == target)
+        if occ[level] >= 3:
+            raise _Found
+        return occ[level] + (budget_length - level) >= 3
 
-    found = rec(origin_key, 0, 0, {origin_key})
-    if found:
-        return ProperPatternResult("yes", Path(dimension, witness[0]),
-                                   visited[0])
-    return ProperPatternResult("inconclusive", None, visited[0])
+    try:
+        if budget_length > 0:
+            _walk(origin_key, budget_length, {origin_key}, deltas, budget,
+                  codes, visit)
+    except _Found:
+        return ProperPatternResult("yes", Path(dimension, bytes(codes)),
+                                   budget[1] - budget[0])
+    except BudgetExceededError:
+        pass
+    return ProperPatternResult("inconclusive", None, budget[1] - budget[0])
 
 
 @dataclass

@@ -78,7 +78,7 @@ def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
     until stable (removing a column can zero another row)."""
     count = count_saws(dimension, n)
     if count > max_paths:
-        raise BudgetExceededError(max_paths)
+        raise BudgetExceededError(max_paths, count)
     paths = enumerate_paths(dimension, n)
     deltas = direction_vectors(dimension)
     verts = [_vertex_data(dimension, codes, deltas) for codes in paths]

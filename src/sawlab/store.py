@@ -97,7 +97,6 @@ class CountCache:
     def __init__(self, path: str):
         self.path = path
         self._entries: dict[tuple, int] = {}
-        self._loaded_size = 0
         if os.path.exists(path):
             self._load()
 
@@ -124,7 +123,6 @@ class CountCache:
                         f"{self.path}:{lineno}: skipping corrupt cache line",
                         CorruptCacheWarning,
                     )
-        self._loaded_size = os.path.getsize(self.path)
 
     def get(self, d: int, kind: str, n: int, key=None) -> int | None:
         return self._entries.get(self._memory_key(d, kind, n, key))

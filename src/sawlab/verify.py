@@ -348,8 +348,7 @@ def check_pattern_means(dimension: int, n_max: int,
 
 
 def run_verify(dimension: int, n_max: int, *,
-               table: CountTable | None = None,
-               workers: int = 1) -> list[CheckResult]:
+               table: CountTable | None = None) -> list[CheckResult]:
     """The full exact-identity suite at the given scale."""
     table = table or default_table(dimension)
     prefix_max = min(3, n_max)

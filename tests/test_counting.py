@@ -1,11 +1,13 @@
 """Exact enumeration: oracle equality, identities, budgets, checkpoints."""
 
+import json
 import os
+import shutil
 from fractions import Fraction
 
 import pytest
 
-from sawlab import reference
+from sawlab import counting, reference
 from sawlab.counting import (
     CountTable,
     asymptotic_table,
@@ -19,7 +21,7 @@ from sawlab.counting import (
     prefix_histogram,
     truncated_two_point,
 )
-from sawlab.errors import BudgetExceededError
+from sawlab.errors import BudgetExceededError, CheckpointIgnoredWarning
 from sawlab.lattice import (
     Path,
     TwoSidedPath,
@@ -28,6 +30,8 @@ from sawlab.lattice import (
 )
 
 TRAP = [3, 0, 0, 2, 2, 1, 3]  # d=2 walk whose head has no free neighbour
+# OEIS A001411: c_n on Z^2 for n = 0, 1, ...
+A001411 = (1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100, 120292, 324932)
 
 
 def test_count_examples():
@@ -177,6 +181,10 @@ def test_parallel_counts_match_serial():
             == count_extensions(2, 7, zeta, table=parallel, workers=2))
     assert (count_two_sided(2, 3, 3, table=serial, workers=2)
             == count_saws(2, 6, table=serial))
+    xi = TwoSidedPath(validate([1], 2), validate([0], 2))
+    assert (count_two_sided(2, 3, 3, xi, table=parallel, workers=2)
+            == reference.naive_count_two_sided(2, 3, 3, neg_prefix=(1,),
+                                               pos_prefix=(0,)))
 
 
 def test_budget_exceeded_raises():
@@ -205,3 +213,65 @@ def test_count_table_cache_hits():
     # conditioned counts never exceed the plain count
     zeta = validate([0], 2)
     assert count_extensions(2, 6, zeta, table=table) <= first
+
+
+def test_count_saws_caches_every_shorter_count():
+    table = CountTable(2)
+    assert count_saws(2, 12, table=table) == A001411[12]
+    for k in range(13):
+        assert table.get("plain", k) == A001411[k]
+
+
+def test_asymptotic_table_counts_in_one_pass(monkeypatch):
+    calls = []
+    engine = counting._run_engine
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_run_engine", counted)
+    result = asymptotic_table(2, 10, table=CountTable(2))
+    assert len(calls) == 1
+    assert [row.count for row in result.rows] == list(A001411[:11])
+
+
+def test_node_budget_is_global(tmp_path):
+    # after the first step the search adds c_k / 2d vertices for each length k
+    nodes = sum(A001411[2:10]) // 4
+    for workers in (1, 2):
+        assert count_saws(2, 9, table=CountTable(2), workers=workers,
+                          node_budget=nodes) == A001411[9]
+        with pytest.raises(BudgetExceededError) as err:
+            count_saws(2, 9, table=CountTable(2), workers=workers,
+                       node_budget=nodes - 1)
+        assert err.value.budget == nodes - 1
+        assert err.value.nodes > nodes - 1
+    ckpt = str(tmp_path / "count.ckpt")
+    with pytest.raises(BudgetExceededError):
+        count_saws(2, 9, table=CountTable(2), node_budget=nodes // 2,
+                   checkpoint_path=ckpt)
+    with open(ckpt, encoding="utf-8") as fh:
+        assert json.load(fh)["done"]  # some tasks finished before the stop
+    shutil.copy(ckpt, ckpt + ".copy")
+    with pytest.raises(BudgetExceededError):
+        count_saws(2, 9, table=CountTable(2), node_budget=nodes - 1,
+                   checkpoint_path=ckpt)
+    for path, workers in ((ckpt, 1), (ckpt + ".copy", 2)):
+        assert count_saws(2, 9, table=CountTable(2), workers=workers,
+                          node_budget=nodes, checkpoint_path=path) == A001411[9]
+
+
+def test_checkpoint_warns_when_ignored(tmp_path):
+    ckpt = str(tmp_path / "count.ckpt")
+    with open(ckpt, "w", encoding="utf-8") as fh:
+        fh.write("{not json")
+    with pytest.warns(CheckpointIgnoredWarning):
+        assert count_saws(2, 8, table=CountTable(2),
+                          checkpoint_path=ckpt) == A001411[8]
+    with pytest.raises(BudgetExceededError):
+        count_saws(2, 9, table=CountTable(2), node_budget=300,
+                   checkpoint_path=ckpt)
+    with pytest.warns(CheckpointIgnoredWarning, match="another count"):
+        assert count_saws(2, 8, table=CountTable(2),
+                          checkpoint_path=ckpt) == A001411[8]

@@ -175,3 +175,11 @@ def test_density_report_round_trip():
     assert by_n[10].exact_mean is None and by_n[10].mc is not None
     ref = report.reference_prob
     assert ref == two_sided_prefix_prob(d, 3, 3, zeta)
+
+
+def test_proper_pattern_budget_counts_added_vertices():
+    r = is_proper_internal_pattern(2, TRAP, max_nodes=100)
+    assert r.status == "inconclusive"
+    assert r.nodes_visited == 101  # the vertex that ran past the budget
+    found = is_proper_internal_pattern(2, validate([0, 2, 1], 2))
+    assert found.is_proper and 0 < found.nodes_visited <= 500_000
