@@ -14,8 +14,10 @@ vertex and an exception ends the search.
 A node budget charges one node for every vertex either kernel adds, the
 prefix walk that cuts a count into tasks included, so a count fits it or
 raises ``BudgetExceededError`` the same way serially, on a process pool or
-resumed from a checkpoint.  Counts are exact Python integers; optional
-checkpoints keep the counts and nodes of every finished prefix task.
+resumed from a checkpoint.  Each task starts with the nodes left at that
+moment, so a count that runs out stops after about one budget per worker.
+Counts are exact Python integers; optional checkpoints keep the counts and
+nodes of every finished prefix task.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,9 +137,11 @@ def _budget(node_budget: int | None = None) -> list:
 
 
 def _count_depths(head: int, level: int, depth: int, occupied: set, deltas,
-                  budget: list, counts: list) -> None:
+                  budget: list, counts: list, ends: dict | None = None) -> None:
     """Add one to counts[j] for every extension of ``head``, a walk of
-    ``level`` steps, to a walk of j steps, for level < j <= depth."""
+    ``level`` steps, to a walk of j steps, for level < j <= depth; with
+    ``ends`` given, also add one to ends[v] for every depth-step walk
+    ending at v."""
     nxt_level = level + 1
     found = 0
     for delta in deltas:
@@ -147,8 +151,10 @@ def _count_depths(head: int, level: int, depth: int, occupied: set, deltas,
             if nxt_level < depth:
                 occupied.add(nxt)
                 _count_depths(nxt, nxt_level, depth, occupied, deltas, budget,
-                              counts)
+                              counts, ends)
                 occupied.discard(nxt)
+            elif ends is not None:
+                ends[nxt] = ends.get(nxt, 0) + 1
     counts[nxt_level] += found
     budget[0] -= found
     if budget[0] < 0:
@@ -156,12 +162,18 @@ def _count_depths(head: int, level: int, depth: int, occupied: set, deltas,
 
 
 def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
-          codes: list, visit) -> None:
+          codes: list, visit, leaf) -> None:
     """Pre-order visit of every extension of ``head`` by 1..depth steps.
 
-    ``visit(nxt)`` runs at every added vertex while ``codes`` ends in the
-    step to it, in lexicographic order of the codes.  A false return prunes
-    below that vertex; an exception ends the walk.
+    ``visit(nxt)`` runs at every vertex added above the last level and
+    ``leaf(nxt)`` at every vertex of the last level, in lexicographic order
+    of the codes, while ``codes`` ends in the step to ``nxt`` and
+    ``occupied`` holds it.  A false return
+    from ``visit`` prunes below that vertex; with ``visit`` None the walk
+    goes everywhere.  An exception, from a visitor or from the budget, ends
+    the walk and leaves ``codes`` and ``occupied`` as they stood when it was
+    raised, so a caller may read the path to the visited vertex from
+    ``codes``.
     """
     for code, delta in enumerate(deltas):
         nxt = head + delta
@@ -171,11 +183,17 @@ def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
         if budget[0] < 0:
             raise BudgetExceededError(budget[1], budget[1] - budget[0])
         codes.append(code)
-        if visit(nxt) and depth > 1:
-            occupied.add(nxt)
-            _walk(nxt, depth - 1, occupied, deltas, budget, codes, visit)
-            occupied.discard(nxt)
+        occupied.add(nxt)
+        if depth == 1:
+            leaf(nxt)
+        elif visit is None or visit(nxt):
+            _walk(nxt, depth - 1, occupied, deltas, budget, codes, visit, leaf)
+        occupied.discard(nxt)
         codes.pop()
+
+
+def _stop(nxt: int) -> None:
+    raise _Found
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +207,32 @@ def _count_task(payload) -> tuple[list[int] | None, int]:
     occupied, budget, codes = set(blocked), _budget(nodes_left), []
     counts = [0] * ((depth if pos_head is None else pos_depth) + 1)
 
-    def count_positive(occ: set) -> None:  # below a finished negative side
+    def count_positive(tip: int) -> None:  # below a finished negative side
         counts[0] += 1
         if pos_depth:
-            _count_depths(pos_head, 0, pos_depth, occ, deltas, budget, counts)
+            _count_depths(pos_head, 0, pos_depth, occupied, deltas, budget,
+                          counts)
 
     try:
         if pos_head is None:
             _count_depths(head, level, depth, occupied, deltas, budget, counts)
         elif level == depth:
-            count_positive(occupied)
+            count_positive(head)
         else:
-            _walk(head, depth - level, occupied, deltas, budget, codes,
-                  lambda nxt: len(codes) < depth - level
-                  or count_positive(occupied | {nxt}))
+            _walk(head, depth - level, occupied, deltas, budget, codes, None,
+                  count_positive)
     except BudgetExceededError:
         counts = None
     return counts, nodes_left - budget[0]
+
+
+def _submit(pool: ProcessPoolExecutor | None, payload) -> Future:
+    """Start one prefix task on the pool, or run it here without one."""
+    if pool is not None:
+        return pool.submit(_count_task, payload)
+    fut: Future = Future()
+    fut.set_result(_count_task(payload))
+    return fut
 
 
 def _load_checkpoint(path: str | None, signature: str) -> dict:
@@ -257,40 +284,52 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
     split = min(_SPLIT_DEPTH, depth)
     counts = [0] * ((depth if pos_head is None else pos_depth) + 1)
     counts[0] = int(pos_head is None)
-    tasks = [] if split else [((), head)]
-    codes, taken = [], [0] * split
+    tasks = [] if split else [(tuple(blocked), head)]
+    codes, occupied = [], set(blocked)
 
     def visit(nxt: int) -> bool:
-        level = len(codes)
-        taken[level - 1] = nxt
         if pos_head is None:
-            counts[level] += 1
-        if level == split:
-            tasks.append((tuple(taken), nxt))
+            counts[len(codes)] += 1
         return True
 
+    def leaf(nxt: int) -> None:  # one task per prefix of ``split`` steps
+        visit(nxt)
+        tasks.append((tuple(occupied), nxt))
+
     if split:
-        _walk(head, split, set(blocked), deltas, budget, codes, visit)
+        _walk(head, split, occupied, deltas, budget, codes, visit, leaf)
     if pos_head is None and split == depth:
         tasks = []  # the prefix walk has counted every level
 
     done = _load_checkpoint(checkpoint_path, signature)
     charged = limit - budget[0] + sum(nodes for _, nodes in done.values())
-    pending = [i for i in range(len(tasks)) if i not in done]
-    payloads = [(deltas, tuple(blocked) + tasks[i][0], tasks[i][1], split, depth,
-                 pos_head, pos_depth, max(0, limit - charged)) for i in pending]
+    todo = iter([i for i in range(len(tasks)) if i not in done])
     pool = (ProcessPoolExecutor(max_workers=workers)
-            if workers > 1 and payloads else None)
+            if workers > 1 and len(done) < len(tasks) else None)
+    running: dict[Future, int] = {}
     try:
-        outputs = (pool.map(_count_task, payloads, chunksize=16)
-                   if pool is not None else map(_count_task, payloads))
-        for idx, (task_counts, used) in zip(pending, outputs):
-            charged += used
-            if charged > limit:  # also when the task ran out on its own
+        while True:
+            # one task per worker, given the nodes left when it starts: a
+            # count that runs out stops within about ``workers`` budgets
+            while charged <= limit and len(running) < workers:
+                idx = next(todo, None)
+                if idx is None:
+                    break
+                running[_submit(pool, (deltas, *tasks[idx], split, depth,
+                                       pos_head, pos_depth,
+                                       limit - charged))] = idx
+            if not running:
                 break
-            done[idx] = (task_counts, used)
-            if checkpoint_path is not None and len(done) % _CHECKPOINT_EVERY == 0:
-                _save_checkpoint(checkpoint_path, signature, done)
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                idx = running.pop(fut)
+                task_counts, used = fut.result()
+                charged += used
+                if task_counts is not None:
+                    done[idx] = (task_counts, used)
+                    if (checkpoint_path is not None
+                            and len(done) % _CHECKPOINT_EVERY == 0):
+                        _save_checkpoint(checkpoint_path, signature, done)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -346,31 +385,10 @@ def endpoint_histogram(dimension: int, n: int, *,
     """Counts of n-step walks grouped by endpoint, from one full pass."""
     table = table or default_table(dimension)
     width, origin_key, deltas = _pack_params(dimension, n)
-    hist: dict[int, int] = {}
-    occupied = {origin_key}
-    budget = _budget(node_budget)
-    codes: list[int] = []
-
-    def add_ends(head: int) -> bool:
-        # the last step inline: a visit per end would cost a third more
-        found = 0
-        for delta in deltas:
-            end = head + delta
-            if end not in occupied:
-                hist[end] = hist.get(end, 0) + 1
-                found += 1
-        budget[0] -= found
-        if budget[0] < 0:
-            raise BudgetExceededError(budget[1], budget[1] - budget[0])
-        return False
-
-    if n == 0:
-        hist[origin_key] = 1
-    elif n == 1:
-        add_ends(origin_key)
-    else:
-        _walk(origin_key, n - 1, occupied, deltas, budget, codes,
-              lambda nxt: len(codes) < n - 1 or add_ends(nxt))
+    hist = {origin_key: 1} if n == 0 else {}
+    if n > 0:
+        _count_depths(origin_key, 0, n, {origin_key}, deltas,
+                      _budget(node_budget), [0] * (n + 1), hist)
     out = {}
     for key, value in hist.items():
         coords = _unpack(key, dimension, width, n)
@@ -448,15 +466,8 @@ def has_extension(dimension: int, extra_steps: int, prefix: Path) -> bool:
     width, origin_key, deltas = _pack_params(dimension, extent)
     occupied = {_pack(v, width, extent) for v in anchored.vertices}
     head = _pack(anchored.end, width, extent)
-    codes: list[int] = []
-
-    def visit(nxt: int) -> bool:
-        if len(codes) == extra_steps:
-            raise _Found
-        return True
-
     try:
-        _walk(head, extra_steps, occupied, deltas, _budget(), codes, visit)
+        _walk(head, extra_steps, occupied, deltas, _budget(), [], None, _stop)
     except _Found:
         return True
     return False
@@ -516,7 +527,7 @@ def enumerate_paths(dimension: int, n: int, prefix: Path | None = None) -> list[
         return [bytes(codes)]
     acc: list[bytes] = []
     _walk(_pack(anchored.end, width, n), n - len(codes), occupied, deltas,
-          _budget(), codes, lambda nxt: len(codes) < n or acc.append(bytes(codes)))
+          _budget(), codes, None, lambda nxt: acc.append(bytes(codes)))
     return acc
 
 

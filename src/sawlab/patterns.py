@@ -79,7 +79,7 @@ def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
     visit(first)
     if n_max > 1:
         _walk(first, n_max - 1, {origin_key, first}, deltas, _budget(), codes,
-              visit)
+              visit, visit)
     out = {}
     for n in range(k, n_max + 1):
         c_n = counts[n] * 2 * dimension
@@ -191,7 +191,7 @@ def is_proper_internal_pattern(dimension: int, pattern: Path, *,
     try:
         if budget_length > 0:
             _walk(origin_key, budget_length, {origin_key}, deltas, budget,
-                  codes, visit)
+                  codes, visit, visit)
     except _Found:
         return ProperPatternResult("yes", Path(dimension, bytes(codes)),
                                    budget[1] - budget[0])

@@ -262,6 +262,18 @@ def test_node_budget_is_global(tmp_path):
                           node_budget=nodes, checkpoint_path=path) == A001411[9]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_node_budget_bounds_the_work(workers):
+    nodes = sum(A001411[2:13]) // 4
+    budget = nodes // 5
+    with pytest.raises(BudgetExceededError) as err:
+        count_saws(2, 12, table=CountTable(2), workers=workers,
+                   node_budget=budget)
+    # every node charged is work done; each task in flight gets at most the
+    # nodes left when it starts and stops one level (2d nodes) past them
+    assert budget < err.value.nodes <= workers * (budget + 4)
+
+
 def test_checkpoint_warns_when_ignored(tmp_path):
     ckpt = str(tmp_path / "count.ckpt")
     with open(ckpt, "w", encoding="utf-8") as fh:
