@@ -226,15 +226,6 @@ def _count_task(payload) -> tuple[list[int] | None, int]:
     return counts, nodes_left - budget[0]
 
 
-def _submit(pool: ProcessPoolExecutor | None, payload) -> Future:
-    """Start one prefix task on the pool, or run it here without one."""
-    if pool is not None:
-        return pool.submit(_count_task, payload)
-    fut: Future = Future()
-    fut.set_result(_count_task(payload))
-    return fut
-
-
 def _load_checkpoint(path: str | None, signature: str) -> dict:
     """Finished prefix tasks saved at ``path``: index -> (counts, nodes)."""
     if path is None or not os.path.exists(path):
@@ -304,32 +295,37 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
     done = _load_checkpoint(checkpoint_path, signature)
     charged = limit - budget[0] + sum(nodes for _, nodes in done.values())
     todo = iter([i for i in range(len(tasks)) if i not in done])
+
+    def record(idx: int, task_counts: list[int] | None, used: int) -> int:
+        if task_counts is not None:
+            done[idx] = (task_counts, used)
+            if checkpoint_path is not None and len(done) % _CHECKPOINT_EVERY == 0:
+                _save_checkpoint(checkpoint_path, signature, done)
+        return used
+
     pool = (ProcessPoolExecutor(max_workers=workers)
             if workers > 1 and len(done) < len(tasks) else None)
     running: dict[Future, int] = {}
     try:
         while True:
-            # one task per worker, given the nodes left when it starts: a
-            # count that runs out stops within about ``workers`` budgets
+            # each task gets the nodes left when it starts, and at most one
+            # per worker runs: a count that runs out stops after about one
+            # budget per worker
             while charged <= limit and len(running) < workers:
                 idx = next(todo, None)
                 if idx is None:
                     break
-                running[_submit(pool, (deltas, *tasks[idx], split, depth,
-                                       pos_head, pos_depth,
-                                       limit - charged))] = idx
+                payload = (deltas, *tasks[idx], split, depth, pos_head,
+                           pos_depth, limit - charged)
+                if pool is None:
+                    charged += record(idx, *_count_task(payload))
+                else:
+                    running[pool.submit(_count_task, payload)] = idx
             if not running:
                 break
             finished, _ = wait(running, return_when=FIRST_COMPLETED)
             for fut in finished:
-                idx = running.pop(fut)
-                task_counts, used = fut.result()
-                charged += used
-                if task_counts is not None:
-                    done[idx] = (task_counts, used)
-                    if (checkpoint_path is not None
-                            and len(done) % _CHECKPOINT_EVERY == 0):
-                        _save_checkpoint(checkpoint_path, signature, done)
+                charged += record(running.pop(fut), *fut.result())
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
