@@ -7,9 +7,11 @@ reachable coordinate is bounded by the walk extent L.
 
 Two recursive kernels do all the searching.  ``_count_depths`` adds the
 number of j-step extensions of a walk, for every j, into a list of counts
-per depth.  ``_walk`` calls a visitor at every vertex it adds, in
-lexicographic order of the step codes; a false return prunes below that
-vertex and an exception ends the search.
+per depth, and can tally the full-length ones by endpoint.  ``_walk``
+calls one callback at every vertex it adds above the last level and
+another at the last level, in lexicographic order of the step codes; a
+false return from the first prunes below that vertex and an exception
+ends the search.
 
 A node budget charges one node for every vertex either kernel adds, the
 prefix walk that cuts a count into tasks included, so a count fits it or
@@ -168,12 +170,11 @@ def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
     ``visit(nxt)`` runs at every vertex added above the last level and
     ``leaf(nxt)`` at every vertex of the last level, in lexicographic order
     of the codes, while ``codes`` ends in the step to ``nxt`` and
-    ``occupied`` holds it.  A false return
-    from ``visit`` prunes below that vertex; with ``visit`` None the walk
-    goes everywhere.  An exception, from a visitor or from the budget, ends
-    the walk and leaves ``codes`` and ``occupied`` as they stood when it was
-    raised, so a caller may read the path to the visited vertex from
-    ``codes``.
+    ``occupied`` holds it.  A false return from ``visit`` prunes below that
+    vertex; with ``visit`` None the walk goes everywhere.  An exception,
+    from a callback or from the budget, ends the walk and leaves ``codes``
+    and ``occupied`` as they stood when it was raised, so a caller may read
+    the path to the visited vertex from ``codes``.
     """
     for code, delta in enumerate(deltas):
         nxt = head + delta
@@ -193,6 +194,7 @@ def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
 
 
 def _stop(nxt: int) -> None:
+    """A ``leaf`` callback that ends the walk at the first full extension."""
     raise _Found
 
 
