@@ -16,13 +16,15 @@ from .counting import (CountTable, asymptotic_table, count_ending_at,
                        truncated_two_point)
 from .coupling import CouplingSchedule, estimate_decoupling_stats, run_one_sided_coupling
 from .errors import BudgetExceededError, RejectionBudgetExceededError, SawLabError
-from .lattice import TwoSidedPath, validate
+from .lattice import Path, TwoSidedPath, validate
 from .patterns import build_density_report
 from .sampling import SamplerConfig, SawSampler
 from .spectral import build_escape_matrix, compare_to_marginal, perron_fixed_point
 from .store import (ArtifactWriter, CorpusWriter, CountCache, RunConfig,
                     load_config, resolve_cache_path)
 from .verify import run_verify
+
+_SAMPLE_CHUNK = 1024  # walks per batch in `sample`, so memory stays O(chunk * n)
 
 
 def _parse_codes(text: str) -> list[int]:
@@ -252,8 +254,10 @@ def _cmd_sample(args, cfg, table, artifacts) -> int:
     sampler = SawSampler(args.d, _sampler_config(cfg))
     path = artifacts.reserve(f"corpus-d{args.d}-n{args.n}", ".sawc")
     with CorpusWriter(path) as writer:
-        for _ in range(args.trials):
-            writer.write(sampler.uniform(args.n))
+        for start in range(0, args.trials, _SAMPLE_CHUNK):
+            rows = sampler.uniform_batch(args.n, min(_SAMPLE_CHUNK, args.trials - start))
+            for row in rows:
+                writer.write(Path(args.d, row.tobytes()))
     artifacts.finalize(path)
     print(f"wrote {args.trials} walks to {path}")
     return 0

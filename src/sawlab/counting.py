@@ -31,6 +31,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BudgetExceededError, CheckpointIgnoredWarning
 from .lattice import Coords, LatticePoint, Path, TwoSidedPath, empty_two_sided
@@ -459,8 +460,15 @@ def has_extension(dimension: int, extra_steps: int, prefix: Path) -> bool:
     """
     if extra_steps <= 0:
         return True
-    anchored = prefix.re_anchored()
-    extent = len(prefix) + extra_steps
+    return _has_extension(dimension, extra_steps, prefix.steps)
+
+
+@lru_cache(maxsize=4096)
+def _has_extension(dimension: int, extra_steps: int, steps: bytes) -> bool:
+    """``has_extension`` keyed on the prefix's step codes; its anchor plays
+    no part."""
+    anchored = Path(dimension, steps)
+    extent = len(steps) + extra_steps
     width, origin_key, deltas = _pack_params(dimension, extent)
     occupied = {_pack(v, width, extent) for v in anchored.vertices}
     head = _pack(anchored.end, width, extent)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (ImpossiblePrefixError, NotSelfAvoidingError,
-                     RejectionBudgetExceededError)
+from .errors import ImpossiblePrefixError, RejectionBudgetExceededError
 from .counting import has_extension
-from .lattice import Path, TwoSidedPath, concat, escapes, validate_two_sided
-from .sampling import SamplerConfig, SawSampler
+from .lattice import Path, TwoSidedPath, concat, escapes
+from .sampling import SamplerConfig, SawSampler, _append_two_sided
 
 
 @dataclass(frozen=True)
@@ -188,17 +187,6 @@ def run_one_sided_coupling(dimension: int, prefix1: Path, prefix2: Path,
     return CouplingTrace(dimension, horizon, records, w1, w2)
 
 
-def _append_two_sided(middle: TwoSidedPath, neg_ext: Path, pos_ext: Path) -> TwoSidedPath | None:
-    """Full two-sided walk from a middle and two side extensions, or None
-    when the composite is not self-avoiding."""
-    try:
-        neg = concat(middle.neg, neg_ext)
-        pos = concat(middle.pos, pos_ext)
-        return validate_two_sided(neg, pos)
-    except NotSelfAvoidingError:
-        return None
-
-
 def run_two_sided_coupling(dimension: int, m: int, n: int,
                            start1: TwoSidedPath, start2: TwoSidedPath,
                            schedule: CouplingSchedule,
@@ -235,8 +223,8 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
             if resamples >= sampler.cfg.max_rejections:
                 raise RejectionBudgetExceededError(resamples)
         cut_neg, cut_pos = min(a_next, m), min(a_next, n)
-        next1 = _keep_or_redraw(sampler, w1, full1, m, n, a_prev)
-        next2 = _keep_or_redraw(sampler, w2, full2, m, n, a_prev)
+        next1 = full1 if full1 is not None else sampler.two_sided(m, n, w1)
+        next2 = full2 if full2 is not None else sampler.two_sided(m, n, w2)
         new1 = next1.restrict(cut_neg, cut_pos)
         new2 = next2.restrict(cut_neg, cut_pos)
         success = (
@@ -246,22 +234,6 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
         records.append(IterationRecord(index, a_next, success, resamples))
         w1, w2 = new1, new2
     return CouplingTrace(dimension, horizon, records, w1, w2)
-
-
-def _keep_or_redraw(sampler: SawSampler, middle: TwoSidedPath,
-                   accepted: TwoSidedPath | None, m: int, n: int,
-                   a_prev: int) -> TwoSidedPath:
-    """Keep the shared completion when it fit, else redraw independently
-    until this walk's append is self-avoiding."""
-    if accepted is not None:
-        return accepted
-    for _ in range(sampler.cfg.max_rejections):
-        neg_ext = sampler.uniform(max(m - a_prev, 0))
-        pos_ext = sampler.uniform(max(n - a_prev, 0))
-        full = _append_two_sided(middle, neg_ext, pos_ext)
-        if full is not None:
-            return full
-    raise RejectionBudgetExceededError(sampler.cfg.max_rejections)
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Exact uniform sampling of self-avoiding walks.
 
+One vectorized engine, ``SawSampler._draw_batch``, makes every draw.
 Short walks are drawn by indexing a cached full enumeration; longer walks
 by dimerization: draw uniform halves recursively and accept iff their
 concatenation is self-avoiding, which keeps the output exactly uniform and
-makes the top-level acceptance rate exactly c_n / (c_a * c_b).
+makes the top-level acceptance rate exactly c_n / (c_a * c_b).  A per-draw
+call is a batch of one, and the conditioned draws (escaping a prefix,
+extending a two-sided middle) reject such draws.
 
 Streams come from a counter-based Philox generator; distinct
 ``stream_id`` values (and any extra derivation key parts) give
@@ -12,7 +15,7 @@ statistically independent, reproducible streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,9 +24,11 @@ from .counting import enumerate_paths, has_extension
 from .errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
+    NotSelfAvoidingError,
     RejectionBudgetExceededError,
 )
-from .lattice import Path, TwoSidedPath, concat, escapes, origin
+from .lattice import (Path, TwoSidedPath, concat, empty_two_sided, escapes,
+                      validate_two_sided)
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,6 @@ class SamplerConfig:
                 raise ValueError("base_length must be >= 1")
             return self.base_length
         return 8 if dimension <= 2 else 5
-
-    def with_stream(self, stream_id: int) -> "SamplerConfig":
-        return replace(self, stream_id=stream_id)
 
 
 def derive_generator(cfg: SamplerConfig, extra_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -80,8 +82,10 @@ def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
     return coords
 
 
+@lru_cache(maxsize=128)
 def _radix_powers(dimension: int, extent: int) -> np.ndarray:
-    """Injective linear packing of coordinates bounded by ``extent``."""
+    """Injective linear packing of coordinates bounded by ``extent``
+    (shared between calls, so read-only)."""
     base = 2 * extent + 1
     powers = np.array([base ** i for i in range(dimension)], dtype=object)
     if int(powers[-1]) * base > (1 << 62):
@@ -89,7 +93,9 @@ def _radix_powers(dimension: int, extent: int) -> np.ndarray:
             f"coordinates of extent {extent} in dimension {dimension} "
             "do not fit packed 64-bit keys"
         )
-    return powers.astype(np.int64)
+    powers = powers.astype(np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
 @dataclass
@@ -124,41 +130,32 @@ class SawSampler:
     # -- per-draw API ------------------------------------------------------
 
     def uniform(self, n: int) -> Path:
-        """One exactly-uniform draw from SAW_n."""
+        """One exactly-uniform draw from SAW_n: a batch of one."""
         if n < 0:
             raise ValueError("length must be nonnegative")
         if n == 0:
             return Path(self.dimension)
         if n <= self.base_length:
+            # the same draw as _draw_batch(n, 1): integers(N) equals
+            # integers(N, size=1)[0] on Philox
             codes, _ = _base_arrays(self.dimension, n)
             idx = int(self.rng.integers(codes.shape[0]))
             return Path(self.dimension, codes[idx].tobytes())
-        n1 = (n + 1) // 2
-        n2 = n - n1
-        for _ in range(self.cfg.max_rejections):
-            first = self.uniform(n1)
-            second = self.uniform(n2)
-            offset = first.end
-            blocked = first.vertex_set
-            ok = True
-            for v in second.vertices[1:]:
-                if tuple(a + b for a, b in zip(v, offset)) in blocked:
-                    ok = False
-                    break
-            if ok:
-                return Path(self.dimension, first.steps + second.steps)
-        raise RejectionBudgetExceededError(self.cfg.max_rejections)
+        codes, _ = self._draw_batch(n, 1, _radix_powers(self.dimension, n))
+        return Path(self.dimension, codes[0].tobytes())
 
-    def two_sided(self, m: int, n: int) -> TwoSidedPath:
-        """Exact two-sided walk: independent uniform sides, rejected until
-        they meet only at the origin."""
-        o = origin(self.dimension)
+    def two_sided(self, m: int, n: int,
+                  middle: TwoSidedPath | None = None) -> TwoSidedPath:
+        """Exact two-sided walk with side lengths (m, n) extending ``middle``
+        (empty by default): independent uniform side extensions, negative
+        first, rejected until the sides meet only at the origin."""
+        middle = middle or empty_two_sided(self.dimension)
         for attempt in range(1, self.cfg.max_rejections + 1):
-            neg = self.uniform(m)
-            pos = self.uniform(n)
-            if neg.vertex_set & pos.vertex_set == {o}:
+            full = _append_two_sided(middle, self.uniform(m - middle.neg_length),
+                                     self.uniform(n - middle.pos_length))
+            if full is not None:
                 self.last_two_sided_attempts = attempt
-                return TwoSidedPath(neg, pos)
+                return full
         raise RejectionBudgetExceededError(self.cfg.max_rejections)
 
     def escaping(self, n: int, prefix: Path) -> Path:
@@ -191,11 +188,11 @@ class SawSampler:
     def uniform_batch(self, n: int, count: int) -> np.ndarray:
         """``count`` exactly-uniform draws as a (count, n) uint8 code matrix.
 
-        Same dimerization recursion as :meth:`uniform`, vectorized; the
-        top-level attempt/accept counts land in ``last_batch_stats``.
+        The top-level attempt/accept counts land in ``last_batch_stats``;
+        per-draw calls leave them alone.
         """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        if count < 0 or n < 0:
+            raise ValueError("length and count must be nonnegative")
         self.last_batch_stats = BatchStats()
         if n == 0:
             return np.zeros((count, 0), dtype=np.uint8)
@@ -221,17 +218,18 @@ class SawSampler:
         accepted_raw = 0
         max_attempts = self.cfg.max_rejections * max(count, 1)
         while got < count:
+            if attempts > max_attempts:
+                raise RejectionBudgetExceededError(attempts)
             need = count - got
-            chunk = int(need / guess * 1.1) + 8
-            chunk = min(chunk, max(1, 4_000_000 // max(n, 1)))
+            chunk = min(int(need / guess * 1.1) + 8, max(1, 4_000_000 // n))
             c1, v1 = self._draw_batch(n1, chunk, radix)
             c2, v2 = self._draw_batch(n2, chunk, radix)
             shifted = v2[:, 1:, :] + v1[:, -1:, :]
             allv = np.concatenate([v1, shifted], axis=1)
             keys = allv.astype(np.int64) @ radix
             keys.sort(axis=1)
-            ok = (np.diff(keys, axis=1) != 0).all(axis=1)
-            accepted = int(ok.sum())
+            ok = (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+            accepted = int(np.count_nonzero(ok))
             attempts += chunk
             accepted_raw += accepted
             if accepted:
@@ -240,14 +238,23 @@ class SawSampler:
                 out_coords.append(allv[ok][:need])
                 got += min(accepted, need)
             self._acceptance_guess[n] = max(0.05, (accepted_raw + 1) / (attempts + 2))
-            if attempts > max_attempts:
-                raise RejectionBudgetExceededError(attempts)
         if top:
             self.last_batch_stats.attempts += attempts
             self.last_batch_stats.accepted += accepted_raw
-        codes = np.concatenate(out_codes, axis=0)
-        coords = np.concatenate(out_coords, axis=0).astype(np.int16)
-        return codes, coords
+        if len(out_codes) == 1:
+            return out_codes[0], out_coords[0]
+        return np.concatenate(out_codes), np.concatenate(out_coords)
+
+
+def _append_two_sided(middle: TwoSidedPath, neg_ext: Path,
+                      pos_ext: Path) -> TwoSidedPath | None:
+    """Full two-sided walk from a middle and two side extensions, or None
+    when the composite is not self-avoiding."""
+    try:
+        return validate_two_sided(concat(middle.neg, neg_ext),
+                                  concat(middle.pos, pos_ext))
+    except NotSelfAvoidingError:
+        return None
 
 
 # -- one-shot functional forms ----------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import datetime
+import fcntl
 import json
 import os
 import struct
@@ -32,35 +33,34 @@ CACHE_ENV_VAR = "SAWLAB_CACHE"
 
 
 class FileLock:
-    """Advisory single-writer lock via exclusive creation of a lock file."""
+    """Advisory single-writer lock: ``flock`` on the target file itself.
 
-    def __init__(self, target: str, timeout: float = 10.0, poll: float = 0.05):
-        self.lock_path = target + ".lock"
+    The kernel drops the lock when its holder dies, so a killed writer
+    leaves nothing behind that blocks the next one.
+    """
+
+    def __init__(self, target: str, timeout: float = 10.0):
+        self.target = target
         self.timeout = timeout
-        self.poll = poll
         self._fd: int | None = None
 
     def __enter__(self):
+        fd = os.open(self.target, os.O_RDWR | os.O_CREAT, 0o644)
         deadline = time.monotonic() + self.timeout
         while True:
             try:
-                self._fd = os.open(self.lock_path,
-                                   os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(self._fd, str(os.getpid()).encode())
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                self._fd = fd
                 return self
-            except FileExistsError:
+            except BlockingIOError:
                 if time.monotonic() > deadline:
-                    raise TimeoutError(f"could not lock {self.lock_path}")
-                time.sleep(self.poll)
+                    os.close(fd)
+                    raise TimeoutError(f"could not lock {self.target}")
+                time.sleep(0.05)
 
     def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            os.remove(self.lock_path)
-        except OSError:
-            pass
+        os.close(self._fd)  # closing the descriptor releases the lock
+        self._fd = None
         return False
 
 
@@ -91,7 +91,7 @@ class CountCache:
 
     Readers never lock: the file is append-only, so any reader sees a
     consistent prefix and skips a torn or corrupt final line (with a
-    ``CorruptCacheWarning``).  Writers serialize on an advisory lock file.
+    ``CorruptCacheWarning``).  Writers serialize on a ``FileLock``.
     """
 
     def __init__(self, path: str):
@@ -197,7 +197,11 @@ class CorpusWriter:
 
 
 class CorpusReader:
-    """Streaming reader; yields validated walks."""
+    """Streaming reader; yields validated walks.
+
+    Raises ``TruncatedRecordError`` on a short record, and on bytes past the
+    header's record count, which a writer that died before ``close`` leaves.
+    """
 
     def __init__(self, path: str):
         self.path = path
@@ -223,7 +227,11 @@ class CorpusReader:
             if len(body) < length:
                 raise TruncatedRecordError(f"{self.path}: truncated record body")
             yield validate(body, dimension)
+        trailing = os.fstat(self._fh.fileno()).st_size - self._fh.tell()
         self._fh.close()
+        if trailing:
+            raise TruncatedRecordError(
+                f"{self.path}: {trailing} bytes after {self.count} records")
 
     def close(self) -> None:
         self._fh.close()
@@ -252,10 +260,15 @@ class ArtifactWriter:
         os.makedirs(outdir, exist_ok=True)
 
     def _versioned(self, stem: str, suffix: str) -> str:
+        """Create the first free ``stem-NNNN`` file; exclusive creation gives
+        concurrent writers distinct numbers."""
         for k in range(1, 10000):
             candidate = os.path.join(self.outdir, f"{stem}-{k:04d}{suffix}")
-            if not os.path.exists(candidate):
+            try:
+                os.close(os.open(candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644))
                 return candidate
+            except FileExistsError:
+                continue
         raise RuntimeError("too many artifact versions")
 
     def _sidecar(self, path: str) -> None:

@@ -74,6 +74,13 @@ def test_sample_corpus(tmp_path, capsys):
     a = corpus.read_bytes()
     b = (tmp_path / "corpus-d2-n6-0002.sawc").read_bytes()
     assert a == b
+    # more walks than one batch holds
+    code, _, _ = run(capsys, "sample", "-d", "2", "-n", "6", "--trials", "1500",
+                     "--seed", "9", "--outdir", str(tmp_path))
+    assert code == 0
+    with CorpusReader(str(tmp_path / "corpus-d2-n6-0003.sawc")) as reader:
+        walks = list(reader)
+    assert len(walks) == 1500 and all(len(w) == 6 for w in walks)
 
 
 def test_twopoint_and_table(tmp_path, capsys):

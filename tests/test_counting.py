@@ -121,6 +121,24 @@ def test_has_extension_trap_and_open():
     assert has_extension(2, 40, validate([0, 2], 2)) is True
 
 
+def test_has_extension_is_memoized(monkeypatch):
+    calls = []
+    walk = counting._walk
+
+    def counted(*args):
+        calls.append(1)
+        return walk(*args)
+
+    counting._has_extension.cache_clear()
+    monkeypatch.setattr(counting, "_walk", counted)
+    assert has_extension(2, 9, validate([0, 2, 1], 2)) is True
+    first = len(calls)
+    assert first > 0
+    # an equal but distinct prefix, anchored elsewhere, reuses the answer
+    assert has_extension(2, 9, Path(2, bytes([0, 2, 1]), (4, 4))) is True
+    assert len(calls) == first
+
+
 def test_truncated_two_point_examples():
     # no short returns: only the n=0 term contributes below n=4 in d>=2
     assert truncated_two_point(2, (0, 0), 3, 2.5) == 1.0

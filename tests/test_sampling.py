@@ -8,9 +8,10 @@ from sawlab.counting import count_saws, enumerate_paths
 from sawlab.errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
+    NotSelfAvoidingError,
     RejectionBudgetExceededError,
 )
-from sawlab.lattice import Path, escapes, validate
+from sawlab.lattice import Path, TwoSidedPath, escapes, validate, validate_two_sided
 from sawlab.sampling import (
     SamplerConfig,
     SawSampler,
@@ -115,6 +116,44 @@ def test_two_sided_law_and_acceptance():
     assert chi_square_uniform(np.array(list(counts.values())), draws)
 
 
+def test_per_draw_is_a_batch_of_one():
+    # one engine: per-draw calls and one-row batches read the same stream
+    for d, n in ((2, 8), (2, 31), (5, 23)):
+        a = SawSampler(d, SamplerConfig(seed=53))
+        b = SawSampler(d, SamplerConfig(seed=53))
+        for _ in range(20):
+            assert a.uniform(n).steps == b.uniform_batch(n, 1)[0].tobytes()
+
+
+def test_base_index_draw_equals_one_row_draw():
+    # uniform's base-case shortcut relies on this Philox identity
+    for size in (10, 90, 810, 2172, 5916, 7210, 64250):
+        a = SawSampler(2, SamplerConfig(seed=59)).rng
+        b = SawSampler(2, SamplerConfig(seed=59)).rng
+        for _ in range(50):
+            assert int(a.integers(size)) == int(b.integers(size, size=1)[0])
+
+
+def test_two_sided_extending_a_middle_law():
+    d, m, n, draws = 2, 3, 3, 40_000
+    middle = TwoSidedPath(validate([1], d), validate([2], d))
+    support = []
+    for neg in enumerate_paths(d, m, prefix=middle.neg):
+        for pos in enumerate_paths(d, n, prefix=middle.pos):
+            try:
+                validate_two_sided(Path(d, neg), Path(d, pos))
+            except NotSelfAvoidingError:
+                continue
+            support.append((neg, pos))
+    index = {key: i for i, key in enumerate(support)}
+    sampler = SawSampler(d, SamplerConfig(seed=61))
+    counts = np.zeros(len(support))
+    for _ in range(draws):
+        ts = sampler.two_sided(m, n, middle)
+        counts[index[(ts.neg.steps, ts.pos.steps)]] += 1
+    assert chi_square_uniform(counts, draws)
+
+
 def test_two_sided_acceptance_rate():
     d, m, n = 5, 4, 4
     cfg = SamplerConfig(seed=17)
@@ -198,6 +237,16 @@ def test_rejection_budget_exceeded():
     # with a sane budget the same condition samples fine
     ok = SawSampler(2, SamplerConfig(seed=41)).escaping(6, prefix)
     assert escapes(ok, prefix)
+
+
+def test_small_rejection_budget_admits_an_accepting_first_round():
+    # a first round of candidates larger than the budget must not raise
+    # when it accepts: d=2 n=16 accepts a candidate with probability ~0.49
+    # and its first round holds 9 candidates
+    for seed in range(5):
+        cfg = SamplerConfig(seed=seed, max_rejections=8)
+        assert len(SawSampler(2, cfg).uniform(16)) == 16
+        assert SawSampler(2, cfg).uniform_batch(16, 1).shape == (1, 16)
 
 
 def test_one_shot_functions():

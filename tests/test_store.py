@@ -1,10 +1,14 @@
 """Cache, corpus, artifact and config storage."""
 
 import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import sawlab
 from sawlab.counting import CountTable, count_saws, enumerate_paths
 from sawlab.errors import BadMagicError, CorruptCacheWarning, TruncatedRecordError
 from sawlab.lattice import Path, validate
@@ -100,6 +104,33 @@ def test_file_lock_mutual_exclusion(tmp_path):
     assert not os.path.exists(target + ".lock")
 
 
+def test_cache_put_after_lock_holder_killed(tmp_path):
+    path = str(tmp_path / "counts.jsonl")
+    holder = ("import sys, time\n"
+              "from sawlab.store import FileLock\n"
+              "FileLock(sys.argv[1]).__enter__()\n"
+              "print('locked', flush=True)\n"
+              "time.sleep(60)\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(sawlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", holder, path],
+                            stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stdout.readline().strip() == "locked"
+        with pytest.raises(TimeoutError):
+            with FileLock(path, timeout=0.2):
+                pass
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    start = time.monotonic()
+    CountCache(path).put(2, "plain", 5, None, 284)
+    assert time.monotonic() - start < 1.0
+    assert CountCache(path).get(2, "plain", 5) == 284
+
+
 def test_corpus_round_trip(tmp_path):
     path = str(tmp_path / "walks.sawc")
     sampler = SawSampler(2, SamplerConfig(seed=3))
@@ -149,6 +180,24 @@ def test_corpus_bad_magic_and_truncation(tmp_path):
     with pytest.raises(TruncatedRecordError):
         with CorpusReader(trunc) as reader:
             list(reader)
+
+
+def test_corpus_from_unclosed_writer_is_detected(tmp_path):
+    path = str(tmp_path / "torn.sawc")
+    writer = CorpusWriter(path)
+    writer.write(validate([0, 2, 0], 2))
+    writer._fh.flush()  # the process dies here, before close
+    with pytest.raises(TruncatedRecordError):
+        with CorpusReader(path) as reader:
+            list(reader)
+    writer.close()
+
+
+def test_concurrent_artifact_writers_get_distinct_names(tmp_path):
+    a = ArtifactWriter(str(tmp_path))
+    b = ArtifactWriter(str(tmp_path))
+    first, second = a.reserve("x", ".sawc"), b.reserve("x", ".sawc")
+    assert first.endswith("x-0001.sawc") and second.endswith("x-0002.sawc")
 
 
 def test_artifact_versioning_and_sidecar(tmp_path):
