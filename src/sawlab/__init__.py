@@ -21,11 +21,13 @@ from .counting import (
     truncated_two_point,
 )
 from .coupling import (
+    CouplingBatch,
     CouplingSchedule,
     CouplingTrace,
     DecouplingStats,
     estimate_decoupling_stats,
     run_one_sided_coupling,
+    run_one_sided_couplings,
     run_two_sided_coupling,
     wilson_interval,
 )

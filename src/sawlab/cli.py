@@ -14,7 +14,7 @@ import sys
 from .counting import (CountTable, asymptotic_table, count_ending_at,
                        count_extensions, count_saws, count_two_sided,
                        truncated_two_point)
-from .coupling import CouplingSchedule, estimate_decoupling_stats, run_one_sided_coupling
+from .coupling import CouplingSchedule, estimate_decoupling_stats
 from .errors import BudgetExceededError, RejectionBudgetExceededError, SawLabError
 from .lattice import Path, TwoSidedPath, validate
 from .patterns import build_density_report
@@ -288,10 +288,8 @@ def _cmd_couple(args, cfg, table, artifacts) -> int:
               f"[{r.ci_low:.5f}, {r.ci_high:.5f}]")
     if args.log_traces:
         records = []
-        for trial in range(args.log_traces):
-            sampler = SawSampler(args.d, sampler_cfg, extra_key=(trial,))
-            trace = run_one_sided_coupling(args.d, prefix1, prefix2, schedule,
-                                           args.horizon, sampler=sampler)
+        for trial in range(min(args.log_traces, args.trials)):
+            trace = stats.batch.trace(trial)
             records.append({
                 "trial": trial,
                 "schedule": list(schedule.values),

@@ -264,14 +264,16 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
                 pos_head: int | None = None, pos_depth: int = 0,
                 workers: int = 1, node_budget: int | None = None,
                 checkpoint_path: str | None = None,
-                signature: str = "") -> list[int]:
-    """Counts per depth: counts[j] is the number of j-step extensions of
-    ``head`` or, with ``pos_head`` set, of pairs of a full ``depth``-step
-    negative side and a j-step positive side.
+                signature: str = "",
+                pool: ProcessPoolExecutor | None = None) -> tuple[list[int], int]:
+    """Counts per depth and the nodes charged: counts[j] is the number of
+    j-step extensions of ``head`` or, with ``pos_head`` set, of pairs of a
+    full ``depth``-step negative side and a j-step positive side.
 
     The first ``_SPLIT_DEPTH`` levels are walked here (one-sided counts up
     to the split come from this walk) and cut into prefix tasks, run
-    in-process when ``workers == 1`` and on a process pool otherwise.
+    in-process when ``workers == 1`` and otherwise on ``pool``, or on a
+    pool of this call's own when none is given.
     """
     budget = _budget(node_budget)
     limit = budget[1]
@@ -306,8 +308,9 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
                 _save_checkpoint(checkpoint_path, signature, done)
         return used
 
-    pool = (ProcessPoolExecutor(max_workers=workers)
-            if workers > 1 and len(done) < len(tasks) else None)
+    own_pool = pool is None and workers > 1 and len(done) < len(tasks)
+    if own_pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
     running: dict[Future, int] = {}
     try:
         while True:
@@ -330,7 +333,7 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
             for fut in finished:
                 charged += record(running.pop(fut), *fut.result())
     finally:
-        if pool is not None:
+        if own_pool:
             pool.shutdown(cancel_futures=True)
     if charged > limit:
         if checkpoint_path is not None:
@@ -340,7 +343,7 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
         counts = [a + b for a, b in zip(counts, task_counts)]
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
-    return counts
+    return counts, charged
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,7 @@ def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
     if n > 0:
         width, origin_key, deltas = _pack_params(dimension, n)
         first = origin_key + deltas[0]
-        below = _run_engine(
+        below, _ = _run_engine(
             deltas, frozenset((origin_key, first)), first, n - 1,
             workers=workers, node_budget=node_budget,
             checkpoint_path=checkpoint_path,
@@ -438,18 +441,24 @@ def count_extensions(dimension: int, n: int, prefix: Path, *,
     cached = table.get("prefix", n, prefix.steps)
     if cached is not None:
         return cached
+    value, _ = _count_below_prefix(dimension, n, prefix, workers=workers,
+                                   node_budget=node_budget,
+                                   checkpoint_path=checkpoint_path)
+    table.put("prefix", n, prefix.steps, value)
+    return value
+
+
+def _count_below_prefix(dimension: int, n: int, prefix: Path, **engine):
+    """(number of n-step walks starting with the nonempty ``prefix``, nodes
+    charged), uncached; ``engine`` goes to ``_run_engine``."""
     anchored = prefix.re_anchored()
     width, origin_key, deltas = _pack_params(dimension, n)
     blocked = frozenset(_pack(v, width, n) for v in anchored.vertices)
     head = _pack(anchored.end, width, n)
-    value = _run_engine(
-        deltas, blocked, head, n - k,
-        workers=workers, node_budget=node_budget,
-        checkpoint_path=checkpoint_path,
-        signature=_signature(dimension, "prefix", n, prefix.steps),
-    )[-1]
-    table.put("prefix", n, prefix.steps, value)
-    return value
+    counts, nodes = _run_engine(
+        deltas, blocked, head, n - len(prefix),
+        signature=_signature(dimension, "prefix", n, prefix.steps), **engine)
+    return counts[-1], nodes
 
 
 def has_extension(dimension: int, extra_steps: int, prefix: Path) -> bool:
@@ -506,13 +515,14 @@ def count_two_sided(dimension: int, m: int, n: int,
     blocked = frozenset(_pack(v, width, extent) for v in xi.vertex_set)
     neg_head = _pack(xi.neg.end, width, extent)
     pos_head = _pack(xi.pos.end, width, extent)
-    value = _run_engine(
+    counts, _ = _run_engine(
         deltas, blocked, neg_head, m - xi.neg_length,
         pos_head=pos_head, pos_depth=n - xi.pos_length,
         workers=workers, node_budget=node_budget,
         checkpoint_path=checkpoint_path,
         signature=_signature(dimension, "two_sided", m, n, key),
-    )[-1]
+    )
+    value = counts[-1]
     table.put("two_sided", m + n, key, value)
     return value
 
@@ -540,15 +550,37 @@ def enumerate_paths(dimension: int, n: int, prefix: Path | None = None) -> list[
 def prefix_histogram(dimension: int, m: int, k: int, *,
                      table: CountTable | None = None, workers: int = 1,
                      node_budget: int | None = None) -> dict[bytes, int]:
-    """c_m(zeta) for every zeta in SAW_k, as a codes -> count map."""
+    """c_m(zeta) for every zeta in SAW_k, as a codes -> count map.
+
+    The prefixes share one node budget, charged as one count's would be,
+    and with ``workers > 1`` one process pool.
+    """
     if k > m:
         raise ValueError("prefix length exceeds walk length")
     table = table or default_table(dimension)
+    if k == 0:
+        return {b"": count_saws(dimension, m, table=table, workers=workers,
+                                node_budget=node_budget)}
+    limit = _UNLIMITED if node_budget is None else node_budget
+    charged = 0
     out = {}
-    for codes in enumerate_paths(dimension, k):
-        prefix = Path(dimension, codes)
-        out[codes] = count_extensions(dimension, m, prefix, table=table,
-                                      workers=workers, node_budget=node_budget)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        for codes in enumerate_paths(dimension, k):
+            value = table.get("prefix", m, codes)
+            if value is None:
+                try:
+                    value, used = _count_below_prefix(
+                        dimension, m, Path(dimension, codes), workers=workers,
+                        node_budget=limit - charged, pool=pool)
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError(limit, charged + exc.nodes) from None
+                charged += used
+                table.put("prefix", m, codes, value)
+            out[codes] = value
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return out
 
 

@@ -8,6 +8,10 @@ proxy is resampled in place.  Per the finite domain Markov property each
 output's marginal is exactly the conditioned uniform law, so the pair is
 a genuine coupling and the per-iteration disagreement frequency upper
 bounds the total-variation distance of the shifted walks.
+
+One-sided couplings run as a batch: ``run_one_sided_couplings`` advances
+T trials together on arrays, and a single coupling is a batch of one.
+The two-sided coupling runs one trial per call.
 """
 
 from __future__ import annotations
@@ -15,10 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ImpossiblePrefixError, RejectionBudgetExceededError
 from .counting import has_extension
-from .lattice import Path, TwoSidedPath, concat, escapes
-from .sampling import SamplerConfig, SawSampler, _append_two_sided
+from .lattice import Path, TwoSidedPath
+from .sampling import (SamplerConfig, SawSampler, _append_two_sided,
+                       _coords_from_codes, _radix_powers)
 
 
 @dataclass(frozen=True)
@@ -136,55 +143,143 @@ class CouplingTrace:
         ]
 
 
-def run_one_sided_coupling(dimension: int, prefix1: Path, prefix2: Path,
-                           schedule: CouplingSchedule, horizon: int,
-                           cfg: SamplerConfig | None = None, *,
-                           sampler: SawSampler | None = None) -> CouplingTrace:
-    """Couple two walks of length ``horizon`` conditioned on equal-length
-    prefixes, sharing one proxy draw per iteration.
+@dataclass
+class CouplingBatch:
+    """T one-sided couplings run together: the final step codes of both
+    walks, prefixes included, as (T, horizon) uint8 arrays, and per-block
+    ``success`` flags and ``resamples`` counts as (T, blocks) arrays."""
 
-    The proxy for the block ending at a_l has length ``horizon - a_{l-1}``,
-    so each accepted block is the start of a uniform conditioned suffix and
-    the output marginals are exact.
+    dimension: int
+    horizon: int
+    block_ends: tuple[int, ...]
+    codes1: np.ndarray
+    codes2: np.ndarray
+    success: np.ndarray
+    resamples: np.ndarray
+
+    def trace(self, i: int) -> CouplingTrace:
+        """Trial ``i`` as a ``CouplingTrace``."""
+        records = [IterationRecord(l + 1, end, bool(self.success[i, l]),
+                                   int(self.resamples[i, l]))
+                   for l, end in enumerate(self.block_ends)]
+        return CouplingTrace(self.dimension, self.horizon, records,
+                             Path(self.dimension, self.codes1[i].tobytes()),
+                             Path(self.dimension, self.codes2[i].tobytes()))
+
+
+def _escapes_batch(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Row-wise ``escapes`` on packed vertex keys, for self-avoiding heads
+    (P, a+1) and tails (P, m+1) that start at the origin (key 0): sort the
+    keys of each head followed by its translated tail and compare
+    neighbours, as ``_draw_batch`` tests its halves."""
+    full = np.concatenate([heads, tails[:, 1:] + heads[:, -1:]], axis=1)
+    full.sort(axis=1)
+    return (full[:, 1:] != full[:, :-1]).all(axis=1)
+
+
+def _first_accepted(sampler: SawSampler, n: int, radix: np.ndarray,
+                    count: int, accept):
+    """For each of ``count`` rows, the first of i.i.d. uniform n-step draws
+    that ``accept(rows, keys)`` takes: (codes, vertex keys, rejections).
+
+    ``accept`` gets the rows still waiting and one draw's packed vertex
+    keys per row, and returns a mask of the draws it takes.  A row that is
+    rejected ``max_rejections`` times raises."""
+    codes = np.empty((count, n), dtype=np.uint8)
+    keys = np.empty((count, n + 1), dtype=np.int64)
+    rejections = np.zeros(count, dtype=np.int64)
+    pending = np.arange(count)
+    while pending.size:
+        drawn, coords = sampler._draw_batch(n, pending.size, radix)
+        drawn_keys = coords.astype(np.int64) @ radix
+        ok = accept(pending, drawn_keys)
+        codes[pending[ok]] = drawn[ok]
+        keys[pending[ok]] = drawn_keys[ok]
+        pending = pending[~ok]
+        rejections[pending] += 1
+        if pending.size and rejections[pending].max() >= sampler.cfg.max_rejections:
+            raise RejectionBudgetExceededError(int(rejections.max()))
+    return codes, keys, rejections
+
+
+def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
+                            schedule: CouplingSchedule, horizon: int,
+                            trials: int, cfg: SamplerConfig | None = None, *,
+                            sampler: SawSampler | None = None) -> CouplingBatch:
+    """Run ``trials`` couplings of two walks of length ``horizon``
+    conditioned on equal-length prefixes, all on one sampler stream.
+
+    Each block draws one proxy of length ``horizon - a_{l-1}`` per trial
+    and redraws it until it escapes at least one walk; a walk it does not
+    escape takes the first independent draw that escapes it.  Each row
+    takes the first i.i.d. uniform draw that meets its condition, so every
+    accepted block is the start of a uniform conditioned suffix and each
+    trial's output marginals are exact.  The walks are held as packed
+    vertex keys, (T, horizon + 1) per walk, so a translation is one
+    addition.
     """
     if len(prefix1) != len(prefix2):
         raise ValueError("prefixes must have equal length")
     if schedule.start != len(prefix1):
         raise ValueError("schedule must start at the prefix length")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     sampler = sampler or SawSampler(dimension, cfg)
     for p in (prefix1, prefix2):
         if not has_extension(dimension, horizon - len(p), p):
             raise ImpossiblePrefixError(
                 f"prefix cannot be extended to length {horizon}"
             )
-    w1, w2 = prefix1.re_anchored(), prefix2.re_anchored()
-    records = []
-    for index, (a_prev, a_next) in enumerate(schedule.blocks(horizon), start=1):
-        block = a_next - a_prev
-        resamples = 0
-        while True:
-            proxy = sampler.uniform(horizon - a_prev)
-            hits1 = escapes(proxy, w1)
-            hits2 = escapes(proxy, w2)
-            if hits1 or hits2:
-                break
-            resamples += 1
-            if resamples >= sampler.cfg.max_rejections:
-                raise RejectionBudgetExceededError(resamples)
-        shared = Path(dimension, proxy.steps[:block])
-        if hits1 and hits2:
-            inc1 = inc2 = shared
-        elif hits1:
-            inc1 = shared
-            inc2 = Path(dimension, sampler.escaping(horizon - a_prev, w2).steps[:block])
-        else:
-            inc2 = shared
-            inc1 = Path(dimension, sampler.escaping(horizon - a_prev, w1).steps[:block])
-        w1 = concat(w1, inc1)
-        w2 = concat(w2, inc2)
-        records.append(IterationRecord(index, a_next, inc1.steps == inc2.steps,
-                                       resamples))
-    return CouplingTrace(dimension, horizon, records, w1, w2)
+    # No later existence check is needed: a block extends a walk by the
+    # start of a draw that escapes it, so after every block each walk is
+    # again a prefix of a uniform ``horizon``-step SAW.
+    blocks = schedule.blocks(horizon)
+    radix = _radix_powers(dimension, horizon)
+    k = len(prefix1)
+    codes = np.empty((2, trials, horizon), dtype=np.uint8)
+    keys = np.empty((2, trials, horizon + 1), dtype=np.int64)
+    for w, prefix in enumerate((prefix1, prefix2)):
+        steps = np.frombuffer(prefix.steps, dtype=np.uint8)[None, :]
+        codes[w, :, :k] = steps
+        keys[w, :, :k + 1] = (_coords_from_codes(dimension, steps)
+                              .astype(np.int64) @ radix)
+    success = np.empty((trials, len(blocks)), dtype=bool)
+    resamples = np.empty((trials, len(blocks)), dtype=np.int64)
+    for l, (a_prev, a_next) in enumerate(blocks):
+        heads = keys[:, :, :a_prev + 1]
+        hits = np.empty((2, trials), dtype=bool)
+
+        def escapes_either(rows, tails):
+            hits[0, rows] = _escapes_batch(heads[0, rows], tails)
+            hits[1, rows] = _escapes_batch(heads[1, rows], tails)
+            return hits[0, rows] | hits[1, rows]
+
+        n, block = horizon - a_prev, a_next - a_prev
+        proxy, proxy_keys, resamples[:, l] = _first_accepted(
+            sampler, n, radix, trials, escapes_either)
+        step = np.stack([proxy[:, :block]] * 2)
+        tail = np.stack([proxy_keys[:, 1:block + 1]] * 2)
+        walk, row = np.nonzero(~hits)  # at most one walk per row
+        own, own_keys, _ = _first_accepted(
+            sampler, n, radix, row.size,
+            lambda rows, tails: _escapes_batch(heads[walk[rows], row[rows]], tails))
+        step[walk, row] = own[:, :block]
+        tail[walk, row] = own_keys[:, 1:block + 1]
+        codes[:, :, a_prev:a_next] = step
+        keys[:, :, a_prev + 1:a_next + 1] = keys[:, :, a_prev:a_prev + 1] + tail
+        success[:, l] = (step[0] == step[1]).all(axis=1)
+    return CouplingBatch(dimension, horizon, tuple(b for _, b in blocks),
+                         codes[0], codes[1], success, resamples)
+
+
+def run_one_sided_coupling(dimension: int, prefix1: Path, prefix2: Path,
+                           schedule: CouplingSchedule, horizon: int,
+                           cfg: SamplerConfig | None = None, *,
+                           sampler: SawSampler | None = None) -> CouplingTrace:
+    """One coupling of ``run_one_sided_couplings``, on the caller's
+    sampler (or a fresh one from ``cfg``)."""
+    return run_one_sided_couplings(dimension, prefix1, prefix2, schedule,
+                                   horizon, 1, cfg, sampler=sampler).trace(0)
 
 
 def run_two_sided_coupling(dimension: int, m: int, n: int,
@@ -262,6 +357,7 @@ class DecouplingStats:
     dimension: int
     horizon: int
     trials: int
+    batch: CouplingBatch = field(repr=False)
     decay: list[DecayRow] = field(default_factory=list)
     tails: list[TailRow] = field(default_factory=list)
 
@@ -284,33 +380,21 @@ def estimate_decoupling_stats(dimension: int, prefix1: Path, prefix2: Path,
     """Monte Carlo failure frequencies per iteration and tail-disagreement
     frequencies per shift, with Wilson intervals.
 
-    Each trial runs on its own derived stream, keyed by its index.
+    Every trial comes from one ``run_one_sided_couplings`` call on the
+    stream of ``cfg``, kept as ``batch``.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    cfg = cfg or SamplerConfig()
-    blocks = schedule.blocks(horizon)
-    failures = [0] * len(blocks)
-    shifts = [a for _, a in blocks]
-    disagree = [0] * len(shifts)
-    for trial in range(trials):
-        sampler = SawSampler(dimension, cfg, extra_key=(trial,))
-        trace = run_one_sided_coupling(dimension, prefix1, prefix2, schedule,
-                                       horizon, sampler=sampler)
-        for i, rec in enumerate(trace.records):
-            if not rec.success:
-                failures[i] += 1
-        s1, s2 = trace.walk1.steps, trace.walk2.steps
-        for i, shift in enumerate(shifts):
-            if s1[shift:] != s2[shift:]:
-                disagree[i] += 1
-    out = DecouplingStats(dimension, horizon, trials)
-    for i, (a_prev, a_next) in enumerate(blocks):
-        lo, hi = wilson_interval(failures[i], trials)
-        out.decay.append(DecayRow(i + 1, a_next, failures[i], trials,
-                                  failures[i] / trials, lo, hi))
-    for i, shift in enumerate(shifts):
-        lo, hi = wilson_interval(disagree[i], trials)
-        out.tails.append(TailRow(shift, disagree[i], trials,
-                                 disagree[i] / trials, lo, hi))
+    batch = run_one_sided_couplings(dimension, prefix1, prefix2, schedule,
+                                    horizon, trials, cfg)
+    failures = (~batch.success).sum(axis=0)
+    differ = batch.codes1 != batch.codes2
+    out = DecouplingStats(dimension, horizon, trials, batch)
+    for l, shift in enumerate(batch.block_ends):
+        failed = int(failures[l])
+        lo, hi = wilson_interval(failed, trials)
+        out.decay.append(DecayRow(l + 1, shift, failed, trials,
+                                  failed / trials, lo, hi))
+        disagree = int(np.count_nonzero(differ[:, shift:].any(axis=1)))
+        lo, hi = wilson_interval(disagree, trials)
+        out.tails.append(TailRow(shift, disagree, trials,
+                                 disagree / trials, lo, hi))
     return out

@@ -21,7 +21,7 @@ from sawlab.counting import (
 )
 from sawlab.coupling import (
     CouplingSchedule,
-    run_one_sided_coupling,
+    run_one_sided_couplings,
     wilson_interval,
 )
 from sawlab.lattice import Path, escapes, lattice_symmetries, validate
@@ -188,11 +188,10 @@ def test_criterion_07_coupling_marginals(d5_table):
     support = enumerate_paths(d, horizon, prefix=z1)
     index = {codes: i for i, codes in enumerate(support)}
     counts = np.zeros(len(support))
-    for trial in range(trials):
-        sampler = SawSampler(d, cfg, extra_key=(1, trial))
-        trace = run_one_sided_coupling(d, z1, z2, schedule, horizon,
-                                       sampler=sampler)
-        counts[index[trace.walk1.steps]] += 1
+    batch = run_one_sided_couplings(d, z1, z2, schedule, horizon, trials,
+                                    sampler=SawSampler(d, cfg, extra_key=(1,)))
+    for row in batch.codes1:
+        counts[index[row.tobytes()]] += 1
     expected = trials / len(support)
     statistic = float(((counts - expected) ** 2 / expected).sum())
     critical = stats.chi2.isf(1e-3, len(support) - 1)
@@ -209,23 +208,17 @@ def test_criterion_07_coupling_marginals(d5_table):
         both += e1 and e2
         either += e1 or e2
     exact = both / either
-    successes = 0
     one_block = CouplingSchedule.explicit(1, [horizon])
-    for trial in range(trials):
-        sampler = SawSampler(d, cfg, extra_key=(2, trial))
-        trace = run_one_sided_coupling(d, z1, z2, one_block, horizon,
-                                       sampler=sampler)
-        successes += trace.records[0].success
+    batch = run_one_sided_couplings(d, z1, z2, one_block, horizon, trials,
+                                    sampler=SawSampler(d, cfg, extra_key=(2,)))
+    successes = int(batch.success[:, 0].sum())
     sigma = math.sqrt(exact * (1 - exact) / trials)
     success_ok = abs(successes / trials - exact) <= 3 * sigma
 
     # (c) identical prefixes never fail
-    failures = 0
-    for trial in range(trials):
-        sampler = SawSampler(d, cfg, extra_key=(3, trial))
-        trace = run_one_sided_coupling(d, z1, z1, schedule, horizon,
-                                       sampler=sampler)
-        failures += 0 if trace.all_successful() else 1
+    batch = run_one_sided_couplings(d, z1, z1, schedule, horizon, trials,
+                                    sampler=SawSampler(d, cfg, extra_key=(3,)))
+    failures = int(np.count_nonzero(~batch.success.all(axis=1)))
     identical_ok = failures == 0
 
     ok = marginal_ok and success_ok and identical_ok
@@ -243,13 +236,8 @@ def test_criterion_08_decoupling_decay(d5_table):
     schedule = CouplingSchedule.geometric(1, horizon, base=2.0)
     cfg = SamplerConfig(seed=SEED)
     n_blocks = len(schedule.blocks(horizon))
-    failures = [0] * n_blocks
-    for trial in range(trials):
-        sampler = SawSampler(d, cfg, extra_key=(trial,))
-        trace = run_one_sided_coupling(d, z1, z2, schedule, horizon,
-                                       sampler=sampler)
-        for i, rec in enumerate(trace.records):
-            failures[i] += 0 if rec.success else 1
+    batch = run_one_sided_couplings(d, z1, z2, schedule, horizon, trials, cfg)
+    failures = [int(f) for f in (~batch.success).sum(axis=0)]
     intervals = [wilson_interval(f, trials) for f in failures]
     rows = [f"l={i + 1}: {f / trials:.4f} [{lo:.4f},{hi:.4f}]"
             for i, (f, (lo, hi)) in enumerate(zip(failures, intervals))]

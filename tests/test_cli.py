@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from sawlab import coupling
 from sawlab.cli import main
+from sawlab.coupling import run_one_sided_couplings
 from sawlab.counting import count_saws
 from sawlab.store import CorpusReader, save_config, RunConfig
 
@@ -105,6 +107,32 @@ def test_couple_command(tmp_path, capsys):
     assert len(traces) == 5
     record = json.loads(traces[0])
     assert set(record) == {"trial", "schedule", "per_iter", "final_equal_from"}
+
+
+def test_couple_logs_traces_from_its_one_batch(tmp_path, capsys, monkeypatch):
+    batches = []
+
+    def engine(*args, **kwargs):
+        batches.append(run_one_sided_couplings(*args, **kwargs))
+        return batches[-1]
+
+    def rerun(*args, **kwargs):
+        raise AssertionError("a trial ran again")
+
+    monkeypatch.setattr(coupling, "run_one_sided_couplings", engine)
+    monkeypatch.setattr(coupling, "run_one_sided_coupling", rerun)
+    code, _, _ = run(capsys, "couple", "-d", "5", "--prefix1", "0",
+                     "--prefix2", "2", "-N", "8", "--trials", "40",
+                     "--seed", "4", "--outdir", str(tmp_path),
+                     "--log-traces", "10")
+    assert code == 0 and len(batches) == 1
+    lines = (tmp_path / "coupling-traces-d5-0001.jsonl").read_text().splitlines()
+    assert len(lines) == 10
+    for i, line in enumerate(lines):
+        record, trace = json.loads(line), batches[0].trace(i)
+        assert record["trial"] == i
+        assert record["per_iter"] == trace.record_dicts()
+        assert record["final_equal_from"] == trace.final_equal_from()
 
 
 def test_pattern_command(tmp_path, capsys):

@@ -280,6 +280,35 @@ def test_node_budget_is_global(tmp_path):
                           node_budget=nodes, checkpoint_path=path) == A001411[9]
 
 
+def test_prefix_histogram_shares_one_budget():
+    # every prefix's search adds c_j vertices in all for each length j > k
+    nodes = sum(A001411[3:10])
+    for workers in (1, 2):
+        hist = prefix_histogram(2, 9, 2, table=CountTable(2), workers=workers,
+                                node_budget=nodes)
+        assert len(hist) == 12 and sum(hist.values()) == A001411[9]
+        for budget in (3000, nodes - 1):
+            with pytest.raises(BudgetExceededError) as err:
+                prefix_histogram(2, 9, 2, table=CountTable(2), workers=workers,
+                                 node_budget=budget)
+            assert err.value.budget == budget
+            assert err.value.nodes > budget
+
+
+def test_prefix_histogram_opens_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(counting.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    serial = prefix_histogram(2, 9, 3, table=CountTable(2))
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", CountingPool)
+    assert prefix_histogram(2, 9, 3, table=CountTable(2), workers=2) == serial
+    assert len(pools) == 1
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_node_budget_bounds_the_work(workers):
     nodes = sum(A001411[2:13]) // 4

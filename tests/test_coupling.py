@@ -10,13 +10,16 @@ from sawlab.counting import enumerate_paths
 from sawlab.coupling import (
     CouplingSchedule,
     estimate_decoupling_stats,
+    _escapes_batch,
     run_one_sided_coupling,
+    run_one_sided_couplings,
     run_two_sided_coupling,
     wilson_interval,
 )
-from sawlab.errors import ImpossiblePrefixError
+from sawlab.errors import ImpossiblePrefixError, RejectionBudgetExceededError
 from sawlab.lattice import Path, TwoSidedPath, escapes, validate
-from sawlab.sampling import SamplerConfig, SawSampler
+from sawlab.sampling import (SamplerConfig, SawSampler, _coords_from_codes,
+                             _radix_powers)
 
 
 def test_schedule_geometric_rule():
@@ -68,6 +71,79 @@ def test_impossible_prefix_rejected():
         run_one_sided_coupling(2, trap, trap, sched, 12, SamplerConfig(seed=1))
 
 
+def test_rejection_budget_is_per_row():
+    # one block of 8 <= base_length steps: the proxy draws index the base
+    # table, so only the coupling's own redraws count against the budget
+    z1, z2 = validate([0, 2], 2), validate([0, 3], 2)
+    sched = CouplingSchedule.explicit(2, [10])
+    batch = run_one_sided_couplings(2, z1, z2, sched, 10, 400,
+                                    SamplerConfig(seed=9))
+    assert batch.resamples.max() >= 1
+    with pytest.raises(RejectionBudgetExceededError):
+        run_one_sided_couplings(2, z1, z2, sched, 10, 400,
+                                SamplerConfig(seed=9, max_rejections=1))
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_batched_escape_matches_oracle(d):
+    sampler = SawSampler(d, SamplerConfig(seed=31 + d))
+    head_len, tail_len, pairs = 7, 9, 400
+    radix = _radix_powers(d, head_len + tail_len)
+    heads = sampler.uniform_batch(head_len, pairs)
+    tails = sampler.uniform_batch(tail_len, pairs)
+    got = _escapes_batch(
+        _coords_from_codes(d, heads).astype(np.int64) @ radix,
+        _coords_from_codes(d, tails).astype(np.int64) @ radix)
+    want = [escapes(Path(d, t.tobytes()), Path(d, h.tobytes()))
+            for h, t in zip(heads, tails)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < pairs  # both outcomes are exercised
+
+
+def test_single_coupling_is_a_batch_of_one():
+    d = 5
+    z1, z2 = validate([0], d), validate([2], d)
+    sched = CouplingSchedule.geometric(1, 12)
+    cfg = SamplerConfig(seed=12)
+    for t in range(10):
+        one = run_one_sided_coupling(d, z1, z2, sched, 12,
+                                     sampler=SawSampler(d, cfg, extra_key=(t,)))
+        batch = run_one_sided_couplings(d, z1, z2, sched, 12, 1,
+                                        sampler=SawSampler(d, cfg, extra_key=(t,)))
+        view = batch.trace(0)
+        assert one.walk1 == view.walk1 and one.walk2 == view.walk2
+        assert one.record_dicts() == view.record_dicts()
+
+
+@pytest.mark.parametrize("d, prefix1, prefix2, horizon", [
+    (2, [0, 2], [0, 3], 20),
+    (5, [0], [2], 16),
+])
+def test_batch_rows_are_couplings(d, prefix1, prefix2, horizon):
+    z1, z2 = validate(prefix1, d), validate(prefix2, d)
+    k = len(z1)
+    sched = CouplingSchedule.geometric(k, horizon)
+    batch = run_one_sided_couplings(d, z1, z2, sched, horizon, 300,
+                                    SamplerConfig(seed=13))
+    starts = (k,) + batch.block_ends[:-1]
+    assert not batch.success.all()
+    for i in range(300):
+        trace = batch.trace(i)
+        for walk, prefix in ((trace.walk1, z1), (trace.walk2, z2)):
+            validate(walk.steps, d)
+            assert len(walk) == horizon and walk.steps[:k] == prefix.steps
+        assert [r.success for r in trace.records] == batch.success[i].tolist()
+        assert [r.resamples for r in trace.records] == batch.resamples[i].tolist()
+        # the walks agree after the last failed block and differ inside it
+        failed = np.flatnonzero(~batch.success[i])
+        m_star = trace.final_equal_from()
+        if failed.size:
+            last = failed[-1]
+            assert starts[last] < m_star <= batch.block_ends[last]
+        else:
+            assert m_star <= k
+
+
 def test_one_block_success_frequency_matches_enumeration():
     """With a single block covering the horizon, success happens exactly
     when the first proxy escaping either prefix escapes both."""
@@ -82,12 +158,10 @@ def test_one_block_success_frequency_matches_enumeration():
     exact = Fraction(both, either)
 
     sched = CouplingSchedule.explicit(1, [horizon])
-    trials, succ = 20_000, 0
-    cfg = SamplerConfig(seed=101)
-    for trial in range(trials):
-        sampler = SawSampler(d, cfg, extra_key=(trial,))
-        trace = run_one_sided_coupling(d, z1, z2, sched, horizon, sampler=sampler)
-        succ += trace.records[0].success
+    trials = 20_000
+    batch = run_one_sided_couplings(d, z1, z2, sched, horizon, trials,
+                                    SamplerConfig(seed=101))
+    succ = int(batch.success[:, 0].sum())
     sigma = (float(exact) * (1 - float(exact)) / trials) ** 0.5
     assert abs(succ / trials - float(exact)) <= 4 * sigma
 
@@ -100,11 +174,10 @@ def test_marginal_preservation_small_case():
     support = enumerate_paths(d, horizon, prefix=z1)
     index = {codes: i for i, codes in enumerate(support)}
     counts = np.zeros(len(support))
-    cfg = SamplerConfig(seed=202)
-    for trial in range(trials):
-        sampler = SawSampler(d, cfg, extra_key=(trial,))
-        trace = run_one_sided_coupling(d, z1, z2, sched, horizon, sampler=sampler)
-        counts[index[trace.walk1.steps]] += 1
+    batch = run_one_sided_couplings(d, z1, z2, sched, horizon, trials,
+                                    SamplerConfig(seed=202))
+    for row in batch.codes1:
+        counts[index[row.tobytes()]] += 1
     expected = trials / len(support)
     statistic = float(((counts - expected) ** 2 / expected).sum())
     assert statistic <= stats.chi2.isf(1e-3, len(support) - 1)
