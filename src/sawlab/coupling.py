@@ -9,9 +9,12 @@ output's marginal is exactly the conditioned uniform law, so the pair is
 a genuine coupling and the per-iteration disagreement frequency upper
 bounds the total-variation distance of the shifted walks.
 
-One-sided couplings run as a batch: ``run_one_sided_couplings`` advances
-T trials together on arrays, and a single coupling is a batch of one.
-The two-sided coupling runs one trial per call.
+One engine runs every coupling: it advances T trials together on packed
+vertex keys, with a walk held as a tuple of arms (one for a one-sided
+walk, negative and positive sides for a two-sided one), and decides
+escape with the samplers' ``_escapes_batch``.  ``run_one_sided_couplings``
+is that engine on one arm; ``run_one_sided_coupling`` and
+``run_two_sided_coupling`` are batches of one.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossiblePrefixError, RejectionBudgetExceededError
+from .errors import ImpossiblePrefixError
 from .counting import has_extension
 from .lattice import Path, TwoSidedPath
-from .sampling import (SamplerConfig, SawSampler, _append_two_sided,
-                       _coords_from_codes, _radix_powers)
+from .sampling import (SamplerConfig, SawSampler, _escapes_batch,
+                       _first_accepted, _radix_powers, _steps_to_keys)
 
 
 @dataclass(frozen=True)
@@ -167,39 +170,59 @@ class CouplingBatch:
                              Path(self.dimension, self.codes2[i].tobytes()))
 
 
-def _escapes_batch(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Row-wise ``escapes`` on packed vertex keys, for self-avoiding heads
-    (P, a+1) and tails (P, m+1) that start at the origin (key 0): sort the
-    keys of each head followed by its translated tail and compare
-    neighbours, as ``_draw_batch`` tests its halves."""
-    full = np.concatenate([heads, tails[:, 1:] + heads[:, -1:]], axis=1)
-    full.sort(axis=1)
-    return (full[:, 1:] != full[:, :-1]).all(axis=1)
+def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
+            schedule: CouplingSchedule, trials: int):
+    """The coupling engine: ``trials`` couplings of two walks whose arms
+    have the given ``lengths``, from the step codes ``starts[w]`` of walk
+    w's arms, over ``schedule.blocks(max(lengths))``, as described in
+    ``run_one_sided_couplings``.  Block (a_{l-1}, a_l) cuts arm j at
+    h = min(a_{l-1}, L_j) and c = min(a_l, L_j): draws have L_j - h steps
+    on arm j (an arm whose length is used up gets a length-0 draw) and
+    each walk keeps steps h..c of its draw.  Walks are held as packed
+    vertex keys, (2, T, L_j + 1) per arm, so a translation is one addition.
 
+    Returns (blocks, step codes per arm as (2, T, L_j) uint8, success and
+    resamples as (T, blocks) arrays).
+    """
+    blocks = schedule.blocks(max(lengths))
+    radix = _radix_powers(sampler.dimension, max(lengths))
+    codes = [np.empty((2, trials, n), dtype=np.uint8) for n in lengths]
+    keys = [np.empty((2, trials, n + 1), dtype=np.int64) for n in lengths]
+    for w, arms in enumerate(starts):
+        for j, steps in enumerate(arms):
+            k = len(steps)
+            codes[j][w, :, :k] = np.frombuffer(steps, dtype=np.uint8)
+            keys[j][w, :, :k + 1] = _steps_to_keys(steps, radix)
+    success = np.empty((trials, len(blocks)), dtype=bool)
+    resamples = np.empty((trials, len(blocks)), dtype=np.int64)
+    for l, (a_prev, a_next) in enumerate(blocks):
+        cuts = [(min(a_prev, n), min(a_next, n)) for n in lengths]
+        heads = [arm[:, :, :h + 1] for arm, (h, _) in zip(keys, cuts)]
+        hits = np.empty((2, trials), dtype=bool)
 
-def _first_accepted(sampler: SawSampler, n: int, radix: np.ndarray,
-                    count: int, accept):
-    """For each of ``count`` rows, the first of i.i.d. uniform n-step draws
-    that ``accept(rows, keys)`` takes: (codes, vertex keys, rejections).
+        def escapes_either(rows, tails):
+            for w in (0, 1):
+                hits[w, rows] = _escapes_batch([h[w, rows] for h in heads], tails)
+            return hits[0, rows] | hits[1, rows]
 
-    ``accept`` gets the rows still waiting and one draw's packed vertex
-    keys per row, and returns a mask of the draws it takes.  A row that is
-    rejected ``max_rejections`` times raises."""
-    codes = np.empty((count, n), dtype=np.uint8)
-    keys = np.empty((count, n + 1), dtype=np.int64)
-    rejections = np.zeros(count, dtype=np.int64)
-    pending = np.arange(count)
-    while pending.size:
-        drawn, coords = sampler._draw_batch(n, pending.size, radix)
-        drawn_keys = coords.astype(np.int64) @ radix
-        ok = accept(pending, drawn_keys)
-        codes[pending[ok]] = drawn[ok]
-        keys[pending[ok]] = drawn_keys[ok]
-        pending = pending[~ok]
-        rejections[pending] += 1
-        if pending.size and rejections[pending].max() >= sampler.cfg.max_rejections:
-            raise RejectionBudgetExceededError(int(rejections.max()))
-    return codes, keys, rejections
+        draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
+        proxy, proxy_keys, resamples[:, l] = _first_accepted(
+            sampler, draw, radix, trials, escapes_either)
+        walk, row = np.nonzero(~hits)  # at most one walk per row
+        own, own_keys, _ = _first_accepted(
+            sampler, draw, radix, row.size,
+            lambda rows, tails: _escapes_batch(
+                [h[walk[rows], row[rows]] for h in heads], tails))
+        success[:, l] = True
+        for j, (h, c) in enumerate(cuts):
+            step = np.stack([proxy[j][:, :c - h]] * 2)
+            tail = np.stack([proxy_keys[j][:, 1:c - h + 1]] * 2)
+            step[walk, row] = own[j][:, :c - h]
+            tail[walk, row] = own_keys[j][:, 1:c - h + 1]
+            codes[j][:, :, h:c] = step
+            keys[j][:, :, h + 1:c + 1] = keys[j][:, :, h:h + 1] + tail
+            success[:, l] &= (step[0] == step[1]).all(axis=1)
+    return blocks, codes, success, resamples
 
 
 def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
@@ -214,9 +237,7 @@ def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
     escape takes the first independent draw that escapes it.  Each row
     takes the first i.i.d. uniform draw that meets its condition, so every
     accepted block is the start of a uniform conditioned suffix and each
-    trial's output marginals are exact.  The walks are held as packed
-    vertex keys, (T, horizon + 1) per walk, so a translation is one
-    addition.
+    trial's output marginals are exact.
     """
     if len(prefix1) != len(prefix2):
         raise ValueError("prefixes must have equal length")
@@ -233,41 +254,9 @@ def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
     # No later existence check is needed: a block extends a walk by the
     # start of a draw that escapes it, so after every block each walk is
     # again a prefix of a uniform ``horizon``-step SAW.
-    blocks = schedule.blocks(horizon)
-    radix = _radix_powers(dimension, horizon)
-    k = len(prefix1)
-    codes = np.empty((2, trials, horizon), dtype=np.uint8)
-    keys = np.empty((2, trials, horizon + 1), dtype=np.int64)
-    for w, prefix in enumerate((prefix1, prefix2)):
-        steps = np.frombuffer(prefix.steps, dtype=np.uint8)[None, :]
-        codes[w, :, :k] = steps
-        keys[w, :, :k + 1] = (_coords_from_codes(dimension, steps)
-                              .astype(np.int64) @ radix)
-    success = np.empty((trials, len(blocks)), dtype=bool)
-    resamples = np.empty((trials, len(blocks)), dtype=np.int64)
-    for l, (a_prev, a_next) in enumerate(blocks):
-        heads = keys[:, :, :a_prev + 1]
-        hits = np.empty((2, trials), dtype=bool)
-
-        def escapes_either(rows, tails):
-            hits[0, rows] = _escapes_batch(heads[0, rows], tails)
-            hits[1, rows] = _escapes_batch(heads[1, rows], tails)
-            return hits[0, rows] | hits[1, rows]
-
-        n, block = horizon - a_prev, a_next - a_prev
-        proxy, proxy_keys, resamples[:, l] = _first_accepted(
-            sampler, n, radix, trials, escapes_either)
-        step = np.stack([proxy[:, :block]] * 2)
-        tail = np.stack([proxy_keys[:, 1:block + 1]] * 2)
-        walk, row = np.nonzero(~hits)  # at most one walk per row
-        own, own_keys, _ = _first_accepted(
-            sampler, n, radix, row.size,
-            lambda rows, tails: _escapes_batch(heads[walk[rows], row[rows]], tails))
-        step[walk, row] = own[:, :block]
-        tail[walk, row] = own_keys[:, 1:block + 1]
-        codes[:, :, a_prev:a_next] = step
-        keys[:, :, a_prev + 1:a_next + 1] = keys[:, :, a_prev:a_prev + 1] + tail
-        success[:, l] = (step[0] == step[1]).all(axis=1)
+    blocks, (codes,), success, resamples = _couple(
+        sampler, ((prefix1.steps,), (prefix2.steps,)), (horizon,), schedule,
+        trials)
     return CouplingBatch(dimension, horizon, tuple(b for _, b in blocks),
                          codes[0], codes[1], success, resamples)
 
@@ -302,33 +291,15 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
     if k > min(m, n):
         raise ValueError("middle exceeds the requested side lengths")
     sampler = sampler or SawSampler(dimension, cfg)
-    w1, w2 = start1, start2
-    records = []
-    horizon = max(m, n)
-    for index, (a_prev, a_next) in enumerate(schedule.blocks(horizon), start=1):
-        resamples = 0
-        while True:
-            neg_ext = sampler.uniform(max(m - a_prev, 0))
-            pos_ext = sampler.uniform(max(n - a_prev, 0))
-            full1 = _append_two_sided(w1, neg_ext, pos_ext)
-            full2 = _append_two_sided(w2, neg_ext, pos_ext)
-            if full1 is not None or full2 is not None:
-                break
-            resamples += 1
-            if resamples >= sampler.cfg.max_rejections:
-                raise RejectionBudgetExceededError(resamples)
-        cut_neg, cut_pos = min(a_next, m), min(a_next, n)
-        next1 = full1 if full1 is not None else sampler.two_sided(m, n, w1)
-        next2 = full2 if full2 is not None else sampler.two_sided(m, n, w2)
-        new1 = next1.restrict(cut_neg, cut_pos)
-        new2 = next2.restrict(cut_neg, cut_pos)
-        success = (
-            new1.neg.steps[w1.neg_length:] == new2.neg.steps[w2.neg_length:]
-            and new1.pos.steps[w1.pos_length:] == new2.pos.steps[w2.pos_length:]
-        )
-        records.append(IterationRecord(index, a_next, success, resamples))
-        w1, w2 = new1, new2
-    return CouplingTrace(dimension, horizon, records, w1, w2)
+    blocks, (neg, pos), success, resamples = _couple(
+        sampler, ((start1.neg.steps, start1.pos.steps),
+                  (start2.neg.steps, start2.pos.steps)), (m, n), schedule, 1)
+    walks = [TwoSidedPath(Path(dimension, neg[w, 0].tobytes()),
+                          Path(dimension, pos[w, 0].tobytes())) for w in (0, 1)]
+    records = [IterationRecord(l + 1, end, bool(success[0, l]),
+                               int(resamples[0, l]))
+               for l, (_, end) in enumerate(blocks)]
+    return CouplingTrace(dimension, max(m, n), records, *walks)
 
 
 @dataclass

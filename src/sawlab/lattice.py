@@ -117,11 +117,6 @@ class Path:
     def re_anchored(self, anchor: Coords | None = None) -> "Path":
         return Path(self.dimension, self.steps, anchor or origin(self.dimension))
 
-    def prefix(self, length: int) -> "Path":
-        if not 0 <= length <= len(self):
-            raise ValueError(f"prefix length {length} out of range")
-        return Path(self.dimension, self.steps[:length], self.anchor)
-
 
 def validate(raw_steps: Sequence[int] | bytes, dimension: int,
              anchor: Coords | None = None) -> Path:
@@ -187,9 +182,6 @@ class TwoSidedPath:
         """The same walk read from w(-m) to w(n) as a one-sided path."""
         rev = bytes(self.neg.steps[i] ^ 1 for i in range(len(self.neg) - 1, -1, -1))
         return Path(self.dimension, rev + self.pos.steps, self.neg.end)
-
-    def restrict(self, neg_length: int, pos_length: int) -> "TwoSidedPath":
-        return TwoSidedPath(self.neg.prefix(neg_length), self.pos.prefix(pos_length))
 
 
 def validate_two_sided(neg: Path, pos: Path) -> TwoSidedPath:

@@ -5,8 +5,10 @@ Short walks are drawn by indexing a cached full enumeration; longer walks
 by dimerization: draw uniform halves recursively and accept iff their
 concatenation is self-avoiding, which keeps the output exactly uniform and
 makes the top-level acceptance rate exactly c_n / (c_a * c_b).  A per-draw
-call is a batch of one, and the conditioned draws (escaping a prefix,
-extending a two-sided middle) reject such draws.
+call is a batch of one.  The conditioned draws (escaping a prefix,
+extending a two-sided middle) and the couplings reject such draws with
+one packed-key escape test, ``_escapes_batch``, on walks made of one arm
+(one-sided) or two (the negative and positive sides).
 
 Streams come from a counter-based Philox generator; distinct
 ``stream_id`` values (and any extra derivation key parts) give
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,11 +27,9 @@ from .counting import enumerate_paths, has_extension
 from .errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
-    NotSelfAvoidingError,
     RejectionBudgetExceededError,
 )
-from .lattice import (Path, TwoSidedPath, concat, empty_two_sided, escapes,
-                      validate_two_sided)
+from .lattice import Path, TwoSidedPath, empty_two_sided
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,7 @@ def derive_generator(cfg: SamplerConfig, extra_key: tuple[int, ...] = ()) -> np.
 def _base_arrays(dimension: int, n: int):
     """(codes, coords) arrays over all of SAW_n in canonical order."""
     paths = enumerate_paths(dimension, n)
-    count = len(paths)
-    codes = np.zeros((count, n), dtype=np.uint8)
-    for i, p in enumerate(paths):
-        codes[i] = np.frombuffer(p, dtype=np.uint8)
+    codes = np.frombuffer(b"".join(paths), dtype=np.uint8).reshape(len(paths), n)
     coords = _coords_from_codes(dimension, codes)
     return codes, coords
 
@@ -82,6 +80,13 @@ def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
     return coords
 
 
+def _steps_to_keys(steps: bytes, radix: np.ndarray) -> np.ndarray:
+    """Packed vertex keys (1, len(steps)+1) of one origin-anchored walk."""
+    moves = [sign * power for power in radix.tolist() for sign in (1, -1)]
+    return np.array([list(accumulate((moves[c] for c in steps), initial=0))],
+                    dtype=np.int64)
+
+
 @lru_cache(maxsize=128)
 def _radix_powers(dimension: int, extent: int) -> np.ndarray:
     """Injective linear packing of coordinates bounded by ``extent``
@@ -96,6 +101,53 @@ def _radix_powers(dimension: int, extent: int) -> np.ndarray:
     powers = powers.astype(np.int64)
     powers.flags.writeable = False
     return powers
+
+
+def _escapes_batch(heads, tails) -> np.ndarray:
+    """Row-wise escape test on packed vertex keys: arm j has head
+    ``heads[j]`` (P, a_j+1) and tail ``tails[j]`` (P, m_j+1), both starting
+    at the origin (key 0).  True where the heads (the origin once) and each
+    tail translated to its arm's tip hold distinct keys, found by sorting
+    and comparing neighbours as ``_draw_batch`` tests its halves.  With one
+    arm this is ``lattice.escapes``; with two, ``validate_two_sided`` of the
+    concatenated sides."""
+    parts = [heads[0]] + [head[:, 1:] for head in heads[1:]]
+    parts += [tail[:, 1:] + head[:, -1:] for head, tail in zip(heads, tails)]
+    full = np.concatenate(parts, axis=1)
+    full.sort(axis=1)
+    return (full[:, 1:] != full[:, :-1]).all(axis=1)
+
+
+def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
+                    radix: np.ndarray, count: int, accept):
+    """For each of ``count`` rows, the first of i.i.d. draws (one uniform
+    walk per arm, of the given ``lengths``, arms drawn in order) that
+    ``accept(rows, keys)`` takes: (codes per arm, vertex keys per arm,
+    rejections).
+
+    ``accept`` gets the rows still waiting and, per arm, one draw's packed
+    vertex keys per row, and returns a mask of the draws it takes.  A row
+    that is rejected ``max_rejections`` times raises."""
+    codes = [np.empty((count, n), dtype=np.uint8) for n in lengths]
+    keys = [np.empty((count, n + 1), dtype=np.int64) for n in lengths]
+    rejections = np.empty(count, dtype=np.int64)
+    pending = np.arange(count)
+    rounds = 0  # every pending row is drawn, so rejected, once per round
+    while pending.size:
+        drawn = [sampler._draw_batch(n, pending.size, radix) for n in lengths]
+        drawn_keys = [coords.astype(np.int64) @ radix for _, coords in drawn]
+        ok = accept(pending, drawn_keys)
+        taken = pending[ok]
+        if taken.size:
+            for j, (arm_codes, _) in enumerate(drawn):
+                codes[j][taken] = arm_codes[ok]
+                keys[j][taken] = drawn_keys[j][ok]
+        rejections[taken] = rounds
+        pending = pending[~ok]
+        rounds += 1
+        if pending.size and rounds >= sampler.cfg.max_rejections:
+            raise RejectionBudgetExceededError(rounds)
+    return codes, keys, rejections
 
 
 @dataclass
@@ -133,14 +185,6 @@ class SawSampler:
         """One exactly-uniform draw from SAW_n: a batch of one."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        if n == 0:
-            return Path(self.dimension)
-        if n <= self.base_length:
-            # the same draw as _draw_batch(n, 1): integers(N) equals
-            # integers(N, size=1)[0] on Philox
-            codes, _ = _base_arrays(self.dimension, n)
-            idx = int(self.rng.integers(codes.shape[0]))
-            return Path(self.dimension, codes[idx].tobytes())
         codes, _ = self._draw_batch(n, 1, _radix_powers(self.dimension, n))
         return Path(self.dimension, codes[0].tobytes())
 
@@ -150,25 +194,27 @@ class SawSampler:
         (empty by default): independent uniform side extensions, negative
         first, rejected until the sides meet only at the origin."""
         middle = middle or empty_two_sided(self.dimension)
-        for attempt in range(1, self.cfg.max_rejections + 1):
-            full = _append_two_sided(middle, self.uniform(m - middle.neg_length),
-                                     self.uniform(n - middle.pos_length))
-            if full is not None:
-                self.last_two_sided_attempts = attempt
-                return full
-        raise RejectionBudgetExceededError(self.cfg.max_rejections)
+        if middle.neg_length > m or middle.pos_length > n:
+            raise ValueError(
+                f"middle with sides ({middle.neg_length}, {middle.pos_length}) "
+                f"is longer than the requested sides ({m}, {n})"
+            )
+        (neg, pos), self.last_two_sided_attempts = self._extensions(
+            (middle.neg.steps, middle.pos.steps),
+            (m - middle.neg_length, n - middle.pos_length))
+        return TwoSidedPath(Path(self.dimension, middle.neg.steps + neg),
+                            Path(self.dimension, middle.pos.steps + pos))
 
     def escaping(self, n: int, prefix: Path) -> Path:
         """Uniform draw over n-step walks escaping ``prefix``."""
+        if n < 0:
+            raise ValueError("length must be nonnegative")
         if not has_extension(self.dimension, n, prefix):
             raise NoEscaperExistsError(
                 f"no {n}-step walk escapes the given {len(prefix)}-step prefix"
             )
-        for _ in range(self.cfg.max_rejections):
-            draw = self.uniform(n)
-            if escapes(draw, prefix):
-                return draw
-        raise RejectionBudgetExceededError(self.cfg.max_rejections)
+        (steps,), _ = self._extensions((prefix.steps,), (n,))
+        return Path(self.dimension, steps)
 
     def prefix_conditioned(self, n: int, prefix: Path) -> Path:
         """Uniform draw from SAW_n conditioned to start with ``prefix``."""
@@ -181,7 +227,20 @@ class SawSampler:
             suffix = self.escaping(n - k, prefix)
         except NoEscaperExistsError as exc:
             raise ImpossiblePrefixError(str(exc)) from exc
-        return concat(prefix, suffix)
+        return Path(self.dimension, prefix.steps + suffix.steps, prefix.anchor)
+
+    def _extensions(self, heads: tuple[bytes, ...],
+                    lengths: tuple[int, ...]) -> tuple[list[bytes], int]:
+        """One draw per arm, extending the arms with step codes ``heads``
+        by ``lengths`` steps to a self-avoiding walk, as a batch of one of
+        ``_first_accepted``: (extension step codes per arm, attempts)."""
+        radix = _radix_powers(self.dimension,
+                              max(len(h) + n for h, n in zip(heads, lengths)))
+        head_keys = [_steps_to_keys(h, radix) for h in heads]
+        codes, _, rejections = _first_accepted(
+            self, lengths, radix, 1,
+            lambda rows, tails: _escapes_batch(head_keys, tails))
+        return [c[0].tobytes() for c in codes], int(rejections[0]) + 1
 
     # -- batch API ---------------------------------------------------------
 
@@ -203,7 +262,10 @@ class SawSampler:
     def _draw_batch(self, n: int, count: int, radix: np.ndarray, top: bool = False):
         if n <= self.base_length:
             codes, coords = _base_arrays(self.dimension, n)
-            idx = self.rng.integers(codes.shape[0], size=count)
+            # a batch of one takes the scalar draw, which costs a third as
+            # much: integers(N) equals integers(N, size=1)[0] on Philox
+            idx = ([self.rng.integers(codes.shape[0])] if count == 1
+                   else self.rng.integers(codes.shape[0], size=count))
             if top:
                 self.last_batch_stats.attempts += count
                 self.last_batch_stats.accepted += count
@@ -244,17 +306,6 @@ class SawSampler:
         if len(out_codes) == 1:
             return out_codes[0], out_coords[0]
         return np.concatenate(out_codes), np.concatenate(out_coords)
-
-
-def _append_two_sided(middle: TwoSidedPath, neg_ext: Path,
-                      pos_ext: Path) -> TwoSidedPath | None:
-    """Full two-sided walk from a middle and two side extensions, or None
-    when the composite is not self-avoiding."""
-    try:
-        return validate_two_sided(concat(middle.neg, neg_ext),
-                                  concat(middle.pos, pos_ext))
-    except NotSelfAvoidingError:
-        return None
 
 
 # -- one-shot functional forms ----------------------------------------------

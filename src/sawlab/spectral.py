@@ -19,7 +19,7 @@ from .errors import (
     StartsDisagreeError,
     ZeroTotalMassError,
 )
-from .lattice import direction_vectors
+from .sampling import _base_arrays, _escapes_batch, _radix_powers
 
 
 @dataclass
@@ -63,40 +63,24 @@ class MeasureVector:
         return float(self.values.sum())
 
 
-def _vertex_data(dimension: int, codes: bytes, deltas):
-    verts = []
-    cur = (0,) * dimension
-    for c in codes:
-        cur = tuple(a + b for a, b in zip(cur, deltas[c]))
-        verts.append(cur)
-    return verts
-
-
 def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
                         max_paths: int = 20000) -> EscapeMatrix:
     """Exact escape matrix on SAW_n; trimming removes zero rows/columns
-    until stable (removing a column can zero another row)."""
+    until stable (removing a column can zero another row).
+
+    Row i is one ``_escapes_batch`` call: walk i as the head of every walk
+    of SAW_n, on packed vertex keys."""
     count = count_saws(dimension, n)
     if count > max_paths:
         raise BudgetExceededError(max_paths, count)
     paths = enumerate_paths(dimension, n)
-    deltas = direction_vectors(dimension)
-    verts = [_vertex_data(dimension, codes, deltas) for codes in paths]
-    vert_sets = [frozenset(v) | {(0,) * dimension} for v in verts]
-    ends = [v[-1] if v else (0,) * dimension for v in verts]
-
+    _, coords = _base_arrays(dimension, n)
+    keys = coords.astype(np.int64) @ _radix_powers(dimension, 2 * n)
     size = len(paths)
-    rows = np.zeros((size, size), dtype=bool)
+    rows = np.empty((size, size), dtype=bool)
     for i in range(size):
-        blocked = vert_sets[i]
-        end = ends[i]
-        for j in range(size):
-            ok = True
-            for v in verts[j]:
-                if tuple(a + b for a, b in zip(v, end)) in blocked:
-                    ok = False
-                    break
-            rows[i, j] = ok
+        heads = np.broadcast_to(keys[i], keys.shape)
+        rows[i] = _escapes_batch((heads,), (keys,))
 
     kept = np.arange(size)
     trimmed = False

@@ -7,19 +7,21 @@ import pytest
 from scipy import stats
 
 from sawlab.counting import enumerate_paths
+from sawlab import reference
 from sawlab.coupling import (
     CouplingSchedule,
     estimate_decoupling_stats,
-    _escapes_batch,
     run_one_sided_coupling,
     run_one_sided_couplings,
     run_two_sided_coupling,
     wilson_interval,
 )
-from sawlab.errors import ImpossiblePrefixError, RejectionBudgetExceededError
-from sawlab.lattice import Path, TwoSidedPath, escapes, validate
+from sawlab.errors import (ImpossiblePrefixError, NotSelfAvoidingError,
+                           RejectionBudgetExceededError)
+from sawlab.lattice import (Path, TwoSidedPath, concat, escapes, validate,
+                            validate_two_sided)
 from sawlab.sampling import (SamplerConfig, SawSampler, _coords_from_codes,
-                             _radix_powers)
+                             _escapes_batch, _radix_powers)
 
 
 def test_schedule_geometric_rule():
@@ -84,18 +86,36 @@ def test_rejection_budget_is_per_row():
                                 SamplerConfig(seed=9, max_rejections=1))
 
 
-@pytest.mark.parametrize("d", [2, 5])
-def test_batched_escape_matches_oracle(d):
+def _extends_two_sided(d, neg_head, pos_head, neg_tail, pos_tail):
+    try:
+        validate_two_sided(concat(Path(d, neg_head), Path(d, neg_tail)),
+                           concat(Path(d, pos_head), Path(d, pos_tail)))
+    except NotSelfAvoidingError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("d, arms, head_len, tail_len", [
+    pytest.param(2, 1, 7, 9, id="2"),
+    pytest.param(5, 1, 7, 9, id="5"),
+    pytest.param(2, 2, 3, 4, id="2-two-sided"),
+    pytest.param(5, 2, 7, 9, id="5-two-sided"),
+])
+def test_batched_escape_matches_oracle(d, arms, head_len, tail_len):
     sampler = SawSampler(d, SamplerConfig(seed=31 + d))
-    head_len, tail_len, pairs = 7, 9, 400
+    pairs = 400
     radix = _radix_powers(d, head_len + tail_len)
-    heads = sampler.uniform_batch(head_len, pairs)
-    tails = sampler.uniform_batch(tail_len, pairs)
+    heads = [sampler.uniform_batch(head_len, pairs) for _ in range(arms)]
+    tails = [sampler.uniform_batch(tail_len, pairs) for _ in range(arms)]
     got = _escapes_batch(
-        _coords_from_codes(d, heads).astype(np.int64) @ radix,
-        _coords_from_codes(d, tails).astype(np.int64) @ radix)
-    want = [escapes(Path(d, t.tobytes()), Path(d, h.tobytes()))
-            for h, t in zip(heads, tails)]
+        [_coords_from_codes(d, h).astype(np.int64) @ radix for h in heads],
+        [_coords_from_codes(d, t).astype(np.int64) @ radix for t in tails])
+    if arms == 1:
+        want = [escapes(Path(d, t.tobytes()), Path(d, h.tobytes()))
+                for h, t in zip(heads[0], tails[0])]
+    else:
+        want = [_extends_two_sided(d, *(a[i].tobytes() for a in heads + tails))
+                for i in range(pairs)]
     assert got.tolist() == want
     assert 0 < sum(want) < pairs  # both outcomes are exercised
 
@@ -239,6 +259,43 @@ def test_two_sided_one_block_success_matches_enumeration():
         succ += trace.records[0].success
     sigma = (exact * (1 - exact) / trials) ** 0.5
     assert abs(succ / trials - exact) <= 4 * sigma
+
+
+@pytest.mark.parametrize("m, n", [(16, 16), (2, 5)])
+def test_two_sided_coupling_outputs(m, n):
+    d = 2
+    middles = (TwoSidedPath(validate([1], d), validate([0], d)),
+               TwoSidedPath(validate([1], d), validate([2], d)))
+    sched = CouplingSchedule.geometric(1, max(m, n))
+    flags = set()
+    for seed in range(6):
+        trace = run_two_sided_coupling(d, m, n, *middles, sched,
+                                       SamplerConfig(seed=seed))
+        for walk, middle in zip((trace.walk1, trace.walk2), middles):
+            assert (walk.neg_length, walk.pos_length) == (m, n)
+            assert walk.neg.steps.startswith(middle.neg.steps)
+            assert walk.pos.steps.startswith(middle.pos.steps)
+            neg = reference._walk_vertices(d, tuple(walk.neg.steps))
+            pos = reference._walk_vertices(d, tuple(walk.pos.steps))
+            assert neg is not None and pos is not None
+            assert set(neg) & set(pos) == {(0,) * d}
+        a_prev = sched.start
+        for record in trace.records:
+            same = all(
+                side1[min(a_prev, L):min(record.block_end, L)]
+                == side2[min(a_prev, L):min(record.block_end, L)]
+                for side1, side2, L in ((trace.walk1.neg.steps,
+                                         trace.walk2.neg.steps, m),
+                                        (trace.walk1.pos.steps,
+                                         trace.walk2.pos.steps, n)))
+            assert record.success == same
+            flags.add(same)
+            a_prev = record.block_end
+        assert a_prev >= max(m, n)
+        with pytest.raises(RejectionBudgetExceededError):
+            run_two_sided_coupling(d, m, n, *middles, sched,
+                                   SamplerConfig(seed=seed, max_rejections=1))
+    assert flags == {True, False}  # both outcomes are exercised
 
 
 def test_decoupling_stats_identical_prefixes_zero_failures():

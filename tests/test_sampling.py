@@ -154,6 +154,14 @@ def test_two_sided_extending_a_middle_law():
     assert chi_square_uniform(counts, draws)
 
 
+def test_two_sided_middle_longer_than_side_raises():
+    sampler = SawSampler(2, SamplerConfig(seed=67))
+    middle = TwoSidedPath(validate([1, 1], 2), validate([2], 2))
+    with pytest.raises(ValueError, match="longer than the requested sides"):
+        sampler.two_sided(1, 3, middle)
+    assert sampler.two_sided(2, 3, middle).neg.steps[:2] == bytes([1, 1])
+
+
 def test_two_sided_acceptance_rate():
     d, m, n = 5, 4, 4
     cfg = SamplerConfig(seed=17)
