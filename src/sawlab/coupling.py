@@ -28,7 +28,7 @@ from .errors import ImpossiblePrefixError
 from .counting import has_extension
 from .lattice import Path, TwoSidedPath
 from .sampling import (SamplerConfig, SawSampler, _escapes_batch,
-                       _first_accepted, _radix_powers, _steps_to_keys)
+                       _first_accepted, _keys_from_codes, _radix_powers)
 
 
 @dataclass(frozen=True)
@@ -179,20 +179,24 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     h = min(a_{l-1}, L_j) and c = min(a_l, L_j): draws have L_j - h steps
     on arm j (an arm whose length is used up gets a length-0 draw) and
     each walk keeps steps h..c of its draw.  Walks are held as packed
-    vertex keys, (2, T, L_j + 1) per arm, so a translation is one addition.
+    vertex keys, (2, T, L_j + 1) per arm, under the dimension's one
+    packing: the starts are packed from their codes once, and each draw
+    comes with its keys from ``_first_accepted``, so a translation is one
+    addition and no coordinates are built.
 
     Returns (blocks, step codes per arm as (2, T, L_j) uint8, success and
     resamples as (T, blocks) arrays).
     """
     blocks = schedule.blocks(max(lengths))
-    radix = _radix_powers(sampler.dimension, max(lengths))
+    _radix_powers(sampler.dimension, max(lengths))  # refuses walks keys cannot hold
     codes = [np.empty((2, trials, n), dtype=np.uint8) for n in lengths]
     keys = [np.empty((2, trials, n + 1), dtype=np.int64) for n in lengths]
     for w, arms in enumerate(starts):
         for j, steps in enumerate(arms):
             k = len(steps)
-            codes[j][w, :, :k] = np.frombuffer(steps, dtype=np.uint8)
-            keys[j][w, :, :k + 1] = _steps_to_keys(steps, radix)
+            start = np.frombuffer(steps, dtype=np.uint8)
+            codes[j][w, :, :k] = start
+            keys[j][w, :, :k + 1] = _keys_from_codes(sampler.dimension, start[None])
     success = np.empty((trials, len(blocks)), dtype=bool)
     resamples = np.empty((trials, len(blocks)), dtype=np.int64)
     for l, (a_prev, a_next) in enumerate(blocks):
@@ -207,10 +211,10 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
 
         draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
         proxy, proxy_keys, resamples[:, l] = _first_accepted(
-            sampler, draw, radix, trials, escapes_either)
+            sampler, draw, trials, escapes_either)
         walk, row = np.nonzero(~hits)  # at most one walk per row
         own, own_keys, _ = _first_accepted(
-            sampler, draw, radix, row.size,
+            sampler, draw, row.size,
             lambda rows, tails: _escapes_batch(
                 [h[walk[rows], row[rows]] for h in heads], tails))
         success[:, l] = True

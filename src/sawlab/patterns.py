@@ -19,7 +19,8 @@ from .counting import (CountTable, _budget, _Found, _pack_params, _walk,
                        count_saws, count_two_sided, default_table)
 from .errors import BudgetExceededError, NotSelfAvoidingError
 from .lattice import Path, SignedPermutation, TwoSidedPath, validate
-from .sampling import SamplerConfig, SawSampler, _coords_from_codes, _radix_powers
+from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
+                       _keys_from_codes, _radix_powers, _rows_distinct)
 
 
 def _first_step_symmetry(dimension: int, code: int) -> SignedPermutation:
@@ -271,17 +272,20 @@ def escape_power_estimate(dimension: int, horizon: int, k: int, trials: int,
         raise ValueError("k must be in [1, horizon]")
     table = table or default_table(dimension)
     sampler = SawSampler(dimension, cfg)
-    radix = _radix_powers(dimension, horizon + k)
+    _radix_powers(dimension, horizon + k)  # refuses walks keys cannot hold
     disjoint = 0
     remaining = trials
     while remaining > 0:
         rows = min(chunk_rows, remaining)
         long_codes = sampler.uniform_batch(horizon, rows)
         short_codes = sampler.uniform_batch(k, rows)
-        long_keys = _coords_from_codes(dimension, long_codes).astype(np.int64) @ radix
-        short_keys = _coords_from_codes(dimension, short_codes).astype(np.int64) @ radix
-        clash = (long_keys[:, 1:, None] == short_keys[:, None, 1:]).any(axis=(1, 2))
-        disjoint += int(rows - clash.sum())
+        # both walks are self-avoiding, so they share a vertex besides the
+        # origin iff the long walk's keys and the short one's past the
+        # origin hold a repeat
+        keys = np.concatenate([_keys_from_codes(dimension, long_codes),
+                               _keys_from_codes(dimension, short_codes)[:, 1:]],
+                              axis=1)
+        disjoint += int(np.count_nonzero(_rows_distinct(keys)))
         remaining -= rows
     c_k = count_saws(dimension, k, table=table)
     return c_k * disjoint / trials

@@ -74,8 +74,8 @@ def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
     if count > max_paths:
         raise BudgetExceededError(max_paths, count)
     paths = enumerate_paths(dimension, n)
-    _, coords = _base_arrays(dimension, n)
-    keys = coords.astype(np.int64) @ _radix_powers(dimension, 2 * n)
+    _radix_powers(dimension, 2 * n)  # refuses walks keys cannot hold
+    _, keys = _base_arrays(dimension, n)
     size = len(paths)
     rows = np.empty((size, size), dtype=bool)
     for i in range(size):

@@ -16,7 +16,7 @@ from sawlab.patterns import (
     scalar_estimators,
     two_sided_prefix_prob,
 )
-from sawlab.sampling import SamplerConfig
+from sawlab.sampling import SamplerConfig, SawSampler, _coords_from_codes
 
 TRAP = validate([3, 0, 0, 2, 2, 1, 3], 2)
 
@@ -154,6 +154,24 @@ def test_escape_power_estimate_second_order():
                             mu_ratio_length=6)
     power = escape_power_estimate(5, 60, 2, 20_000, SamplerConfig(seed=23))
     assert abs(power - est.mu_ratio ** 2) / est.mu_ratio ** 2 < 0.05
+
+
+def test_escape_power_disjoint_count_matches_broadcast():
+    """The sorted-key test counts the same disjoint pairs as comparing
+    every vertex pair of the two walks' coordinates."""
+    d, horizon, k, trials, chunk_rows = 2, 25, 4, 700, 256
+    power = escape_power_estimate(d, horizon, k, trials, SamplerConfig(seed=71),
+                                  chunk_rows=chunk_rows)
+    sampler = SawSampler(d, SamplerConfig(seed=71))
+    disjoint = 0
+    for start in range(0, trials, chunk_rows):
+        rows = min(chunk_rows, trials - start)
+        long = _coords_from_codes(d, sampler.uniform_batch(horizon, rows))
+        short = _coords_from_codes(d, sampler.uniform_batch(k, rows))
+        same = (long[:, 1:, None, :] == short[:, None, 1:, :]).all(axis=3)
+        disjoint += int(rows - same.any(axis=(1, 2)).sum())
+    assert 0 < disjoint < trials  # both outcomes occur
+    assert power == count_saws(d, k) * disjoint / trials
 
 
 def test_density_report_round_trip():

@@ -15,6 +15,9 @@ from sawlab.lattice import Path, TwoSidedPath, escapes, validate, validate_two_s
 from sawlab.sampling import (
     SamplerConfig,
     SawSampler,
+    _coords_from_codes,
+    _keys_from_codes,
+    _radix_powers,
     sample_prefix_conditioned,
     sample_uniform,
 )
@@ -132,6 +135,48 @@ def test_base_index_draw_equals_one_row_draw():
         b = SawSampler(2, SamplerConfig(seed=59)).rng
         for _ in range(50):
             assert int(a.integers(size)) == int(b.integers(size, size=1)[0])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_keys_from_codes_is_the_coordinate_packing(d):
+    rng = np.random.default_rng(61 + d)
+    for n in (0, 1, 7, 40):
+        codes = rng.integers(0, 2 * d, size=(50, n), dtype=np.uint8)
+        want = _coords_from_codes(d, codes).astype(np.int64) @ _radix_powers(d, n)
+        got = _keys_from_codes(d, codes)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, n, count", [
+    (2, 5, 400), (2, 8, 400), (2, 37, 400), (2, 3, 1), (2, 37, 1),
+    (5, 4, 400), (5, 5, 400), (5, 31, 400), (5, 2, 1), (5, 31, 1),
+])
+def test_draw_batch_keys_match_its_codes(d, n, count):
+    # base-table draws (n <= base_length), dimerized ones and batches of one
+    sampler = SawSampler(d, SamplerConfig(seed=67))
+    for _ in range(3):
+        codes, keys = sampler._draw_batch(n, count)
+        assert codes.shape == (count, n) and keys.shape == (count, n + 1)
+        assert np.array_equal(keys, _keys_from_codes(d, codes))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_radix_refuses_exactly_the_extents_keys_cannot_hold(d):
+    def accepts(extent):
+        try:
+            _radix_powers(d, extent)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0, 1 << 62  # accepts(lo), not accepts(hi)
+    assert accepts(lo) and not accepts(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    assert (2 * lo + 1) ** d <= 1 << 62 < (2 * lo + 3) ** d
+    with pytest.raises(ValueError, match=rf"extent {lo + 1} "):
+        _radix_powers(d, lo + 1)
 
 
 def test_two_sided_extending_a_middle_law():

@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per seeded output of the samplers, the couplings, the
+escape-matrix fixed point and the Monte Carlo estimators.
+
+Two source trees draw the same streams exactly when this script prints the
+same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
+
+    PYTHONPATH=src python3 tools/stream_digests.py > new.txt
+    PYTHONPATH=/other/checkout/src python3 tools/stream_digests.py > old.txt
+    diff old.txt new.txt
+
+Each line is ``<digest>  <output>``; the run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from sawlab import (
+    CouplingSchedule,
+    Path,
+    SamplerConfig,
+    SawSampler,
+    TwoSidedPath,
+    build_escape_matrix,
+    escape_power_estimate,
+    estimate_decoupling_stats,
+    perron_fixed_point,
+    run_two_sided_coupling,
+    scalar_estimators,
+    validate,
+)
+
+SEEDS = (0, 1, 2)
+
+
+def _encode(part) -> bytes:
+    if isinstance(part, np.ndarray):
+        head = f"{part.dtype.str}{part.shape}".encode()
+        return head + np.ascontiguousarray(part).tobytes()
+    if isinstance(part, Path):
+        return b"path" + bytes([part.dimension]) + part.steps
+    if isinstance(part, TwoSidedPath):
+        return b"two" + _encode(part.neg) + b"|" + _encode(part.pos)
+    if isinstance(part, (list, tuple)):
+        return b"[" + b",".join(_encode(p) for p in part) + b"]"
+    return repr(part).encode()
+
+
+def emit(label: str, *parts) -> None:
+    h = hashlib.sha256()
+    for part in parts:
+        data = _encode(part)
+        h.update(len(data).to_bytes(8, "little") + data)
+    print(f"{h.hexdigest()}  {label}", flush=True)
+
+
+def uniform_batches(seed: int) -> None:
+    for d, n, count in ((2, 8, 2000), (2, 31, 500), (2, 128, 200),
+                        (5, 5, 2000), (5, 50, 500), (5, 200, 1000)):
+        sampler = SawSampler(d, SamplerConfig(seed=seed))
+        codes = sampler.uniform_batch(n, count)
+        stats = sampler.last_batch_stats
+        # a second batch on the same stream checks what the first consumed
+        emit(f"uniform_batch d={d} n={n} count={count} seed={seed}",
+             codes, stats.attempts, stats.accepted,
+             sampler.uniform_batch(n, 3))
+
+
+def per_draw(seed: int) -> None:
+    for d in (2, 5):
+        sampler = SawSampler(d, SamplerConfig(seed=seed))
+        emit(f"uniform d={d} n=0..24 seed={seed}",
+             [sampler.uniform(n) for n in range(25)])
+        prefixes = [validate(p, d) for p in ([], [0], [0, 2], [0, 2, 1, 1])]
+        emit(f"escaping d={d} seed={seed}",
+             [sampler.escaping(n, p) for p in prefixes for n in range(0, 20, 3)])
+        emit(f"prefix_conditioned d={d} seed={seed}",
+             [sampler.prefix_conditioned(n, p)
+              for p in prefixes for n in range(len(p), 22, 3)])
+        walks = []
+        for m, n in ((0, 0), (1, 1), (3, 7), (12, 12), (20, 4)):
+            walks += [sampler.two_sided(m, n), sampler.last_two_sided_attempts]
+        emit(f"two_sided d={d} seed={seed}", walks)
+        middle = TwoSidedPath(validate([1], d), validate([0, 2], d))
+        walks = []
+        for m, n in ((1, 2), (5, 5), (16, 9)):
+            walks += [sampler.two_sided(m, n, middle),
+                      sampler.last_two_sided_attempts]
+        emit(f"two_sided middle d={d} seed={seed}", walks)
+
+
+def couplings(seed: int) -> None:
+    for d, p1, p2, horizon in ((2, [0, 2], [0, 3], 16), (5, [0], [2], 24)):
+        z1, z2 = validate(p1, d), validate(p2, d)
+        stats = estimate_decoupling_stats(
+            d, z1, z2, CouplingSchedule.geometric(len(p1), horizon), horizon,
+            200, SamplerConfig(seed=seed))
+        batch = stats.batch
+        emit(f"estimate_decoupling_stats d={d} horizon={horizon} seed={seed}",
+             batch.codes1, batch.codes2, batch.success, batch.resamples,
+             [vars(row) for row in stats.decay + stats.tails])
+    for d, middles, sides in ((2, ([1], [0], [1], [2]), (16, 16)),
+                              (5, ([1], [0], [3], [4]), (12, 20))):
+        start1 = TwoSidedPath(validate(middles[0], d), validate(middles[1], d))
+        start2 = TwoSidedPath(validate(middles[2], d), validate(middles[3], d))
+        sampler = SawSampler(d, SamplerConfig(seed=seed))
+        schedule = CouplingSchedule.geometric(1, max(sides))
+        traces = [run_two_sided_coupling(d, *sides, start1, start2, schedule,
+                                         sampler=sampler) for _ in range(6)]
+        emit(f"run_two_sided_coupling d={d} sides={sides} seed={seed}",
+             [(t.walk1, t.walk2, t.record_dicts()) for t in traces],
+             sampler.uniform(12))
+
+
+def fixed_points() -> None:
+    for d, n in ((2, 1), (2, 3), (2, 5), (3, 3), (4, 3), (5, 2)):
+        for trim in (True, False):
+            matrix = build_escape_matrix(d, n, trim=trim)
+            parts = [matrix.rows, matrix.kept, matrix.trimmed]
+            if matrix.trimmed or matrix.rows.any(axis=1).all():
+                result = perron_fixed_point(matrix)
+                parts += [result.measure.values, result.eigenvalue,
+                          result.residual, result.iterations,
+                          result.primitivity_power]
+            emit(f"build_escape_matrix+perron_fixed_point d={d} n={n} "
+                 f"trim={trim}", *parts)
+
+
+def estimators(seed: int) -> None:
+    for d, horizon, trials in ((2, 40, 600), (5, 60, 600)):
+        est = scalar_estimators(d, horizon, trials, SamplerConfig(seed=seed),
+                                mu_ratio_length=4)
+        emit(f"scalar_estimators d={d} horizon={horizon} seed={seed}", vars(est))
+    for d, horizon, k in ((2, 30, 3), (5, 40, 4)):
+        emit(f"escape_power_estimate d={d} horizon={horizon} k={k} seed={seed}",
+             escape_power_estimate(d, horizon, k, 1500, SamplerConfig(seed=seed)))
+
+
+def main() -> None:
+    for seed in SEEDS:
+        uniform_batches(seed)
+        per_draw(seed)
+        couplings(seed)
+        estimators(seed)
+    fixed_points()
+
+
+if __name__ == "__main__":
+    main()
