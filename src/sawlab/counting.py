@@ -28,13 +28,15 @@ import hashlib
 import json
 import os
 import warnings
+from collections import defaultdict
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetExceededError, CheckpointIgnoredWarning
-from .lattice import Coords, LatticePoint, Path, TwoSidedPath, empty_two_sided
+from .lattice import (Coords, LatticePoint, Path, TwoSidedPath,
+                      _first_step_symmetry, empty_two_sided)
 
 _UNLIMITED = 1 << 62
 _SPLIT_DEPTH = 3  # prefix length at which a count is cut into tasks
@@ -262,35 +264,39 @@ def _signature(*parts) -> str:
 
 def _run_engine(deltas, blocked, head: int, depth: int, *,
                 pos_head: int | None = None, pos_depth: int = 0,
-                workers: int = 1, node_budget: int | None = None,
+                prefix_len: int = 0, workers: int = 1,
+                node_budget: int | None = None,
                 checkpoint_path: str | None = None,
-                signature: str = "",
-                pool: ProcessPoolExecutor | None = None) -> tuple[list[int], int]:
-    """Counts per depth and the nodes charged: counts[j] is the number of
-    j-step extensions of ``head`` or, with ``pos_head`` set, of pairs of a
-    full ``depth``-step negative side and a j-step positive side.
+                signature: str = "") -> tuple[dict[tuple, list[int]], int]:
+    """Counts per depth, keyed by their first ``prefix_len`` step codes,
+    and the nodes charged: counts[key][j] is the number of j-step
+    extensions of ``head`` that start with ``key`` or, with ``pos_head``
+    set, of pairs of a full ``depth``-step negative side starting with
+    ``key`` and a j-step positive side.
 
-    The first ``_SPLIT_DEPTH`` levels are walked here (one-sided counts up
-    to the split come from this walk) and cut into prefix tasks, run
-    in-process when ``workers == 1`` and otherwise on ``pool``, or on a
-    pool of this call's own when none is given.
+    The first max(``_SPLIT_DEPTH``, ``prefix_len``) levels, at most
+    ``depth``, are walked here (one-sided counts up to the split come from
+    this walk) and cut into prefix tasks, run in-process when
+    ``workers == 1`` and otherwise on a pool of this call's own.
     """
     budget = _budget(node_budget)
     limit = budget[1]
-    split = min(_SPLIT_DEPTH, depth)
-    counts = [0] * ((depth if pos_head is None else pos_depth) + 1)
-    counts[0] = int(pos_head is None)
-    tasks = [] if split else [(tuple(blocked), head)]
+    split = min(max(_SPLIT_DEPTH, prefix_len), depth)
+    size = (depth if pos_head is None else pos_depth) + 1
+    counts: dict[tuple, list[int]] = defaultdict(lambda: [0] * size)
+    tasks = [] if split else [((), tuple(blocked), head)]
     codes, occupied = [], set(blocked)
 
     def visit(nxt: int) -> bool:
-        if pos_head is None:
-            counts[len(codes)] += 1
+        if pos_head is None and len(codes) >= prefix_len:
+            counts[tuple(codes[:prefix_len])][len(codes)] += 1
         return True
 
     def leaf(nxt: int) -> None:  # one task per prefix of ``split`` steps
         visit(nxt)
-        tasks.append((tuple(occupied), nxt))
+        tasks.append((tuple(codes[:prefix_len]), tuple(occupied), nxt))
+
+    visit(head)  # the empty extension
 
     if split:
         _walk(head, split, occupied, deltas, budget, codes, visit, leaf)
@@ -308,9 +314,8 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
                 _save_checkpoint(checkpoint_path, signature, done)
         return used
 
-    own_pool = pool is None and workers > 1 and len(done) < len(tasks)
-    if own_pool:
-        pool = ProcessPoolExecutor(max_workers=workers)
+    pool = (ProcessPoolExecutor(max_workers=workers)
+            if workers > 1 and len(done) < len(tasks) else None)
     running: dict[Future, int] = {}
     try:
         while True:
@@ -321,7 +326,7 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
                 idx = next(todo, None)
                 if idx is None:
                     break
-                payload = (deltas, *tasks[idx], split, depth, pos_head,
+                payload = (deltas, *tasks[idx][1:], split, depth, pos_head,
                            pos_depth, limit - charged)
                 if pool is None:
                     charged += record(idx, *_count_task(payload))
@@ -333,14 +338,15 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
             for fut in finished:
                 charged += record(running.pop(fut), *fut.result())
     finally:
-        if own_pool:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
     if charged > limit:
         if checkpoint_path is not None:
             _save_checkpoint(checkpoint_path, signature, done)
         raise BudgetExceededError(limit, charged, checkpoint_path)
-    for task_counts, _ in done.values():
-        counts = [a + b for a, b in zip(counts, task_counts)]
+    for idx, (task_counts, _) in done.items():
+        key = tasks[idx][0]
+        counts[key] = [a + b for a, b in zip(counts[key], task_counts)]
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return counts, charged
@@ -375,7 +381,7 @@ def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
             checkpoint_path=checkpoint_path,
             signature=_signature(dimension, "plain", n),
         )
-        counts += [2 * dimension * c for c in below]
+        counts += [2 * dimension * c for c in below[()]]
     for k, value in enumerate(counts):
         table.put("plain", k, None, value)
     return counts[n]
@@ -441,24 +447,17 @@ def count_extensions(dimension: int, n: int, prefix: Path, *,
     cached = table.get("prefix", n, prefix.steps)
     if cached is not None:
         return cached
-    value, _ = _count_below_prefix(dimension, n, prefix, workers=workers,
-                                   node_budget=node_budget,
-                                   checkpoint_path=checkpoint_path)
-    table.put("prefix", n, prefix.steps, value)
-    return value
-
-
-def _count_below_prefix(dimension: int, n: int, prefix: Path, **engine):
-    """(number of n-step walks starting with the nonempty ``prefix``, nodes
-    charged), uncached; ``engine`` goes to ``_run_engine``."""
     anchored = prefix.re_anchored()
     width, origin_key, deltas = _pack_params(dimension, n)
     blocked = frozenset(_pack(v, width, n) for v in anchored.vertices)
     head = _pack(anchored.end, width, n)
-    counts, nodes = _run_engine(
-        deltas, blocked, head, n - len(prefix),
-        signature=_signature(dimension, "prefix", n, prefix.steps), **engine)
-    return counts[-1], nodes
+    counts, _ = _run_engine(
+        deltas, blocked, head, n - k, workers=workers,
+        node_budget=node_budget, checkpoint_path=checkpoint_path,
+        signature=_signature(dimension, "prefix", n, prefix.steps))
+    value = counts[()][-1]
+    table.put("prefix", n, prefix.steps, value)
+    return value
 
 
 def has_extension(dimension: int, extra_steps: int, prefix: Path) -> bool:
@@ -522,7 +521,7 @@ def count_two_sided(dimension: int, m: int, n: int,
         checkpoint_path=checkpoint_path,
         signature=_signature(dimension, "two_sided", m, n, key),
     )
-    value = counts[-1]
+    value = counts[()][-1]
     table.put("two_sided", m + n, key, value)
     return value
 
@@ -552,8 +551,11 @@ def prefix_histogram(dimension: int, m: int, k: int, *,
                      node_budget: int | None = None) -> dict[bytes, int]:
     """c_m(zeta) for every zeta in SAW_k, as a codes -> count map.
 
-    The prefixes share one node budget, charged as one count's would be,
-    and with ``workers > 1`` one process pool.
+    One reduced pass, charged as ``count_saws(dimension, m)`` is: the first
+    step is fixed to +e1 and each task's count goes to the k-prefix its
+    codes start with.  A prefix whose first step is c takes the count of
+    its image under a symmetry g sending c to +e1, as c_m(g zeta) =
+    c_m(zeta).
     """
     if k > m:
         raise ValueError("prefix length exceeds walk length")
@@ -561,26 +563,18 @@ def prefix_histogram(dimension: int, m: int, k: int, *,
     if k == 0:
         return {b"": count_saws(dimension, m, table=table, workers=workers,
                                 node_budget=node_budget)}
-    limit = _UNLIMITED if node_budget is None else node_budget
-    charged = 0
-    out = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for codes in enumerate_paths(dimension, k):
-            value = table.get("prefix", m, codes)
-            if value is None:
-                try:
-                    value, used = _count_below_prefix(
-                        dimension, m, Path(dimension, codes), workers=workers,
-                        node_budget=limit - charged, pool=pool)
-                except BudgetExceededError as exc:
-                    raise BudgetExceededError(limit, charged + exc.nodes) from None
-                charged += used
-                table.put("prefix", m, codes, value)
-            out[codes] = value
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    out = {codes: table.get("prefix", m, codes)
+           for codes in enumerate_paths(dimension, k)}
+    if None in out.values():
+        width, origin_key, deltas = _pack_params(dimension, m)
+        first = origin_key + deltas[0]
+        counts, _ = _run_engine(
+            deltas, frozenset((origin_key, first)), first, m - 1,
+            prefix_len=k - 1, workers=workers, node_budget=node_budget)
+        for codes in out:
+            image = _first_step_symmetry(dimension, codes[0]).code_table
+            out[codes] = counts[tuple(image[c] for c in codes[1:])][-1]
+            table.put("prefix", m, codes, out[codes])
     return out
 
 

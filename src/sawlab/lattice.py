@@ -340,3 +340,13 @@ def symmetry_generators(dimension: int) -> list[SignedPermutation]:
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(SignedPermutation(tuple(perm), plus))
     return gens
+
+
+def _first_step_symmetry(dimension: int, code: int) -> SignedPermutation:
+    """A lattice symmetry sending direction ``code`` to +e1."""
+    axis, sign = code // 2, 1 - 2 * (code % 2)
+    perm = list(range(dimension))
+    perm[0], perm[axis] = perm[axis], perm[0]
+    signs = [1] * dimension
+    signs[0] = sign
+    return SignedPermutation(tuple(perm), tuple(signs))

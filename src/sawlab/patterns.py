@@ -18,19 +18,9 @@ import numpy as np
 from .counting import (CountTable, _budget, _Found, _pack_params, _walk,
                        count_saws, count_two_sided, default_table)
 from .errors import BudgetExceededError, NotSelfAvoidingError
-from .lattice import Path, SignedPermutation, TwoSidedPath, validate
+from .lattice import Path, TwoSidedPath, _first_step_symmetry, validate
 from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
                        _keys_from_codes, _radix_powers, _rows_distinct)
-
-
-def _first_step_symmetry(dimension: int, code: int) -> SignedPermutation:
-    """A lattice symmetry sending direction ``code`` to +e1."""
-    axis, sign = code // 2, 1 - 2 * (code % 2)
-    perm = list(range(dimension))
-    perm[0], perm[axis] = perm[axis], perm[0]
-    signs = [1] * dimension
-    signs[0] = sign
-    return SignedPermutation(tuple(perm), tuple(signs))
 
 
 def _pattern_multiset(dimension: int, pattern: Path) -> Counter:
@@ -108,8 +98,12 @@ def mc_density_stats(dimension: int, n: int, pattern: Path, trials: int,
     if trials < 2:
         raise ValueError("need at least two trials")
     k = len(pattern)
+    if k < 1:
+        raise ValueError("pattern must have at least one step")
     if k > n:
         raise ValueError("pattern longer than the walk")
+    if pattern.dimension != dimension:
+        raise ValueError("pattern dimension mismatch")
     sampler = SawSampler(dimension, cfg)
     codes = sampler.uniform_batch(n, trials)
     target = np.frombuffer(pattern.steps, dtype=np.uint8)

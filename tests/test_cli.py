@@ -146,6 +146,14 @@ def test_pattern_command(tmp_path, capsys):
     assert any(r["exact_mean"] for r in payload["rows"])
 
 
+def test_pattern_command_refuses_empty_pattern(tmp_path, capsys):
+    code, out, err = run(capsys, "pattern", "-d", "2", "--pattern", "",
+                         "--mc-lengths", "10", "--trials", "10",
+                         "--outdir", str(tmp_path))
+    assert code == 1 and "at least one step" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_command_green(capsys):
     code, out, _ = run(capsys, "verify", "-d", "2", "-n", "4")
     assert code == 0

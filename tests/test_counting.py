@@ -280,9 +280,51 @@ def test_node_budget_is_global(tmp_path):
                           node_budget=nodes, checkpoint_path=path) == A001411[9]
 
 
+def test_prefix_histogram_matches_oracle():
+    # k = m and the short walks whose split reaches the full depth included
+    for dimension, m_max in ((2, 6), (3, 4)):
+        for m in range(1, m_max + 1):
+            for k in range(1, m + 1):
+                hist = prefix_histogram(dimension, m, k,
+                                        table=CountTable(dimension))
+                assert sorted(hist) == [bytes(p) for p in
+                                        reference.naive_saws(dimension, k)]
+                for codes, value in hist.items():
+                    assert value == reference.naive_count_with_prefix(
+                        dimension, m, tuple(codes)), (dimension, m, codes)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prefix_histogram_matches_count_extensions(workers):
+    for dimension, m, k in ((5, 6, 2), (2, 10, 5)):
+        hist = prefix_histogram(dimension, m, k, table=CountTable(dimension),
+                                workers=workers)
+        table = CountTable(dimension)
+        assert hist == {codes: count_extensions(dimension, m,
+                                                Path(dimension, codes),
+                                                table=table)
+                        for codes in enumerate_paths(dimension, k)}
+
+
+def test_prefix_histogram_runs_one_engine_pass(monkeypatch):
+    calls = []
+    engine = counting._run_engine
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_run_engine", counted)
+    table = CountTable(2)
+    hist = prefix_histogram(2, 9, 3, table=table)
+    assert len(calls) == 1 and len(hist) == 36
+    assert prefix_histogram(2, 9, 3, table=table) == hist
+    assert len(calls) == 1  # every prefix is in the table now
+
+
 def test_prefix_histogram_shares_one_budget():
-    # every prefix's search adds c_j vertices in all for each length j > k
-    nodes = sum(A001411[3:10])
+    # charged as count_saws(2, 9) is: c_k / 2d vertices for each length k
+    nodes = sum(A001411[2:10]) // 4
     for workers in (1, 2):
         hist = prefix_histogram(2, 9, 2, table=CountTable(2), workers=workers,
                                 node_budget=nodes)

@@ -83,6 +83,17 @@ def test_mc_single_step_mean():
     assert abs(st.mean - 0.1) <= 4 * sigma
 
 
+def test_mc_refuses_what_the_exact_route_refuses():
+    for pattern, dimension, message in ((Path(2), 2, "at least one step"),
+                                        (validate([4, 0], 3), 2,
+                                         "dimension mismatch")):
+        for call in (lambda: exact_mean_density_grid(dimension, 10, pattern),
+                     lambda: mc_density_stats(dimension, 10, pattern, 10,
+                                              SamplerConfig(seed=1))):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_two_sided_prefix_prob_symmetry_and_one_sided_reduction():
     d = 5
     step = validate([0], d)

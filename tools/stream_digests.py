@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per seeded output of the samplers, the couplings, the
-escape-matrix fixed point and the Monte Carlo estimators.
+escape-matrix fixed point and the Monte Carlo estimators, and per exact
+prefix histogram and fixed-point-against-marginal comparison.
 
 Two source trees draw the same streams exactly when this script prints the
 same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
@@ -19,15 +20,18 @@ import hashlib
 import numpy as np
 
 from sawlab import (
+    CountTable,
     CouplingSchedule,
     Path,
     SamplerConfig,
     SawSampler,
     TwoSidedPath,
     build_escape_matrix,
+    compare_to_marginal,
     escape_power_estimate,
     estimate_decoupling_stats,
     perron_fixed_point,
+    prefix_histogram,
     run_two_sided_coupling,
     scalar_estimators,
     validate,
@@ -129,6 +133,17 @@ def fixed_points() -> None:
                  f"trim={trim}", *parts)
 
 
+def marginals() -> None:
+    for d, m, k in ((2, 12, 5), (3, 7, 2), (5, 6, 3)):
+        hist = prefix_histogram(d, m, k, table=CountTable(d))
+        emit(f"prefix_histogram d={d} m={m} k={k}", sorted(hist.items()))
+    for d, n, horizon in ((2, 5, 12), (5, 2, 6)):
+        result = perron_fixed_point(build_escape_matrix(d, n))
+        comparison = compare_to_marginal(result, horizon, table=CountTable(d))
+        emit(f"compare_to_marginal d={d} n={n} horizon={horizon}",
+             [vars(row) for row in comparison.rows], comparison.tv_distance)
+
+
 def estimators(seed: int) -> None:
     for d, horizon, trials in ((2, 40, 600), (5, 60, 600)):
         est = scalar_estimators(d, horizon, trials, SamplerConfig(seed=seed),
@@ -146,6 +161,7 @@ def main() -> None:
         couplings(seed)
         estimators(seed)
     fixed_points()
+    marginals()
 
 
 if __name__ == "__main__":
