@@ -13,10 +13,20 @@ another at the last level, in lexicographic order of the step codes; a
 false return from the first prunes below that vertex and an exception
 ends the search.
 
-A node budget charges one node for every vertex either kernel adds, the
-prefix walk that cuts a count into tasks included, so a count fits it or
-raises ``BudgetExceededError`` the same way serially, on a process pool or
-resumed from a checkpoint.  Each task starts with the nodes left at that
+Every condition-free pass from the origin (``count_saws``,
+``prefix_histogram``, ``endpoint_histogram``) walks only the
+first-turn-reduced tree: the first step is fixed to +e1 and the first step
+off the e1 axis to +e2, so each walk that turns stands for 2(d-1) walks
+and the straight walk for itself, on top of the 2d first steps.
+``_spine`` yields the straight run and the turn off each of its vertices;
+the kernels search below the turns.  Passes under a prefix, endpoint or
+two-sided condition walk their whole tree.
+
+A node is one vertex of the tree a pass walks.  A node budget charges one
+node for every vertex the kernels and the reduced tree's straight run add,
+the prefix walk that cuts a count into tasks included, so a count fits it
+or raises ``BudgetExceededError`` the same way serially, on a process pool
+or resumed from a checkpoint.  Each task starts with the nodes left at that
 moment, so a count that runs out stops after about one budget per worker.
 Counts are exact Python integers; optional checkpoints keep the counts and
 nodes of every finished prefix task.
@@ -36,7 +46,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError, CheckpointIgnoredWarning
 from .lattice import (Coords, LatticePoint, Path, TwoSidedPath,
-                      _first_step_symmetry, empty_two_sided)
+                      _first_turn_symmetries, empty_two_sided)
 
 _UNLIMITED = 1 << 62
 _SPLIT_DEPTH = 3  # prefix length at which a count is cut into tasks
@@ -196,6 +206,33 @@ def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
         codes.pop()
 
 
+def _spine(head: int, depth: int, occupied: set, deltas, budget: list,
+           codes: list):
+    """The first-turn-reduced tree's straight run from ``head``, the tip of
+    a walk along +e1.
+
+    For each of ``depth`` levels this yields the turn to +e2 off the run's
+    tip (none in d=1) and then the run's next vertex along +e1, while
+    ``codes`` ends in the step to the yielded vertex and ``occupied`` holds
+    it; the run stays in both.  One node is charged per vertex yielded, so
+    the other 2(d-1) - 1 turns are never added or charged.
+    """
+    steps = (2, 0) if len(deltas) > 2 else (0,)
+    for _ in range(depth):
+        for code in steps:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise BudgetExceededError(budget[1], budget[1] - budget[0])
+            nxt = head + deltas[code]
+            codes.append(code)
+            occupied.add(nxt)
+            yield nxt
+            if code:
+                occupied.discard(nxt)
+                codes.pop()
+        head = nxt
+
+
 def _stop(nxt: int) -> None:
     """A ``leaf`` callback that ends the walk at the first full extension."""
     raise _Found
@@ -264,7 +301,7 @@ def _signature(*parts) -> str:
 
 def _run_engine(deltas, blocked, head: int, depth: int, *,
                 pos_head: int | None = None, pos_depth: int = 0,
-                prefix_len: int = 0, workers: int = 1,
+                prefix_len: int = 0, reduced: bool = False, workers: int = 1,
                 node_budget: int | None = None,
                 checkpoint_path: str | None = None,
                 signature: str = "") -> tuple[dict[tuple, list[int]], int]:
@@ -278,30 +315,53 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
     ``depth``, are walked here (one-sided counts up to the split come from
     this walk) and cut into prefix tasks, run in-process when
     ``workers == 1`` and otherwise on a pool of this call's own.
+
+    With ``reduced``, ``head`` is the tip of a first step along +e1 and
+    only the first-turn-reduced tree is walked: the straight run along +e1
+    to full depth, and below each of its vertices the turn to +e2, which
+    stands for all 2(d-1) turns.  A key then names the walks that start
+    with it up to that symmetry: a walk turning inside the key counts once
+    and one turning past it 2(d-1) times.
     """
     budget = _budget(node_budget)
     limit = budget[1]
     split = min(max(_SPLIT_DEPTH, prefix_len), depth)
     size = (depth if pos_head is None else pos_depth) + 1
     counts: dict[tuple, list[int]] = defaultdict(lambda: [0] * size)
-    tasks = [] if split else [((), tuple(blocked), head)]
+    # (key, weight, blocked, head, level); a full-depth one-sided walk has
+    # nothing below it, so it is counted here and is no task
+    tasks = ([] if split or pos_head is None
+             else [((), 1, tuple(blocked), head, 0)])
     codes, occupied = [], set(blocked)
+    weight = 1  # the walks each vertex below stands for
 
     def visit(nxt: int) -> bool:
         if pos_head is None and len(codes) >= prefix_len:
-            counts[tuple(codes[:prefix_len])][len(codes)] += 1
+            counts[tuple(codes[:prefix_len])][len(codes)] += weight
         return True
 
-    def leaf(nxt: int) -> None:  # one task per prefix of ``split`` steps
+    def leaf(nxt: int) -> None:  # one task below each split vertex
         visit(nxt)
-        tasks.append((tuple(codes[:prefix_len]), tuple(occupied), nxt))
+        if pos_head is not None or len(codes) < depth:
+            tasks.append((tuple(codes[:prefix_len]), weight, tuple(occupied),
+                          nxt, len(codes)))
 
     visit(head)  # the empty extension
-
-    if split:
+    if reduced:
+        turns = len(deltas) - 2
+        for nxt in _spine(head, depth, occupied, deltas, budget, codes):
+            level = len(codes)
+            weight = turns if codes[-1] and level > prefix_len else 1
+            if not codes[-1]:
+                visit(nxt)  # the run's own children come from ``_spine``
+            elif level < split:
+                visit(nxt)
+                _walk(nxt, split - level, occupied, deltas, budget, codes,
+                      visit, leaf)
+            else:
+                leaf(nxt)
+    elif split:
         _walk(head, split, occupied, deltas, budget, codes, visit, leaf)
-    if pos_head is None and split == depth:
-        tasks = []  # the prefix walk has counted every level
 
     done = _load_checkpoint(checkpoint_path, signature)
     charged = limit - budget[0] + sum(nodes for _, nodes in done.values())
@@ -326,7 +386,7 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
                 idx = next(todo, None)
                 if idx is None:
                     break
-                payload = (deltas, *tasks[idx][1:], split, depth, pos_head,
+                payload = (deltas, *tasks[idx][2:], depth, pos_head,
                            pos_depth, limit - charged)
                 if pool is None:
                     charged += record(idx, *_count_task(payload))
@@ -345,8 +405,8 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
             _save_checkpoint(checkpoint_path, signature, done)
         raise BudgetExceededError(limit, charged, checkpoint_path)
     for idx, (task_counts, _) in done.items():
-        key = tasks[idx][0]
-        counts[key] = [a + b for a, b in zip(counts[key], task_counts)]
+        key, weight = tasks[idx][:2]
+        counts[key] = [a + weight * b for a, b in zip(counts[key], task_counts)]
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return counts, charged
@@ -356,14 +416,34 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
 # public counting operations
 
 
+def _origin_counts(dimension: int, n: int, *, prefix_len: int = 0,
+                   workers: int = 1, node_budget: int | None = None,
+                   checkpoint_path: str | None = None) -> dict[tuple, list[int]]:
+    """The reduced engine pass over n-step walks from the origin with the
+    first step fixed to +e1: counts[key][j] is the number of (j+1)-step
+    walks that start with +e1 and then ``key`` up to the first-turn
+    symmetry (see ``_run_engine``)."""
+    width, origin_key, deltas = _pack_params(dimension, n)
+    first = origin_key + deltas[0]
+    counts, _ = _run_engine(
+        deltas, frozenset((origin_key, first)), first, n - 1,
+        prefix_len=prefix_len, reduced=True, workers=workers,
+        node_budget=node_budget, checkpoint_path=checkpoint_path,
+        # the layout tag keeps a checkpoint of another task list out
+        signature=_signature(dimension, "plain", n, prefix_len, "first-turn"),
+    )
+    return counts
+
+
 def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
                workers: int = 1, node_budget: int | None = None,
                checkpoint_path: str | None = None) -> int:
     """Exact number of n-step self-avoiding walks from the origin.
 
-    The first step is fixed to +e1 and the result multiplied by 2d; every
-    condition-free count has that symmetry.  The same search yields c_k for
-    every k <= n, and all of them go into the table.
+    One reduced pass: the first step is fixed to +e1 and the first turn off
+    the e1 axis to +e2, and the result multiplied by 2d and 2(d-1) in turn;
+    every condition-free count has those symmetries.  The same search
+    yields c_k for every k <= n, and all of them go into the table.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -373,14 +453,9 @@ def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
         return cached
     counts = [1]
     if n > 0:
-        width, origin_key, deltas = _pack_params(dimension, n)
-        first = origin_key + deltas[0]
-        below, _ = _run_engine(
-            deltas, frozenset((origin_key, first)), first, n - 1,
-            workers=workers, node_budget=node_budget,
-            checkpoint_path=checkpoint_path,
-            signature=_signature(dimension, "plain", n),
-        )
+        below = _origin_counts(dimension, n, workers=workers,
+                               node_budget=node_budget,
+                               checkpoint_path=checkpoint_path)
         counts += [2 * dimension * c for c in below[()]]
     for k, value in enumerate(counts):
         table.put("plain", k, None, value)
@@ -390,20 +465,42 @@ def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
 def endpoint_histogram(dimension: int, n: int, *,
                        table: CountTable | None = None,
                        node_budget: int | None = None) -> dict[Coords, int]:
-    """Counts of n-step walks grouped by endpoint, from one full pass."""
+    """Counts of n-step walks grouped by endpoint, from one reduced pass.
+
+    The pass walks the straight walk and, for each t, the walks that go t
+    steps along +e1 and then turn to +e2; each turning walk's endpoint is
+    spread over the 2d * 2(d-1) symmetries that send (+e1, +e2) to every
+    (first step, first turn) pair.
+    """
     table = table or default_table(dimension)
     width, origin_key, deltas = _pack_params(dimension, n)
-    hist = {origin_key: 1} if n == 0 else {}
-    if n > 0:
-        _count_depths(origin_key, 0, n, {origin_key}, deltas,
-                      _budget(node_budget), [0] * (n + 1), hist)
-    out = {}
-    for key, value in hist.items():
-        coords = _unpack(key, dimension, width, n)
-        out[coords] = value
+    out: dict[Coords, int] = defaultdict(int)
+    if n == 0:
+        out[(0,) * dimension] = 1
+    else:
+        budget, codes, ends = _budget(node_budget), [], {}
+        first = origin_key + deltas[0]
+        occupied = {origin_key, first}
+        for nxt in _spine(first, n - 1, occupied, deltas, budget, codes):
+            level = len(codes) + 1
+            if not codes[-1]:
+                continue  # the straight walks are added below
+            if level == n:
+                ends[nxt] = ends.get(nxt, 0) + 1
+            else:
+                _count_depths(nxt, level, n, occupied, deltas, budget,
+                              [0] * (n + 1), ends)
+        for delta in deltas:
+            out[_unpack(origin_key + n * delta, dimension, width, n)] += 1
+        maps = _first_turn_symmetries(dimension)
+        for key, value in ends.items():
+            coords = _unpack(key, dimension, width, n)
+            for g in maps:
+                out[g.apply_point(coords)] += value
+    for coords, value in out.items():
         table.put("end", n, coords, value)
     table.mark_histogram_complete("end", n)
-    return out
+    return dict(out)
 
 
 def count_ending_at(dimension: int, n: int, point: Coords | LatticePoint, *,
@@ -552,10 +649,11 @@ def prefix_histogram(dimension: int, m: int, k: int, *,
     """c_m(zeta) for every zeta in SAW_k, as a codes -> count map.
 
     One reduced pass, charged as ``count_saws(dimension, m)`` is: the first
-    step is fixed to +e1 and each task's count goes to the k-prefix its
-    codes start with.  A prefix whose first step is c takes the count of
-    its image under a symmetry g sending c to +e1, as c_m(g zeta) =
-    c_m(zeta).
+    step is fixed to +e1, the first turn to +e2, and each task's count goes
+    to the reduced k-prefix its codes start with.  A prefix takes the count
+    of its image under the symmetry g sending its first step to +e1 and its
+    first turn to +e2, as c_m(g zeta) = c_m(zeta); the pass hands each
+    reduced prefix's count to every preimage.
     """
     if k > m:
         raise ValueError("prefix length exceeds walk length")
@@ -566,15 +664,19 @@ def prefix_histogram(dimension: int, m: int, k: int, *,
     out = {codes: table.get("prefix", m, codes)
            for codes in enumerate_paths(dimension, k)}
     if None in out.values():
-        width, origin_key, deltas = _pack_params(dimension, m)
-        first = origin_key + deltas[0]
-        counts, _ = _run_engine(
-            deltas, frozenset((origin_key, first)), first, m - 1,
-            prefix_len=k - 1, workers=workers, node_budget=node_budget)
-        for codes in out:
-            image = _first_step_symmetry(dimension, codes[0]).code_table
-            out[codes] = counts[tuple(image[c] for c in codes[1:])][-1]
-            table.put("prefix", m, codes, out[codes])
+        counts = _origin_counts(dimension, m, prefix_len=k - 1,
+                                workers=workers, node_budget=node_budget)
+        turn_maps = _first_turn_symmetries(dimension)
+        for key, below in counts.items():
+            if any(key):  # the prefix turns: one image per (step, turn)
+                images = [bytes(g.code_table[c] for c in (0, *key))
+                          for g in turn_maps]
+            else:
+                images = [bytes([step]) * k for step in range(2 * dimension)]
+            for codes in images:
+                out[codes] = below[-1]
+        for codes, value in out.items():
+            table.put("prefix", m, codes, value)
     return out
 
 

@@ -350,3 +350,23 @@ def _first_step_symmetry(dimension: int, code: int) -> SignedPermutation:
     signs = [1] * dimension
     signs[0] = sign
     return SignedPermutation(tuple(perm), tuple(signs))
+
+
+@lru_cache(maxsize=None)
+def _first_turn_symmetries(dimension: int) -> tuple[SignedPermutation, ...]:
+    """The 2d * 2(d-1) lattice symmetries sending +e1 and +e2 to each pair
+    of directions on two different axes (none in d=1)."""
+    out = []
+    for step in range(2 * dimension):
+        for turn in range(2 * dimension):
+            a, b = step // 2, turn // 2
+            if a == b:
+                continue
+            # y[a] = +-x[0], y[b] = +-x[1], the other axes keep their order
+            perm, signs = [0] * dimension, [1] * dimension
+            rest = iter(range(2, dimension))
+            for axis in range(dimension):
+                perm[axis] = 0 if axis == a else 1 if axis == b else next(rest)
+            signs[a], signs[b] = 1 - 2 * (step % 2), 1 - 2 * (turn % 2)
+            out.append(SignedPermutation(tuple(perm), tuple(signs)))
+    return tuple(out)

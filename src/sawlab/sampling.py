@@ -302,6 +302,8 @@ class SawSampler:
         if n == 0:
             return np.zeros((count, 0), dtype=np.uint8)
         _radix_powers(self.dimension, n)  # refuses walks keys cannot hold
+        if count == 0:
+            return np.zeros((0, n), dtype=np.uint8)  # nothing drawn
         codes, _ = self._draw_batch(n, count, top=True)
         return codes
 

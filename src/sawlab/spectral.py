@@ -249,7 +249,7 @@ def compare_to_marginal(result: FixedPointResult, horizon: int, *,
         raise ValueError("horizon must be at least the fixed-point length")
     table = table or default_table(d)
     hist = prefix_histogram(d, horizon, n, table=table, workers=workers)
-    total = count_saws(d, horizon, table=table, workers=workers)
+    total = sum(hist.values())  # c_m, without a second pass
     fixed_full = result.full_vector()
     rows = []
     tv = 0.0

@@ -1,5 +1,6 @@
 """Exact enumeration: oracle equality, identities, budgets, checkpoints."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -48,6 +49,31 @@ def test_counts_match_naive_oracle_d2():
 def test_counts_match_naive_oracle_d3():
     for n in range(5):
         assert count_saws(3, n) == reference.naive_count(3, n)
+
+
+def _naive_endpoints(dimension, n):
+    """Brute-force endpoint tally over every walk the oracle accepts."""
+    hist = {}
+    for codes in reference.naive_saws(dimension, n):
+        end = reference._walk_vertices(dimension, codes)[-1]
+        hist[end] = hist.get(end, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("dimension, n_max", [(1, 6), (2, 8), (3, 6), (4, 5)])
+def test_reduced_pass_matches_oracle(dimension, n_max):
+    # the straight walk, the turn to +e2 and, from d=3 on, the axis swap of
+    # the turn map; d=1 has no turn
+    for n in range(n_max + 1):
+        naive = _naive_endpoints(dimension, n)
+        assert count_saws(dimension, n, table=CountTable(dimension)) == sum(
+            naive.values())
+        hist = endpoint_histogram(dimension, n, table=CountTable(dimension))
+        assert hist == naive, (dimension, n)
+        if (2 * dimension) ** n <= 1024:
+            for point, value in hist.items():
+                assert value == reference.naive_count_ending_at(
+                    dimension, n, point), (dimension, n, point)
 
 
 def test_count_ending_at_examples():
@@ -194,6 +220,8 @@ def test_parallel_counts_match_serial():
     parallel = CountTable(2)
     assert (count_saws(2, 7, table=serial, workers=1)
             == count_saws(2, 7, table=parallel, workers=2))
+    assert (count_saws(3, 9, table=CountTable(3))
+            == count_saws(3, 9, table=CountTable(3), workers=2))
     zeta = validate([0, 2], 2)
     assert (count_extensions(2, 7, zeta, table=serial, workers=1)
             == count_extensions(2, 7, zeta, table=parallel, workers=2))
@@ -254,9 +282,15 @@ def test_asymptotic_table_counts_in_one_pass(monkeypatch):
     assert [row.count for row in result.rows] == list(A001411[:11])
 
 
+def _reduced_nodes(n):
+    """Vertices of the reduced d=2 tree below the fixed first step: for each
+    length 2 <= k <= n, the straight walk and the (c_k/4 - 1)/2 walks whose
+    first turn is to +e2."""
+    return sum((c // 4 - 1) // 2 + 1 for c in A001411[2:n + 1])
+
+
 def test_node_budget_is_global(tmp_path):
-    # after the first step the search adds c_k / 2d vertices for each length k
-    nodes = sum(A001411[2:10]) // 4
+    nodes = _reduced_nodes(9)  # 3,200
     for workers in (1, 2):
         assert count_saws(2, 9, table=CountTable(2), workers=workers,
                           node_budget=nodes) == A001411[9]
@@ -282,7 +316,7 @@ def test_node_budget_is_global(tmp_path):
 
 def test_prefix_histogram_matches_oracle():
     # k = m and the short walks whose split reaches the full depth included
-    for dimension, m_max in ((2, 6), (3, 4)):
+    for dimension, m_max in ((1, 6), (2, 6), (3, 4), (4, 4)):
         for m in range(1, m_max + 1):
             for k in range(1, m + 1):
                 hist = prefix_histogram(dimension, m, k,
@@ -323,8 +357,7 @@ def test_prefix_histogram_runs_one_engine_pass(monkeypatch):
 
 
 def test_prefix_histogram_shares_one_budget():
-    # charged as count_saws(2, 9) is: c_k / 2d vertices for each length k
-    nodes = sum(A001411[2:10]) // 4
+    nodes = _reduced_nodes(9)  # charged as count_saws(2, 9) is
     for workers in (1, 2):
         hist = prefix_histogram(2, 9, 2, table=CountTable(2), workers=workers,
                                 node_budget=nodes)
@@ -376,3 +409,17 @@ def test_checkpoint_warns_when_ignored(tmp_path):
     with pytest.warns(CheckpointIgnoredWarning, match="another count"):
         assert count_saws(2, 8, table=CountTable(2),
                           checkpoint_path=ckpt) == A001411[8]
+
+
+def test_checkpoint_of_the_unreduced_layout_is_ignored(tmp_path):
+    # a checkpoint written before the first-turn reduction: its task indices
+    # name other prefixes, so it must not be loaded
+    old = hashlib.sha256(repr((3, 2, "plain", 9)).encode()).hexdigest()[:16]
+    ckpt = str(tmp_path / "count.ckpt")
+    with open(ckpt, "w", encoding="utf-8") as fh:
+        json.dump({"signature": old,
+                   "done": {str(i): {"counts": [0, 0, 0, 1, 2, 4, 9, 21, 49],
+                                     "nodes": 86} for i in range(4)}}, fh)
+    with pytest.warns(CheckpointIgnoredWarning, match="another count"):
+        assert count_saws(2, 9, table=CountTable(2),
+                          checkpoint_path=ckpt) == A001411[9]

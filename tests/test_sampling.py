@@ -40,6 +40,17 @@ def test_zero_and_single_step_draws():
     assert chi_square_uniform(counts, 20000)
 
 
+@pytest.mark.parametrize("d, n", [(2, 40), (5, 50)])
+def test_empty_batch_draws_nothing(d, n):
+    # above the base length, where a batch is built by dimerization
+    sampler = SawSampler(d, SamplerConfig(seed=4))
+    untouched = SawSampler(d, SamplerConfig(seed=4))
+    empty = sampler.uniform_batch(n, 0)
+    assert empty.shape == (0, n) and empty.dtype == np.uint8
+    assert np.array_equal(sampler.uniform_batch(n, 5),
+                          untouched.uniform_batch(n, 5))
+
+
 def test_reproducibility_same_seed_same_stream():
     a = SawSampler(3, SamplerConfig(seed=7, stream_id=2))
     b = SawSampler(3, SamplerConfig(seed=7, stream_id=2))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sawlab import reference
-from sawlab.counting import count_saws
+from sawlab import counting, reference
+from sawlab.counting import CountTable, count_saws
 from sawlab.errors import BudgetExceededError, ZeroTotalMassError
 from sawlab.lattice import lattice_symmetries
 from sawlab.spectral import (
@@ -143,6 +143,24 @@ def test_compare_to_marginal_at_own_length_positive_for_n2():
     assert len(exact.rows) == result.matrix.full_size
     assert exact.tv_distance == pytest.approx(
         0.5 * sum(abs(r.delta) for r in exact.rows))
+
+
+def test_compare_to_marginal_runs_one_engine_pass(monkeypatch):
+    # c_m is the sum of the prefix histogram, so no second count runs
+    result = perron_fixed_point(build_escape_matrix(2, 3))
+    calls = []
+    engine = counting._run_engine
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_run_engine", counted)
+    table = CountTable(2)
+    cmp = compare_to_marginal(result, 9, table=table)
+    assert len(calls) == 1
+    assert sum(r.marginal for r in cmp.rows) == pytest.approx(1.0)
+    assert table.get("plain", 9) is None  # the sum is not cached
 
 
 def test_report_dict_schema():

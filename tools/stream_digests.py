@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per seeded output of the samplers, the couplings, the
 escape-matrix fixed point and the Monte Carlo estimators, and per exact
-prefix histogram and fixed-point-against-marginal comparison.
+count, endpoint histogram, prefix histogram and fixed-point-against-marginal
+comparison.
 
 Two source trees draw the same streams exactly when this script prints the
 same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
@@ -28,6 +29,8 @@ from sawlab import (
     TwoSidedPath,
     build_escape_matrix,
     compare_to_marginal,
+    count_saws,
+    endpoint_histogram,
     escape_power_estimate,
     estimate_decoupling_stats,
     perron_fixed_point,
@@ -133,6 +136,17 @@ def fixed_points() -> None:
                  f"trim={trim}", *parts)
 
 
+def exact_counts() -> None:
+    for d, n in ((2, 14), (3, 10), (5, 7)):
+        table = CountTable(d)
+        count_saws(d, n, table=table)
+        emit(f"count_saws d={d} n=0..{n}",
+             [table.get("plain", k) for k in range(n + 1)])
+    for d, n in ((2, 12), (3, 9), (5, 6)):
+        hist = endpoint_histogram(d, n, table=CountTable(d))
+        emit(f"endpoint_histogram d={d} n={n}", sorted(hist.items()))
+
+
 def marginals() -> None:
     for d, m, k in ((2, 12, 5), (3, 7, 2), (5, 6, 3)):
         hist = prefix_histogram(d, m, k, table=CountTable(d))
@@ -161,6 +175,7 @@ def main() -> None:
         couplings(seed)
         estimators(seed)
     fixed_points()
+    exact_counts()
     marginals()
 
 
