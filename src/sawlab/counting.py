@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceededError, CheckpointIgnoredWarning
 from .lattice import (Coords, LatticePoint, Path, TwoSidedPath,
                       _first_turn_symmetries, empty_two_sided)
@@ -492,11 +494,15 @@ def endpoint_histogram(dimension: int, n: int, *,
                               [0] * (n + 1), ends)
         for delta in deltas:
             out[_unpack(origin_key + n * delta, dimension, width, n)] += 1
+        # every image of a point at once: image[m, i] = signs[m, i] *
+        # point[perms[m, i]], as SignedPermutation.apply_point
         maps = _first_turn_symmetries(dimension)
+        perms = np.array([g.perm for g in maps], dtype=np.intp).reshape(-1, dimension)
+        signs = np.array([g.signs for g in maps], dtype=np.int64).reshape(-1, dimension)
         for key, value in ends.items():
-            coords = _unpack(key, dimension, width, n)
-            for g in maps:
-                out[g.apply_point(coords)] += value
+            point = np.array(_unpack(key, dimension, width, n))
+            for image in (point[perms] * signs).tolist():
+                out[tuple(image)] += value
     for coords, value in out.items():
         table.put("end", n, coords, value)
     table.mark_histogram_complete("end", n)

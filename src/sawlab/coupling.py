@@ -202,16 +202,16 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     for l, (a_prev, a_next) in enumerate(blocks):
         cuts = [(min(a_prev, n), min(a_next, n)) for n in lengths]
         heads = [arm[:, :, :h + 1] for arm, (h, _) in zip(keys, cuts)]
-        hits = np.empty((2, trials), dtype=bool)
 
         def escapes_either(rows, tails):
-            for w in (0, 1):
-                hits[w, rows] = _escapes_batch([h[w, rows] for h in heads], tails)
-            return hits[0, rows] | hits[1, rows]
+            return (_escapes_batch([h[0, rows] for h in heads], tails)
+                    | _escapes_batch([h[1, rows] for h in heads], tails))
 
         draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
         proxy, proxy_keys, resamples[:, l] = _first_accepted(
             sampler, draw, trials, escapes_either)
+        hits = np.stack([_escapes_batch([h[w] for h in heads], proxy_keys)
+                         for w in (0, 1)])
         walk, row = np.nonzero(~hits)  # at most one walk per row
         own, own_keys, _ = _first_accepted(
             sampler, draw, row.size,

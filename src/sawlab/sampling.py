@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import enumerate_paths, has_extension
+from .counting import has_extension
 from .errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
@@ -61,11 +61,25 @@ def derive_generator(cfg: SamplerConfig, extra_key: tuple[int, ...] = ()) -> np.
 
 @lru_cache(maxsize=128)
 def _base_arrays(dimension: int, n: int):
-    """(codes, keys) arrays over all of SAW_n in canonical order (shared
-    between calls, so read-only)."""
-    paths = enumerate_paths(dimension, n)
-    codes = np.frombuffer(b"".join(paths), dtype=np.uint8).reshape(len(paths), n)
-    keys = _keys_from_codes(dimension, codes)
+    """(codes, keys) arrays over all of SAW_n in canonical (lexicographic)
+    order, shared between calls, so read-only: each walk of SAW_{n-1} is
+    extended by step codes 0 .. 2d-1 in order, dropping the extensions whose
+    new tip is already one of the walk's vertices."""
+    if n == 0:
+        codes = np.zeros((1, 0), dtype=np.uint8)
+        keys = np.zeros((1, 1), dtype=np.int64)
+    else:
+        prev_codes, prev_keys = _base_arrays(dimension, n - 1)
+        tips = prev_keys[:, -1:] + _packing(dimension)[2]  # (rows, 2d)
+        fresh = ~(prev_keys[:, None, :] == tips[:, :, None]).any(axis=2)
+        parent, code = np.nonzero(fresh)  # row-major: parent, then code
+        codes = np.empty((parent.size, n), dtype=np.uint8)
+        codes[:, :-1] = prev_codes[parent]
+        codes[:, -1] = code
+        keys = np.empty((parent.size, n + 1), dtype=np.int64)
+        keys[:, :-1] = prev_keys[parent]
+        keys[:, -1] = tips[parent, code]
+    codes.flags.writeable = False
     keys.flags.writeable = False
     return codes, keys
 
@@ -162,34 +176,67 @@ def _joined(first, second):
 
 def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
                     count: int, accept):
-    """For each of ``count`` rows, the first of i.i.d. draws (one uniform
-    walk per arm, of the given ``lengths``, arms drawn in order) that
+    """For each of ``count`` rows, the first of i.i.d. candidates (one
+    uniform walk per arm, of the given ``lengths``) that
     ``accept(rows, keys)`` takes: (codes per arm, vertex keys per arm,
-    rejections).
+    rejections, the number of candidates rejected before the taken one).
 
-    ``accept`` gets the rows still waiting and, per arm, the packed vertex
-    keys that ``_draw_batch`` returned with one draw per row, and returns
-    a mask of the draws it takes.  A row that is rejected
-    ``max_rejections`` times raises."""
+    Each round gives every waiting row a run of ``per`` candidates, row r
+    of the waiting rows taking candidates r*per .. r*per+per-1 of each
+    arm's draw, and ``accept`` gets the row of each candidate (so a row
+    repeats ``per`` times) and, per arm, the candidates' packed vertex keys,
+    and returns a mask of the candidates it takes.  ``per`` starts at 1 and
+    doubles each round, below a row's budget (a row that rejects
+    ``max_rejections`` candidates raises) and a cap on the round's size.
+    Each arm's draw keeps the spare walks its last dimerization round
+    accepted, and a round uses every full run the arms hold.
+
+    Exactness: a row's candidates are i.i.d. uniform, and how many a row
+    gets depends only on earlier rounds and on accept/reject indicators
+    inside ``_draw_batch``, never on the values of the walks the row
+    receives; so the first candidate it accepts follows exactly the
+    conditioned law, as with one candidate per round."""
     codes = [np.empty((count, n), dtype=np.uint8) for n in lengths]
     keys = [np.empty((count, n + 1), dtype=np.int64) for n in lengths]
-    rejections = np.empty(count, dtype=np.int64)
+    rejections = np.zeros(count, dtype=np.int64)
+    budget = max(1, sampler.cfg.max_rejections)
     pending = np.arange(count)
-    rounds = 0  # every pending row is drawn, so rejected, once per round
+    used = 0  # candidates each pending row has been given, all rejected
+    per = 1
     while pending.size:
-        drawn = [sampler._draw_batch(n, pending.size) for n in lengths]
+        rows = pending.size
+        drawn = [sampler._draw_batch(n, rows * per, spare=True) for n in lengths]
+        drawn_codes = [arm_codes for arm_codes, _ in drawn]
         drawn_keys = [arm_keys for _, arm_keys in drawn]
-        ok = accept(pending, drawn_keys)
-        taken = pending[ok]
+        if per == 1 and all(len(arm_codes) == rows for arm_codes in drawn_codes):
+            pick = hit = accept(pending, drawn_keys)
+            first = 0
+        else:
+            per = min(min(map(len, drawn_codes)) // rows, budget - used)
+            drawn_codes = [arm_codes[:rows * per] for arm_codes in drawn_codes]
+            drawn_keys = [arm_keys[:rows * per] for arm_keys in drawn_keys]
+            ok = accept(pending.repeat(per), drawn_keys).reshape(rows, per)
+            first = ok.argmax(axis=1)  # a row's first taken candidate, if any
+            pick = first + np.arange(0, rows * per, per)
+            hit = ok.ravel().take(pick)
+            first, pick = first[hit], pick[hit]
+        taken = pending[hit]
+        if not used and per == 1 and taken.size == count:
+            # every row took its first candidate: the draws are the result
+            return drawn_codes, drawn_keys, rejections
         if taken.size:
-            for j, (arm_codes, _) in enumerate(drawn):
-                codes[j][taken] = arm_codes[ok]
-                keys[j][taken] = drawn_keys[j][ok]
-        rejections[taken] = rounds
-        pending = pending[~ok]
-        rounds += 1
-        if pending.size and rounds >= sampler.cfg.max_rejections:
-            raise RejectionBudgetExceededError(rounds)
+            for j in range(len(lengths)):
+                codes[j][taken] = drawn_codes[j][pick]
+                keys[j][taken] = drawn_keys[j][pick]
+        rejections[taken] = used + first
+        pending = pending[~hit]
+        used += per
+        if pending.size:
+            if used >= budget:
+                raise RejectionBudgetExceededError(used)
+            # a round holds at most ~4e6 vertex keys
+            cap = 4_000_000 // (pending.size * (sum(lengths) + len(lengths)))
+            per = min(2 * per, budget - used, max(1, cap))
     return codes, keys, rejections
 
 
@@ -285,7 +332,10 @@ class SawSampler:
                      for h in heads]
         codes, _, rejections = _first_accepted(
             self, lengths, 1,
-            lambda rows, tails: _escapes_batch(head_keys, tails))
+            lambda rows, tails: _escapes_batch(
+                head_keys if rows.size == 1
+                else [h.take(rows, axis=0) for h in head_keys],
+                tails))
         return [c[0].tobytes() for c in codes], int(rejections[0]) + 1
 
     # -- batch API ---------------------------------------------------------
@@ -307,20 +357,26 @@ class SawSampler:
         codes, _ = self._draw_batch(n, count, top=True)
         return codes
 
-    def _draw_batch(self, n: int, count: int, top: bool = False):
+    def _draw_batch(self, n: int, count: int, top: bool = False,
+                    spare: bool = False):
         """``count`` uniform draws from SAW_n: step codes (count, n) and
         packed vertex keys (count, n+1), or None for the keys at the top
-        level, whose caller reads codes only."""
+        level, whose caller reads codes only.  With ``spare``, a draw by
+        dimerization returns every walk its last round accepted, so at
+        least ``count``; each is uniform and independent of the others,
+        and how many there are depends only on accept/reject indicators."""
         if n <= self.base_length:
             codes, keys = _base_arrays(self.dimension, n)
             # a batch of one takes the scalar draw, which costs a third as
-            # much: integers(N) equals integers(N, size=1)[0] on Philox
+            # much: integers(N) equals integers(N, size=1)[0] on Philox; a
+            # size given as a tuple skips a conversion
             idx = ([self.rng.integers(codes.shape[0])] if count == 1
-                   else self.rng.integers(codes.shape[0], size=count))
+                   else self.rng.integers(codes.shape[0], size=(count,)))
             if top:
                 self.last_batch_stats.attempts += count
                 self.last_batch_stats.accepted += count
-            return codes[idx], None if top else keys[idx]
+            return (codes.take(idx, axis=0),
+                    None if top else keys.take(idx, axis=0))
         n1 = (n + 1) // 2
         n2 = n - n1
         guess = self._acceptance_guess.get(n, 0.6)
@@ -345,10 +401,11 @@ class SawSampler:
             attempts += chunk
             accepted_raw += accepted
             if accepted:
-                out_codes.append(codes[ok][:need])
+                keep = accepted if spare else min(accepted, need)
+                out_codes.append(codes[ok][:keep])
                 if not top:
-                    out_keys.append(keys[ok][:need])
-                got += min(accepted, need)
+                    out_keys.append(keys[ok][:keep])
+                got += keep
             self._acceptance_guess[n] = max(0.05, (accepted_raw + 1) / (attempts + 2))
         if top:
             self.last_batch_stats.attempts += attempts

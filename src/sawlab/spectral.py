@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .counting import CountTable, count_saws, default_table, enumerate_paths, prefix_histogram
+from .counting import CountTable, count_saws, default_table, prefix_histogram
 from .errors import (
     BudgetExceededError,
     NoConvergenceError,
@@ -73,9 +73,9 @@ def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
     count = count_saws(dimension, n)
     if count > max_paths:
         raise BudgetExceededError(max_paths, count)
-    paths = enumerate_paths(dimension, n)
     _radix_powers(dimension, 2 * n)  # refuses walks keys cannot hold
-    _, keys = _base_arrays(dimension, n)
+    codes, keys = _base_arrays(dimension, n)
+    paths = [row.tobytes() for row in codes]
     size = len(paths)
     rows = np.empty((size, size), dtype=bool)
     for i in range(size):

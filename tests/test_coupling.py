@@ -138,6 +138,9 @@ def test_single_coupling_is_a_batch_of_one():
 @pytest.mark.parametrize("d, prefix1, prefix2, horizon", [
     (2, [0, 2], [0, 3], 20),
     (5, [0], [2], 16),
+    # two U-turns: a first-block proxy escapes either with p ~ 0.4, so rows
+    # get runs of candidates and a walk's escape must be the taken proxy's
+    (2, [2, 0, 0, 3, 3, 1], [0, 2, 2, 1, 1, 3], 20),
 ])
 def test_batch_rows_are_couplings(d, prefix1, prefix2, horizon):
     z1, z2 = validate(prefix1, d), validate(prefix2, d)

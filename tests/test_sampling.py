@@ -15,7 +15,9 @@ from sawlab.lattice import Path, TwoSidedPath, escapes, validate, validate_two_s
 from sawlab.sampling import (
     SamplerConfig,
     SawSampler,
+    _base_arrays,
     _coords_from_codes,
+    _first_accepted,
     _keys_from_codes,
     _radix_powers,
     sample_prefix_conditioned,
@@ -169,6 +171,97 @@ def test_draw_batch_keys_match_its_codes(d, n, count):
         codes, keys = sampler._draw_batch(n, count)
         assert codes.shape == (count, n) and keys.shape == (count, n + 1)
         assert np.array_equal(keys, _keys_from_codes(d, codes))
+
+
+@pytest.mark.parametrize("d, n, count", [
+    (2, 5, 40), (2, 37, 40), (2, 37, 1), (5, 4, 1), (5, 31, 40), (5, 31, 1),
+])
+def test_spare_draws_are_walks_with_their_keys(d, n, count):
+    # a dimerized draw keeps every walk its last round accepted; a
+    # base-table draw returns exactly the count
+    sampler = SawSampler(d, SamplerConfig(seed=71))
+    for _ in range(3):
+        codes, keys = sampler._draw_batch(n, count, spare=True)
+        if n <= sampler.base_length:
+            assert codes.shape[0] == count
+        assert codes.shape[0] >= count and codes.shape[1] == n
+        assert np.array_equal(keys, _keys_from_codes(d, codes))
+        for row in codes:
+            validate(row.tolist(), d)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_base_arrays_are_the_enumeration(d):
+    base_length = SamplerConfig().resolve_base_length(d)
+    for n in range(base_length + 1):
+        codes, keys = _base_arrays(d, n)
+        assert [row.tobytes() for row in codes] == enumerate_paths(d, n)
+        assert np.array_equal(keys, _keys_from_codes(d, codes))
+        assert not codes.flags.writeable and not keys.flags.writeable
+
+
+def _first_step_is_zero(rows, tails):
+    # step code 0 moves the packed key by +1 (radix[0])
+    return tails[0][:, 1] == 1
+
+
+@pytest.mark.parametrize("budget, d, lengths", [
+    (1, 2, (4,)), (5, 2, (4,)), (8, 2, (4,)),
+    (1, 5, (12, 2)), (5, 5, (12, 2)), (8, 5, (12, 2)),
+    # at budget 1 a dimerized d=2 batch may run out of its own attempts
+    # (max_rejections per walk asked for) before any candidate is tested
+    (5, 2, (20, 3)), (8, 2, (20, 3)),
+])
+def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
+    rows = 60
+    given = np.zeros(rows, dtype=np.int64)
+
+    def counted(accept):
+        def inner(pending, tails):
+            np.add.at(given, pending, 1)
+            return accept(pending, tails)
+        return inner
+
+    sampler = SawSampler(d, SamplerConfig(seed=budget, max_rejections=budget))
+    with pytest.raises(RejectionBudgetExceededError) as err:
+        _first_accepted(sampler, lengths, rows,
+                        counted(lambda p, t: np.zeros(p.size, dtype=bool)))
+    assert err.value.attempts == budget
+    assert (given == budget).all()
+    # rows that accept on the way: none is given more than the budget
+    for seed in range(5):
+        given[:] = 0
+        sampler = SawSampler(d, SamplerConfig(seed=seed, max_rejections=budget))
+        try:
+            _, _, rejections = _first_accepted(
+                sampler, lengths, rows, counted(_first_step_is_zero))
+            assert (rejections < budget).all()
+        except RejectionBudgetExceededError as exc:
+            assert exc.attempts == budget
+        assert given.max() <= budget
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_first_accepted_law_with_candidate_runs(d):
+    # accept iff the first step code is 0 (p = 1/(2d)): rejections are
+    # geometric with mean (1-p)/p, for one batch and for batches of one,
+    # with an arm longer than base_length, whose draws keep spare walks
+    p = 1 / (2 * d)
+    lengths = (SamplerConfig().resolve_base_length(d) + 12, 3)
+    draws = 4000
+    sampler = SawSampler(d, SamplerConfig(seed=73))
+    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero)
+    ones = [_first_accepted(sampler, lengths, 1, _first_step_is_zero)
+            for _ in range(draws)]
+    ones = ([np.concatenate([one[0][j] for one in ones]) for j in (0, 1)],
+            [np.concatenate([one[1][j] for one in ones]) for j in (0, 1)],
+            np.concatenate([one[2] for one in ones]))
+    sigma = ((1 - p) / p ** 2 / draws) ** 0.5
+    for codes, keys, rejections in (batch, ones):
+        assert abs(rejections.mean() - (1 - p) / p) <= 4 * sigma
+        assert (codes[0][:, 0] == 0).all()
+        for arm_codes, arm_keys in zip(codes, keys):
+            assert np.array_equal(arm_keys, _keys_from_codes(d, arm_codes))
 
 
 @pytest.mark.parametrize("d", range(1, 13))

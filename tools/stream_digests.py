@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per seeded output of the samplers, the couplings, the
 escape-matrix fixed point and the Monte Carlo estimators, and per exact
-count, endpoint histogram, prefix histogram and fixed-point-against-marginal
-comparison.
+count, endpoint histogram, prefix histogram, fixed-point-against-marginal
+comparison and base table of the samplers.
 
 Two source trees draw the same streams exactly when this script prints the
 same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
@@ -39,6 +39,7 @@ from sawlab import (
     scalar_estimators,
     validate,
 )
+from sawlab.sampling import _base_arrays
 
 SEEDS = (0, 1, 2)
 
@@ -168,6 +169,12 @@ def estimators(seed: int) -> None:
              escape_power_estimate(d, horizon, k, 1500, SamplerConfig(seed=seed)))
 
 
+def base_tables() -> None:
+    for d in range(1, 6):
+        for n in range(SamplerConfig().resolve_base_length(d) + 1):
+            emit(f"_base_arrays d={d} n={n}", *_base_arrays(d, n))
+
+
 def main() -> None:
     for seed in SEEDS:
         uniform_batches(seed)
@@ -177,6 +184,7 @@ def main() -> None:
     fixed_points()
     exact_counts()
     marginals()
+    base_tables()
 
 
 if __name__ == "__main__":
