@@ -21,6 +21,7 @@ statistically independent, reproducible streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -267,7 +268,7 @@ class SawSampler:
         self.base_length = self.cfg.resolve_base_length(dimension)
         self.last_batch_stats = BatchStats()
         self.last_two_sided_attempts = 0
-        self._acceptance_guess: dict[int, float] = {}
+        self._level_counts: dict[int, list[int]] = {}
 
     # -- per-draw API ------------------------------------------------------
 
@@ -364,7 +365,15 @@ class SawSampler:
         level, whose caller reads codes only.  With ``spare``, a draw by
         dimerization returns every walk its last round accepted, so at
         least ``count``; each is uniform and independent of the others,
-        and how many there are depends only on accept/reject indicators."""
+        and how many there are depends only on accept/reject indicators.
+
+        The first round a sampler runs at a dimerized length is a pilot of
+        min(count, 256) + 8 pairs; every later round at that length, in
+        this draw or a later one, draws enough pairs for the walks still
+        needed at the acceptance rate the length has shown so far, with a
+        two-sigma margin.  Round sizes thus also depend only on
+        accept/reject indicators.  The draw raises once it has rejected
+        more than ``max_rejections`` pairs per walk asked for."""
         if n <= self.base_length:
             codes, keys = _base_arrays(self.dimension, n)
             # a batch of one takes the scalar draw, which costs a third as
@@ -379,34 +388,42 @@ class SawSampler:
                     None if top else keys.take(idx, axis=0))
         n1 = (n + 1) // 2
         n2 = n - n1
-        guess = self._acceptance_guess.get(n, 0.6)
+        # this sampler's accepted and attempted pairs at this level so far
+        level = self._level_counts.setdefault(n, [0, 0])
         out_codes = []
         out_keys = []
         got = 0
         attempts = 0
         accepted_raw = 0
-        max_attempts = self.cfg.max_rejections * max(count, 1)
+        max_rejections = self.cfg.max_rejections * max(count, 1)
         while got < count:
-            if attempts > max_attempts:
-                raise RejectionBudgetExceededError(attempts)
+            if attempts - accepted_raw > max_rejections:
+                raise RejectionBudgetExceededError(attempts - accepted_raw)
             need = count - got
-            chunk = min(int(need / guess * 1.1) + 8, max(1, 4_000_000 // n))
-            # the halves and the sorted keys live only inside these calls,
-            # and the top level, which keeps no keys, sorts them in place:
-            # 20,000 walks of 200 steps in d=5 peak at 83 MB
+            if level[1]:
+                p = (level[0] + 1) / (level[1] + 2)
+                chunk = math.ceil((need + 2 * math.sqrt(need * (1 - p))) / p) + 8
+            else:
+                chunk = min(need, 256) + 8
+            # a round holds at most 500,000 vertex keys; the halves and the
+            # sorted keys live only inside these calls, and the top level,
+            # which keeps no keys, sorts them in place: 20,000 walks of 200
+            # steps in d=5 peak at 58 MB of process memory
+            chunk = min(chunk, max(1, 500_000 // (n + 1)))
             codes, keys = _joined(self._draw_batch(n1, chunk),
                                   self._draw_batch(n2, chunk))
             ok = _rows_distinct(keys if top else keys.copy())
             accepted = int(np.count_nonzero(ok))
             attempts += chunk
             accepted_raw += accepted
+            level[0] += accepted
+            level[1] += chunk
             if accepted:
                 keep = accepted if spare else min(accepted, need)
                 out_codes.append(codes[ok][:keep])
                 if not top:
                     out_keys.append(keys[ok][:keep])
                 got += keep
-            self._acceptance_guess[n] = max(0.05, (accepted_raw + 1) / (attempts + 2))
         if top:
             self.last_batch_stats.attempts += attempts
             self.last_batch_stats.accepted += accepted_raw

@@ -104,6 +104,74 @@ def test_batch_uniformity_and_acceptance_identity():
     assert abs(st.acceptance - p) <= 4 * sigma
 
 
+@pytest.mark.parametrize("count, batches, rounds", [
+    (4, 5000, "pilot"), (1000, 30, "sized"), (200_000, 1, "capped"),
+])
+def test_round_sizing_keeps_the_batch_law(monkeypatch, count, batches, rounds):
+    # cold samplers with base_length 3, so SAW_6 is one dimerized level: a
+    # batch of 4 mostly ends in its pilot round of 12 pairs, one of 1,000
+    # takes sized rounds after its pilot of 264, and one of 200,000 runs
+    # rounds capped at 500,000 vertex keys (71,428 pairs of 7 keys)
+    d, n = 2, 6
+    chunks = []
+    draw = SawSampler._draw_batch
+
+    def spied(self, m, size, top=False, spare=False):
+        if m == 3:
+            chunks[-1].append(size)
+        return draw(self, m, size, top, spare)
+
+    monkeypatch.setattr(SawSampler, "_draw_batch", spied)
+    index = {codes: i for i, codes in enumerate(enumerate_paths(d, n))}
+    counts = np.zeros(len(index))
+    attempts = accepted = 0
+    for seed in range(batches):
+        chunks.append([])
+        sampler = SawSampler(d, SamplerConfig(seed=seed, base_length=3))
+        for row in sampler.uniform_batch(n, count):
+            counts[index[row.tobytes()]] += 1
+        attempts += sampler.last_batch_stats.attempts
+        accepted += sampler.last_batch_stats.accepted
+    sizes = [drawn[::2] for drawn in chunks]  # a round draws two halves of 3
+    assert [rnd[0] for rnd in sizes] == [min(count, 256) + 8] * batches
+    rounds_run = np.array([len(rnd) for rnd in sizes])
+    if rounds == "pilot":
+        assert (rounds_run == 1).mean() > 0.9
+    elif rounds == "sized":
+        # the margin covers the round's own shortfall, not the pilot's
+        # error in the rate, so some batches need a third round
+        assert (rounds_run >= 2).all() and (rounds_run == 2).mean() > 0.5
+        assert (rounds_run > 2).any()
+    else:
+        assert max(sizes[0]) == 500_000 // (n + 1)
+    assert chi_square_uniform(counts, count * batches)
+
+    # pooled top-level acceptance within 4 sigma of c_6 / c_3^2
+    p = count_saws(d, 6) / count_saws(d, 3) ** 2
+    sigma = (p * (1 - p) / attempts) ** 0.5
+    assert abs(accepted / attempts - p) <= 4 * sigma
+
+
+@pytest.mark.parametrize("d, n, count, most", [
+    (5, 100, 5000, 600_000), (2, 128, 1500, 1_907_286),
+])
+def test_cold_batch_draws_few_base_rows(monkeypatch, d, n, count, most):
+    # base-table rows a cold seeded batch draws at every level; sizing the
+    # first rounds from a cold guess of 0.6 drew 1,420,734 and 1,907,286
+    rows = [0]
+    draw = SawSampler._draw_batch
+
+    def counted(self, m, size, top=False, spare=False):
+        if m <= self.base_length:
+            rows[0] += size
+        return draw(self, m, size, top, spare)
+
+    monkeypatch.setattr(SawSampler, "_draw_batch", counted)
+    assert SawSampler(d, SamplerConfig(seed=1)).uniform_batch(n, count).shape \
+        == (count, n)
+    assert rows[0] <= most
+
+
 def test_batch_matches_per_draw_law():
     # same seed does not give same draws across APIs, but both must be
     # uniform; compare their frequencies against each other coarsely
@@ -208,8 +276,10 @@ def _first_step_is_zero(rows, tails):
 @pytest.mark.parametrize("budget, d, lengths", [
     (1, 2, (4,)), (5, 2, (4,)), (8, 2, (4,)),
     (1, 5, (12, 2)), (5, 5, (12, 2)), (8, 5, (12, 2)),
-    # at budget 1 a dimerized d=2 batch may run out of its own attempts
-    # (max_rejections per walk asked for) before any candidate is tested
+    # at budget 1 a dimerized d=2 batch may run out of its own rejections
+    # (max_rejections per walk asked for) before any candidate is tested:
+    # its 20-step level accepts c_20 / c_10^2 ~ 0.46 of its pairs, so 60
+    # walks take ~70 rejections (22 of 400 seeds raise there)
     (5, 2, (20, 3)), (8, 2, (20, 3)),
 ])
 def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
