@@ -250,6 +250,12 @@ def _cmd_fixedpoint(args, cfg, table, artifacts) -> int:
     return 0
 
 
+def _level_meta(level_counts) -> list[dict]:
+    """A sampler's per-level dimerization counts, for a sidecar."""
+    return [{"n": n, "accepted": accepted, "attempted": attempted}
+            for n, (accepted, attempted) in sorted(level_counts.items())]
+
+
 def _cmd_sample(args, cfg, table, artifacts) -> int:
     sampler = SawSampler(args.d, _sampler_config(cfg))
     path = artifacts.reserve(f"corpus-d{args.d}-n{args.n}", ".sawc")
@@ -258,7 +264,8 @@ def _cmd_sample(args, cfg, table, artifacts) -> int:
             rows = sampler.uniform_batch(args.n, min(_SAMPLE_CHUNK, args.trials - start))
             for row in rows:
                 writer.write(Path(args.d, row.tobytes()))
-    artifacts.finalize(path)
+    artifacts.finalize(path, {"dimerization_levels":
+                              _level_meta(sampler._level_counts)})
     print(f"wrote {args.trials} walks to {path}")
     return 0
 
@@ -311,8 +318,13 @@ def _cmd_pattern(args, cfg, table, artifacts) -> int:
     report = build_density_report(args.d, pattern, exact_lengths, mc_lengths,
                                   args.trials, _sampler_config(cfg),
                                   reference_sides=reference, table=table)
-    json_path = artifacts.write_json(f"pattern-d{args.d}", report.to_json_dict())
-    csv_path = artifacts.write_csv(f"pattern-grid-d{args.d}", report.to_csv_rows())
+    # per Monte Carlo length, its sampler's dimerization counts
+    meta = {"dimerization_levels": {str(row.n): _level_meta(row.mc.level_counts)
+                                    for row in report.rows if row.mc}}
+    json_path = artifacts.write_json(f"pattern-d{args.d}", report.to_json_dict(),
+                                     meta)
+    csv_path = artifacts.write_csv(f"pattern-grid-d{args.d}", report.to_csv_rows(),
+                                   meta)
     for row in report.to_csv_rows():
         print(*row)
     print(f"wrote {json_path} and {csv_path}")

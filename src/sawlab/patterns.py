@@ -89,6 +89,8 @@ class DensityStats:
     variance: float
     ci_low: float
     ci_high: float
+    # the sampler's (accepted, attempted) pairs per dimerization level
+    level_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 def mc_density_stats(dimension: int, n: int, pattern: Path, trials: int,
@@ -117,7 +119,8 @@ def mc_density_stats(dimension: int, n: int, pattern: Path, trials: int,
     mean = float(density.mean())
     variance = float(density.var(ddof=1))
     half = confidence_z * math.sqrt(variance / trials)
-    return DensityStats(n, trials, mean, variance, mean - half, mean + half)
+    return DensityStats(n, trials, mean, variance, mean - half, mean + half,
+                        {m: tuple(c) for m, c in sampler._level_counts.items()})
 
 
 def two_sided_prefix_prob(dimension: int, m: int, n: int, pattern: Path, *,

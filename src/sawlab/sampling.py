@@ -7,7 +7,17 @@ cached full enumeration; longer walks by dimerization: draw uniform halves
 recursively and accept iff their concatenation is self-avoiding, which
 keeps the output exactly uniform and makes the top-level acceptance rate
 exactly c_n / (c_a * c_b).  The packing is linear, so a half moves to the
-other's tip by one addition.  A per-draw call is a batch of one.  The
+other's tip by one addition, and a level tests its pairs by sorting their
+joined keys.  At the lowest levels, where both halves index base tables
+(the first half has n1 <= ``base_length`` steps), a pair is tested instead
+by ANDing two cached occupancy bitmasks (``_occupancy``) over the box of
+radius n1: the first half's vertices other than its tip, relative to the
+tip, and the second half's vertices after its start.  Only the accepted
+pairs are joined.  A sampler takes this path when the box of radius
+``base_length`` fits ``_MASK_WORDS`` 64-bit words (d = 2 up to base 10,
+d = 3 up to base 3; never d >= 3 at the default base); the draws, the
+accept/reject indicators and so every stream are the same either way.  A
+per-draw call is a batch of one.  The
 conditioned draws (escaping a prefix, extending a two-sided middle) and
 the couplings reject such draws with one packed-key escape test,
 ``_escapes_batch``, on walks made of one arm (one-sided) or two (the
@@ -83,6 +93,63 @@ def _base_arrays(dimension: int, n: int):
     codes.flags.writeable = False
     keys.flags.writeable = False
     return codes, keys
+
+
+# a sampler tests its lowest levels by occupancy masks when the box of
+# radius base_length fits this many 64-bit words
+_MASK_WORDS = 8
+
+
+@lru_cache(maxsize=128)
+def _occupancy(dimension: int, n: int, radius: int, before: bool) -> np.ndarray:
+    """Occupancy bitmasks (words, rows) as uint64 over the box of the given
+    radius (at least n), one column per walk of SAW_n in base-table order.
+    With ``before``, a walk's vertices other than its tip, relative to the
+    tip; otherwise its vertices after its start.  The box point x is bit
+    sum((x_a + radius) * (2 * radius + 1)**a), so each walk's bit positions
+    are a running sum of per-step moves from the centre, taken in int16 and
+    set column by column.  Shared, so read-only."""
+    side = 2 * radius + 1
+    size = side ** dimension
+    codes = _base_arrays(dimension, n)[0]
+    rows = codes.shape[0]
+    moves = np.array([sign * side ** a for a in range(dimension)
+                      for sign in (1, -1)], dtype=np.int16)
+    pos = moves.take(codes)  # (rows, n) steps in bit positions
+    centre = size // 2
+    if before:  # the tip minus each earlier vertex: suffix sums of the steps
+        pos = pos[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1]
+        np.subtract(centre, pos, out=pos)
+    else:
+        np.cumsum(pos, axis=1, out=pos)
+        pos += centre
+    every = np.arange(size)
+    offset = (every >> 6) * rows  # a bit's word, as a flat offset
+    bit = np.left_shift(np.uint64(1), (every & 63).astype(np.uint64))
+    masks = np.zeros((-(-size // 64), rows), dtype=np.uint64)
+    flat = masks.reshape(-1)
+    column = np.arange(rows)
+    for j in range(n):  # one vertex per walk: no index repeats
+        p = pos[:, j]
+        where = offset.take(p)
+        where += column
+        flat[where] |= bit.take(p)
+    masks.flags.writeable = False
+    return masks
+
+
+def _junction_avoids(before: np.ndarray, after: np.ndarray,
+                     i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """True where walk ``i1`` of the ``before`` masks and walk ``i2`` of the
+    ``after`` masks (``_occupancy`` over one box) share no vertex, that is
+    where the second walk moved to the first's tip extends it to a
+    self-avoiding walk."""
+    if len(i1) <= 1024:  # few pairs: two gathers beat a loop over words
+        return ~(before.take(i1, axis=1) & after.take(i2, axis=1)).any(axis=0)
+    hit = before[0].take(i1) & after[0].take(i2)
+    for word in range(1, before.shape[0]):
+        hit |= before[word].take(i1) & after[word].take(i2)
+    return hit == 0
 
 
 def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
@@ -269,6 +336,8 @@ class SawSampler:
         self.last_batch_stats = BatchStats()
         self.last_two_sided_attempts = 0
         self._level_counts: dict[int, list[int]] = {}
+        self._masked = ((2 * self.base_length + 1) ** dimension
+                        <= 64 * _MASK_WORDS)
 
     # -- per-draw API ------------------------------------------------------
 
@@ -376,11 +445,7 @@ class SawSampler:
         more than ``max_rejections`` pairs per walk asked for."""
         if n <= self.base_length:
             codes, keys = _base_arrays(self.dimension, n)
-            # a batch of one takes the scalar draw, which costs a third as
-            # much: integers(N) equals integers(N, size=1)[0] on Philox; a
-            # size given as a tuple skips a conversion
-            idx = ([self.rng.integers(codes.shape[0])] if count == 1
-                   else self.rng.integers(codes.shape[0], size=(count,)))
+            idx = self._base_rows(codes, count)
             if top:
                 self.last_batch_stats.attempts += count
                 self.last_batch_stats.accepted += count
@@ -388,6 +453,12 @@ class SawSampler:
                     None if top else keys.take(idx, axis=0))
         n1 = (n + 1) // 2
         n2 = n - n1
+        masked = self._masked and n1 <= self.base_length
+        if masked:  # both halves index base tables: test pairs by masks
+            (c1, k1), (c2, k2) = (_base_arrays(self.dimension, n1),
+                                  _base_arrays(self.dimension, n2))
+            before = _occupancy(self.dimension, n1, n1, True)
+            after = _occupancy(self.dimension, n2, n1, False)
         # this sampler's accepted and attempted pairs at this level so far
         level = self._level_counts.setdefault(n, [0, 0])
         out_codes = []
@@ -410,9 +481,14 @@ class SawSampler:
             # which keeps no keys, sorts them in place: 20,000 walks of 200
             # steps in d=5 peak at 58 MB of process memory
             chunk = min(chunk, max(1, 500_000 // (n + 1)))
-            codes, keys = _joined(self._draw_batch(n1, chunk),
-                                  self._draw_batch(n2, chunk))
-            ok = _rows_distinct(keys if top else keys.copy())
+            if masked:
+                i1 = self._base_rows(c1, chunk)
+                i2 = self._base_rows(c2, chunk)
+                ok = _junction_avoids(before, after, i1, i2)
+            else:
+                codes, keys = _joined(self._draw_batch(n1, chunk),
+                                      self._draw_batch(n2, chunk))
+                ok = _rows_distinct(keys if top else keys.copy())
             accepted = int(np.count_nonzero(ok))
             attempts += chunk
             accepted_raw += accepted
@@ -420,9 +496,23 @@ class SawSampler:
             level[1] += chunk
             if accepted:
                 keep = accepted if spare else min(accepted, need)
-                out_codes.append(codes[ok][:keep])
-                if not top:
-                    out_keys.append(keys[ok][:keep])
+                if masked:
+                    kept = np.flatnonzero(ok)[:keep]
+                    j1, j2 = i1.take(kept), i2.take(kept)
+                    if top:
+                        codes = np.concatenate(
+                            [c1.take(j1, axis=0), c2.take(j2, axis=0)], axis=1)
+                    else:
+                        codes, keys = _joined(
+                            (c1.take(j1, axis=0), k1.take(j1, axis=0)),
+                            (c2.take(j2, axis=0), k2.take(j2, axis=0)))
+                    out_codes.append(codes)
+                    if not top:
+                        out_keys.append(keys)
+                else:
+                    out_codes.append(codes[ok][:keep])
+                    if not top:
+                        out_keys.append(keys[ok][:keep])
                 got += keep
         if top:
             self.last_batch_stats.attempts += attempts
@@ -430,6 +520,16 @@ class SawSampler:
         if len(out_codes) == 1:
             return out_codes[0], None if top else out_keys[0]
         return np.concatenate(out_codes), None if top else np.concatenate(out_keys)
+
+    def _base_rows(self, table: np.ndarray, count: int):
+        """``count`` uniform row indices into the base table ``table``, the
+        one draw every base-table walk comes from.  A batch of one takes
+        the scalar draw, which costs a third as much: integers(N) equals
+        integers(N, size=1)[0] on Philox; a size given as a tuple skips a
+        conversion."""
+        rows = table.shape[0]
+        return ([self.rng.integers(rows)] if count == 1
+                else self.rng.integers(rows, size=(count,)))
 
 
 # -- one-shot functional forms ----------------------------------------------

@@ -252,7 +252,9 @@ class ArtifactWriter:
     """Versioned, append-only artifact files plus a timestamp sidecar.
 
     The main artifact is byte-deterministic for a given payload; volatile
-    metadata (wall-clock time) goes to ``<name>.meta.json``.
+    metadata goes to ``<name>.meta.json``: the wall-clock time, plus any
+    ``meta`` mapping a write is given (run telemetry such as a sampler's
+    per-level dimerization counts).
     """
 
     def __init__(self, outdir: str):
@@ -271,45 +273,46 @@ class ArtifactWriter:
                 continue
         raise RuntimeError("too many artifact versions")
 
-    def _sidecar(self, path: str) -> None:
+    def _sidecar(self, path: str, meta: dict | None = None) -> None:
         meta = {
             "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            **(meta or {}),
         }
         with open(path + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2)
 
-    def write_json(self, stem: str, payload) -> str:
+    def write_json(self, stem: str, payload, meta: dict | None = None) -> str:
         path = self._versioned(stem, ".json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self._sidecar(path)
+        self._sidecar(path, meta)
         return path
 
-    def write_jsonl(self, stem: str, records) -> str:
+    def write_jsonl(self, stem: str, records, meta: dict | None = None) -> str:
         path = self._versioned(stem, ".jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True,
                                     separators=(",", ":")) + "\n")
-        self._sidecar(path)
+        self._sidecar(path, meta)
         return path
 
-    def write_csv(self, stem: str, rows) -> str:
+    def write_csv(self, stem: str, rows, meta: dict | None = None) -> str:
         path = self._versioned(stem, ".csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(rows)
-        self._sidecar(path)
+        self._sidecar(path, meta)
         return path
 
     def reserve(self, stem: str, suffix: str) -> str:
         """Versioned path for a file the caller writes itself."""
         return self._versioned(stem, suffix)
 
-    def finalize(self, path: str) -> None:
+    def finalize(self, path: str, meta: dict | None = None) -> None:
         """Write the metadata sidecar for a reserved path."""
-        self._sidecar(path)
+        self._sidecar(path, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .lattice import (Path, concat, escapes, lattice_symmetries,
                       pattern_density, validate)
 from .errors import NotSelfAvoidingError
 from .patterns import exact_mean_density_grid
+from .sampling import _escapes_batch, _keys_from_codes
 from .spectral import build_escape_matrix, perron_fixed_point
 
 
@@ -262,26 +263,34 @@ def check_submultiplicativity(dimension: int, n_max: int,
 
 
 def check_escape_concat_equivalence(dimension: int, length_max: int) -> CheckResult:
-    """escapes(w2, w1) iff concat(w1, w2) succeeds, exhaustively."""
-    walks = []
-    for n in range(length_max + 1):
-        walks.extend(Path(dimension, codes) for codes in
-                     enumerate_paths(dimension, n))
-    bad = 0
-    for w1 in walks:
-        for w2 in walks:
-            esc = escapes(w2, w1)
-            try:
-                concat(w1, w2)
-                joined = True
-            except NotSelfAvoidingError:
-                joined = False
-            if esc != joined:
-                bad += 1
+    """escapes(w2, w1) iff concat(w1, w2) succeeds, and iff the packed-key
+    test ``sampling._escapes_batch`` passes, exhaustively."""
+    by_length = [[Path(dimension, codes) for codes in enumerate_paths(dimension, n)]
+                 for n in range(length_max + 1)]
+    keys = [_keys_from_codes(dimension, np.frombuffer(
+                b"".join(w.steps for w in walks), np.uint8).reshape(len(walks), n))
+            for n, walks in enumerate(by_length)]
+    pairs = bad = 0
+    for heads, head_keys in zip(by_length, keys):
+        for tails, tail_keys in zip(by_length, keys):
+            pairs += len(heads) * len(tails)
+            for w1, head in zip(heads, head_keys):
+                fast = _escapes_batch(
+                    [np.broadcast_to(head, (len(tails), head.size))],
+                    [tail_keys]).tolist()
+                for w2, esc_fast in zip(tails, fast):
+                    esc = escapes(w2, w1)
+                    try:
+                        concat(w1, w2)
+                        joined = True
+                    except NotSelfAvoidingError:
+                        joined = False
+                    if not esc == joined == esc_fast:
+                        bad += 1
     return CheckResult(
         f"escape/concat equivalence d={dimension} lengths<={length_max}",
         bad == 0,
-        f"{len(walks) ** 2} pairs",
+        f"{pairs} pairs",
     )
 
 

@@ -146,6 +146,40 @@ def test_pattern_command(tmp_path, capsys):
     assert any(r["exact_mean"] for r in payload["rows"])
 
 
+def _levels_hold(levels, lengths):
+    # one entry per dimerized length, accepted <= attempted at each
+    assert [level["n"] for level in levels] == lengths
+    assert all(0 < level["accepted"] <= level["attempted"] for level in levels)
+
+
+def test_sample_and_pattern_sidecars_hold_level_counts(tmp_path, capsys):
+    # d=2, base length 8: a 20-step walk dimerizes at 20 = 10 + 10 and
+    # 10 = 5 + 5, a 12-step one at 12 = 6 + 6
+    for out in ("a", "b"):
+        assert run(capsys, "sample", "-d", "2", "-n", "20", "--trials", "300",
+                   "--seed", "4", "--outdir", str(tmp_path / out))[0] == 0
+        assert run(capsys, "pattern", "-d", "2", "--pattern", "0,2",
+                   "--mc-lengths", "6,12,20", "--trials", "200", "--seed", "4",
+                   "--outdir", str(tmp_path / out))[0] == 0
+    for name in ("corpus-d2-n20-0001.sawc", "pattern-d2-0001.json",
+                 "pattern-grid-d2-0001.csv"):
+        # the main artifacts stay byte-deterministic
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    meta = json.loads((tmp_path / "a" / "corpus-d2-n20-0001.sawc.meta.json")
+                      .read_text())
+    _levels_hold(meta["dimerization_levels"], [10, 20])
+    for name in ("pattern-d2-0001.json", "pattern-grid-d2-0001.csv"):
+        meta = json.loads((tmp_path / "a" / f"{name}.meta.json").read_text())
+        levels = meta["dimerization_levels"]
+        assert sorted(levels) == ["12", "20", "6"]
+        assert levels["6"] == []
+        _levels_hold(levels["12"], [12])
+        _levels_hold(levels["20"], [10, 20])
+    payload = (tmp_path / "a" / "pattern-d2-0001.json").read_text()
+    assert "dimerization" not in payload and "attempted" not in payload
+
+
 def test_pattern_command_refuses_empty_pattern(tmp_path, capsys):
     code, out, err = run(capsys, "pattern", "-d", "2", "--pattern", "",
                          "--mc-lengths", "10", "--trials", "10",

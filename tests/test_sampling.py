@@ -18,8 +18,12 @@ from sawlab.sampling import (
     _base_arrays,
     _coords_from_codes,
     _first_accepted,
+    _joined,
+    _junction_avoids,
     _keys_from_codes,
+    _occupancy,
     _radix_powers,
+    _rows_distinct,
     sample_prefix_conditioned,
     sample_uniform,
 )
@@ -114,14 +118,14 @@ def test_round_sizing_keeps_the_batch_law(monkeypatch, count, batches, rounds):
     # rounds capped at 500,000 vertex keys (71,428 pairs of 7 keys)
     d, n = 2, 6
     chunks = []
-    draw = SawSampler._draw_batch
+    draw = SawSampler._base_rows
 
-    def spied(self, m, size, top=False, spare=False):
-        if m == 3:
+    def spied(self, table, size):
+        if table.shape[1] == 3:
             chunks[-1].append(size)
-        return draw(self, m, size, top, spare)
+        return draw(self, table, size)
 
-    monkeypatch.setattr(SawSampler, "_draw_batch", spied)
+    monkeypatch.setattr(SawSampler, "_base_rows", spied)
     index = {codes: i for i, codes in enumerate(enumerate_paths(d, n))}
     counts = np.zeros(len(index))
     attempts = accepted = 0
@@ -159,14 +163,13 @@ def test_cold_batch_draws_few_base_rows(monkeypatch, d, n, count, most):
     # base-table rows a cold seeded batch draws at every level; sizing the
     # first rounds from a cold guess of 0.6 drew 1,420,734 and 1,907,286
     rows = [0]
-    draw = SawSampler._draw_batch
+    draw = SawSampler._base_rows
 
-    def counted(self, m, size, top=False, spare=False):
-        if m <= self.base_length:
-            rows[0] += size
-        return draw(self, m, size, top, spare)
+    def counted(self, table, size):
+        rows[0] += size
+        return draw(self, table, size)
 
-    monkeypatch.setattr(SawSampler, "_draw_batch", counted)
+    monkeypatch.setattr(SawSampler, "_base_rows", counted)
     assert SawSampler(d, SamplerConfig(seed=1)).uniform_batch(n, count).shape \
         == (count, n)
     assert rows[0] <= most
@@ -256,6 +259,70 @@ def test_spare_draws_are_walks_with_their_keys(d, n, count):
         assert np.array_equal(keys, _keys_from_codes(d, codes))
         for row in codes:
             validate(row.tolist(), d)
+
+
+def _mask_and_sort_verdicts(d, n1, n2, i1, i2):
+    # the occupancy-mask verdict and the sort of the joined keys, pair by
+    # pair, for halves i1 of SAW_n1 and i2 of SAW_n2 in base-table order
+    masks = _junction_avoids(_occupancy(d, n1, n1, True),
+                             _occupancy(d, n2, n1, False), i1, i2)
+    (c1, k1), (c2, k2) = _base_arrays(d, n1), _base_arrays(d, n2)
+    _, keys = _joined((c1[i1], k1[i1]), (c2[i2], k2[i2]))
+    return masks, _rows_distinct(keys)
+
+
+@pytest.mark.parametrize("d, n1", [(2, n) for n in range(1, 6)] + [(3, 1), (3, 2)])
+@pytest.mark.parametrize("shorter", [1, 0])
+def test_occupancy_masks_match_the_sort_test_on_all_pairs(d, n1, shorter):
+    n2 = n1 - shorter
+    rows1, rows2 = (_base_arrays(d, n)[0].shape[0] for n in (n1, n2))
+    i1, i2 = np.divmod(np.arange(rows1 * rows2), rows2)
+    masks, sort = _mask_and_sort_verdicts(d, n1, n2, i1, i2)
+    assert np.array_equal(masks, sort)
+
+
+@pytest.mark.parametrize("n1, n2", [(8, 8), (8, 7), (10, 10), (10, 9)])
+def test_occupancy_masks_match_the_sort_test_on_random_pairs(n1, n2):
+    # d=2 at the default base (5 words) and at base 10 (a 441-bit box)
+    rng = np.random.default_rng(n1 * 100 + n2)
+    i1 = rng.integers(_base_arrays(2, n1)[0].shape[0], size=100_000)
+    i2 = rng.integers(_base_arrays(2, n2)[0].shape[0], size=100_000)
+    masks, sort = _mask_and_sort_verdicts(2, n1, n2, i1, i2)
+    assert np.array_equal(masks, sort)
+    assert 0.3 < masks.mean() < 0.7
+    # a round of few pairs takes the other branch of the mask test
+    few, _ = _mask_and_sort_verdicts(2, n1, n2, i1[:1000], i2[:1000])
+    assert np.array_equal(few, sort[:1000])
+
+
+@pytest.mark.parametrize("d, n, radius", [(1, 4, 4), (2, 8, 8), (2, 7, 8),
+                                          (2, 10, 10), (3, 3, 3), (3, 2, 3)])
+def test_occupancy_masks_hold_each_walk_once(d, n, radius):
+    # one bit per vertex, read-only, as many words as the box needs
+    words = -(-(2 * radius + 1) ** d // 64)
+    for before in (True, False):
+        masks = _occupancy(d, n, radius, before)
+        assert masks.shape == (words, _base_arrays(d, n)[0].shape[0])
+        assert not masks.flags.writeable
+        assert (np.bitwise_count(masks).sum(axis=0) == n).all()
+
+
+@pytest.mark.parametrize("d, base, masked", [
+    (1, 255, True), (1, 256, False), (2, None, True), (2, 10, True),
+    (3, 3, True), (3, None, False), (4, 1, True), (4, 2, False), (5, None, False),
+])
+def test_lowest_levels_use_masks_where_the_box_fits(monkeypatch, d, base, masked):
+    # the box of radius base_length fits 8 words, or no level uses masks
+    calls = []
+    monkeypatch.setattr("sawlab.sampling._junction_avoids",
+                        lambda *args: calls.append(1) or _junction_avoids(*args))
+    sampler = SawSampler(d, SamplerConfig(seed=3, base_length=base))
+    n = 2 * sampler.base_length
+    codes, keys = sampler._draw_batch(n, 20)
+    assert bool(calls) == masked
+    assert np.array_equal(keys, _keys_from_codes(d, codes))
+    for row in codes[:5]:
+        validate(row.tolist(), d)
 
 
 @pytest.mark.parametrize("d", range(1, 6))

@@ -1,5 +1,6 @@
 """Cache, corpus, artifact and config storage."""
 
+import json
 import os
 import subprocess
 import sys
@@ -213,6 +214,21 @@ def test_artifact_versioning_and_sidecar(tmp_path):
     p3 = writer.write_csv("grid", [["n", "v"], [1, 2]])
     with open(p3, encoding="utf-8") as fh:
         assert fh.read().strip().splitlines() == ["n,v", "1,2"]
+
+
+def test_artifact_meta_goes_to_the_sidecar_only(tmp_path):
+    writer = ArtifactWriter(str(tmp_path))
+    plain = writer.write_json("report", {"x": 1})
+    with_meta = writer.write_json("report", {"x": 1}, {"levels": [1, 2]})
+    with open(plain, "rb") as a, open(with_meta, "rb") as b:
+        assert a.read() == b.read()
+    with open(with_meta + ".meta.json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    assert sidecar["levels"] == [1, 2] and "written_at" in sidecar
+    reserved = writer.reserve("corpus", ".sawc")
+    writer.finalize(reserved, {"levels": []})
+    with open(reserved + ".meta.json", encoding="utf-8") as fh:
+        assert json.load(fh)["levels"] == []
 
 
 def test_run_config_round_trip(tmp_path):

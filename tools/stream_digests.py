@@ -77,6 +77,21 @@ def uniform_batches(seed: int) -> None:
              sampler.uniform_batch(n, 3))
 
 
+def bottom_levels(seed: int) -> None:
+    # lowest dimerization levels tested by occupancy masks (d=2 with a
+    # 441-bit box, d=3 with base 3) and by sorting joined keys (d=3 at the
+    # default base, whose box of radius 5 is too wide for masks)
+    for d, n, count, base in ((2, 80, 500, 10), (3, 40, 500, 3),
+                              (3, 40, 500, None)):
+        sampler = SawSampler(d, SamplerConfig(seed=seed, base_length=base))
+        codes = sampler.uniform_batch(n, count)
+        stats = sampler.last_batch_stats
+        emit(f"uniform_batch d={d} n={n} count={count} base={base} seed={seed}",
+             codes, stats.attempts, stats.accepted,
+             sorted(sampler._level_counts.items()),
+             sampler.uniform_batch(n, 3))
+
+
 def per_draw(seed: int) -> None:
     for d in (2, 5):
         sampler = SawSampler(d, SamplerConfig(seed=seed))
@@ -178,6 +193,7 @@ def base_tables() -> None:
 def main() -> None:
     for seed in SEEDS:
         uniform_batches(seed)
+        bottom_levels(seed)
         per_draw(seed)
         couplings(seed)
         estimators(seed)
