@@ -7,7 +7,8 @@ reachable coordinate is bounded by the walk extent L.
 
 Two recursive kernels do all the searching.  ``_count_depths`` adds the
 number of j-step extensions of a walk, for every j, into a list of counts
-per depth, and can tally the full-length ones by endpoint.  ``_walk``
+per depth, and can tally the full-length ones by endpoint; it counts its
+last two levels in one loop, without a call per vertex.  ``_walk``
 calls one callback at every vertex it adds above the last level and
 another at the last level, in lexicographic order of the step codes; a
 false return from the first prunes below that vertex and an exception
@@ -19,8 +20,10 @@ first-turn-reduced tree: the first step is fixed to +e1 and the first step
 off the e1 axis to +e2, so each walk that turns stands for 2(d-1) walks
 and the straight walk for itself, on top of the 2d first steps.
 ``_spine`` yields the straight run and the turn off each of its vertices;
-the kernels search below the turns.  Passes under a prefix, endpoint or
-two-sided condition walk their whole tree.
+the kernels search below the turns.  An empty-middle two-sided count
+(``count_two_sided``) walks the negative side's reduced tree and every
+positive side below it.  Passes under a prefix, an endpoint or a nonempty
+two-sided middle walk their whole tree.
 
 A node is one vertex of the tree a pass walks.  A node budget charges one
 node for every vertex the kernels and the reduced tree's straight run add,
@@ -158,9 +161,38 @@ def _count_depths(head: int, level: int, depth: int, occupied: set, deltas,
     """Add one to counts[j] for every extension of ``head``, a walk of
     ``level`` steps, to a walk of j steps, for level < j <= depth; with
     ``ends`` given, also add one to ends[v] for every depth-step walk
-    ending at v."""
+    ending at v.
+
+    ``head`` must be in ``occupied``: that alone keeps a child from stepping
+    back to it.  So the last two levels are counted without recursing: a
+    child's grandchildren are its free neighbours, found without adding the
+    child, which is no neighbour of itself.  There the budget is charged and
+    checked per child (the child and its grandchildren), so a count still
+    overshoots it by at most 2d nodes.
+    """
     nxt_level = level + 1
     found = 0
+    if nxt_level == depth - 1:
+        below = 0
+        for delta in deltas:
+            nxt = head + delta
+            if nxt in occupied:
+                continue
+            found += 1
+            grand = 0
+            for step in deltas:
+                end = nxt + step
+                if end not in occupied:
+                    grand += 1
+                    if ends is not None:
+                        ends[end] = ends.get(end, 0) + 1
+            below += grand
+            budget[0] -= 1 + grand
+            if budget[0] < 0:
+                raise BudgetExceededError(budget[1], budget[1] - budget[0])
+        counts[nxt_level] += found
+        counts[depth] += below
+        return
     for delta in deltas:
         nxt = head + delta
         if nxt not in occupied:
@@ -323,7 +355,9 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
     to full depth, and below each of its vertices the turn to +e2, which
     stands for all 2(d-1) turns.  A key then names the walks that start
     with it up to that symmetry: a walk turning inside the key counts once
-    and one turning past it 2(d-1) times.
+    and one turning past it 2(d-1) times.  With ``pos_head`` set too, the
+    reduced tree is the negative side's, and ``pos_head`` must be fixed by
+    the symmetries (the origin).
     """
     budget = _budget(node_budget)
     limit = budget[1]
@@ -355,7 +389,9 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
             level = len(codes)
             weight = turns if codes[-1] and level > prefix_len else 1
             if not codes[-1]:
-                visit(nxt)  # the run's own children come from ``_spine``
+                # the run's own children come from ``_spine``; its full-depth
+                # tip is a task when it still has a positive side below
+                (leaf if level == depth else visit)(nxt)
             elif level < split:
                 visit(nxt)
                 _walk(nxt, split - level, occupied, deltas, budget, codes,
@@ -600,6 +636,15 @@ def count_two_sided(dimension: int, m: int, n: int,
     A two-sided walk is a pair in SAW_m x SAW_n whose sides meet only at
     the origin; with empty ``xi`` the count equals c_{m+n} through the
     fold-out bijection.
+
+    With empty ``xi`` the pass walks the negative side's first-turn-reduced
+    tree: its first step is fixed to +e1 and its first turn to +e2, and
+    every positive side is counted below each reduced negative side, the
+    straight one included.  The result is multiplied by 2d.  The count is
+    symmetric in the sides, so the longer one is walked as the negative
+    side: it has a step to fix for m = 0, and a turn to fix for m = 1 once
+    n >= 2.  A nonempty ``xi`` breaks the symmetry, and its pass walks the
+    whole tree.
     """
     if xi is None:
         xi = empty_two_sided(dimension)
@@ -614,17 +659,26 @@ def count_two_sided(dimension: int, m: int, n: int,
         return cached
     extent = m + n
     width, origin_key, deltas = _pack_params(dimension, extent)
-    blocked = frozenset(_pack(v, width, extent) for v in xi.vertex_set)
-    neg_head = _pack(xi.neg.end, width, extent)
-    pos_head = _pack(xi.pos.end, width, extent)
+    reduced = xi.neg_length == xi.pos_length == 0 < extent
+    if reduced:
+        neg_head = origin_key + deltas[0]
+        blocked, pos_head = frozenset((origin_key, neg_head)), origin_key
+        neg_depth, pos_depth = (m - 1, n) if m >= n else (n - 1, m)
+        layout = ("first-turn",)
+    else:
+        blocked = frozenset(_pack(v, width, extent) for v in xi.vertex_set)
+        neg_head = _pack(xi.neg.end, width, extent)
+        pos_head = _pack(xi.pos.end, width, extent)
+        neg_depth, pos_depth = m - xi.neg_length, n - xi.pos_length
+        layout = ()
     counts, _ = _run_engine(
-        deltas, blocked, neg_head, m - xi.neg_length,
-        pos_head=pos_head, pos_depth=n - xi.pos_length,
-        workers=workers, node_budget=node_budget,
-        checkpoint_path=checkpoint_path,
-        signature=_signature(dimension, "two_sided", m, n, key),
+        deltas, blocked, neg_head, neg_depth, pos_head=pos_head,
+        pos_depth=pos_depth, reduced=reduced, workers=workers,
+        node_budget=node_budget, checkpoint_path=checkpoint_path,
+        # the layout tag keeps a checkpoint of another task list out
+        signature=_signature(dimension, "two_sided", m, n, key, *layout),
     )
-    value = counts[()][-1]
+    value = (2 * dimension if reduced else 1) * counts[()][-1]
     table.put("two_sided", m + n, key, value)
     return value
 

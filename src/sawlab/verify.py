@@ -215,8 +215,10 @@ def check_dmp_two_ways(dimension: int, m_max: int, prefix_max: int,
 
 def check_two_sided_bijection(dimension: int, n_max: int,
                               table: CountTable) -> CheckResult:
+    # both counts walk a first-turn-reduced tree through ``_spine``, so the
+    # brute-force pairs are compared too wherever they are cheap
     bad = []
-    checked = 0
+    checked = brute = 0
     for m in range(0, min(3, n_max) + 1):
         for n in range(m, min(3, n_max - m) + 1):
             two = count_two_sided(dimension, m, n, table=table)
@@ -224,10 +226,15 @@ def check_two_sided_bijection(dimension: int, n_max: int,
             checked += 1
             if two != flat:
                 bad.append((m, n, two, flat))
+            if (2 * dimension) ** (m + n) <= 4096:
+                brute += 1
+                naive = reference.naive_count_two_sided(dimension, m, n)
+                if two != naive:
+                    bad.append((m, n, two, "naive", naive))
     return CheckResult(
         f"two-sided counts match folded one-sided counts d={dimension}",
         not bad,
-        str(bad) if bad else f"{checked} (m, n) pairs",
+        str(bad) if bad else f"{checked} (m, n) pairs, {brute} also by brute force",
     )
 
 

@@ -33,6 +33,13 @@ from sawlab.lattice import (
 TRAP = [3, 0, 0, 2, 2, 1, 3]  # d=2 walk whose head has no free neighbour
 # OEIS A001411: c_n on Z^2 for n = 0, 1, ...
 A001411 = (1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100, 120292, 324932)
+# c_n on Z^d for d = 1 (two walks of each length n >= 1) and for d = 3, 4, 5:
+# OEIS A001412, A010575 and A010576
+C_N = {1: (1,) + (2,) * 12,
+       2: A001411,
+       3: (1, 6, 30, 150, 726, 3534, 16926, 81390, 387966, 1853886, 8809878),
+       4: (1, 8, 56, 392, 2696, 18584, 127160, 871256),
+       5: (1, 10, 90, 810, 7210, 64250, 570330)}
 
 
 def test_count_examples():
@@ -132,6 +139,101 @@ def test_count_two_sided_examples():
     xi = TwoSidedPath(Path(2), validate([0], 2))
     assert count_two_sided(2, 2, 2, xi) == reference.naive_count_two_sided(
         2, 2, 2, pos_prefix=(0,))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+def test_reduced_two_sided_matches_oracle(dimension):
+    # an empty middle walks the longer side's reduced tree: m = 0 and m = 1
+    # swap the sides, and a one-step negative side (m = 1, n <= 1) has no
+    # turn
+    counts = C_N[dimension]
+    for total in range(len(counts)):
+        for m, n in {(0, total), (1, total - 1), (total, 0),
+                     (total // 2, total - total // 2)}:
+            if n < 0:
+                continue
+            value = count_two_sided(dimension, m, n,
+                                    table=CountTable(dimension))
+            if (2 * dimension) ** total <= 4096:
+                assert value == reference.naive_count_two_sided(
+                    dimension, m, n), (dimension, m, n)
+            assert value == counts[total], (dimension, m, n)
+
+
+def test_reduced_two_sided_on_a_pool():
+    for dimension, m, n in ((2, 5, 5), (2, 0, 9), (3, 1, 6), (5, 3, 2)):
+        assert (count_two_sided(dimension, m, n, table=CountTable(dimension),
+                                workers=2)
+                == count_two_sided(dimension, m, n,
+                                   table=CountTable(dimension))
+                == C_N[dimension][m + n])
+
+
+def test_checkpoint_of_the_unreduced_two_sided_layout_is_ignored(tmp_path):
+    # a checkpoint written while empty-middle counts walked the whole tree:
+    # its task indices name other negative sides, so it must not be loaded
+    key = (5, 5, b"", b"")
+    old = hashlib.sha256(
+        repr((3, 2, "two_sided", 5, 5, key)).encode()).hexdigest()[:16]
+    ckpt = str(tmp_path / "two.ckpt")
+    with open(ckpt, "w", encoding="utf-8") as fh:
+        json.dump({"signature": old,
+                   "done": {str(i): {"counts": [0, 0, 0, 0, 0, 1],
+                                     "nodes": 5} for i in range(4)}}, fh)
+    with pytest.warns(CheckpointIgnoredWarning, match="another count"):
+        assert count_two_sided(2, 5, 5, table=CountTable(2),
+                               checkpoint_path=ckpt) == A001411[10]
+
+
+def _serial_charge(monkeypatch, count):
+    """The nodes one serial run of ``count()`` charges."""
+    charged = []
+    engine = counting._run_engine
+
+    def recorded(*args, **kwargs):
+        counts, nodes = engine(*args, **kwargs)
+        charged.append(nodes)
+        return counts, nodes
+
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_run_engine", recorded)
+        count()
+    [nodes] = charged
+    return nodes
+
+
+def test_reduced_two_sided_walks_the_longer_side(monkeypatch):
+    # a one-step negative side has no turn to fix, so (1, n) is counted as
+    # (n, 1) and charges its nodes
+    for m, n in ((1, 9), (0, 9), (3, 6)):
+        assert (_serial_charge(monkeypatch, lambda: count_two_sided(
+                    2, m, n, table=CountTable(2)))
+                == _serial_charge(monkeypatch, lambda: count_two_sided(
+                    2, n, m, table=CountTable(2))))
+
+
+def test_reduced_two_sided_budget_is_global(tmp_path, monkeypatch):
+    def count(**kwargs):
+        return count_two_sided(2, 5, 5, table=CountTable(2), **kwargs)
+
+    nodes = _serial_charge(monkeypatch, count)
+    for workers in (1, 2):
+        assert count(workers=workers, node_budget=nodes) == A001411[10]
+        with pytest.raises(BudgetExceededError) as err:
+            count(workers=workers, node_budget=nodes - 1)
+        assert err.value.budget == nodes - 1
+        assert err.value.nodes > nodes - 1
+    ckpt = str(tmp_path / "two.ckpt")
+    with pytest.raises(BudgetExceededError):
+        count(node_budget=nodes // 2, checkpoint_path=ckpt)
+    with open(ckpt, encoding="utf-8") as fh:
+        assert json.load(fh)["done"]  # some tasks finished before the stop
+    shutil.copy(ckpt, ckpt + ".copy")
+    with pytest.raises(BudgetExceededError):
+        count(node_budget=nodes - 1, checkpoint_path=ckpt)
+    for path, workers in ((ckpt, 1), (ckpt + ".copy", 2)):
+        assert count(workers=workers, node_budget=nodes,
+                     checkpoint_path=path) == A001411[10]
 
 
 def test_count_two_sided_rejects_oversized_condition():
@@ -423,3 +525,46 @@ def test_checkpoint_of_the_unreduced_layout_is_ignored(tmp_path):
     with pytest.warns(CheckpointIgnoredWarning, match="another count"):
         assert count_saws(2, 9, table=CountTable(2),
                           checkpoint_path=ckpt) == A001411[9]
+
+
+def _record_entry_gaps(monkeypatch) -> set:
+    """depth - level at every call into ``_count_depths`` from outside it."""
+    gaps, kernel, nesting = set(), counting._count_depths, [0]
+
+    def recorded(head, level, depth, *rest):
+        if not nesting[0]:
+            gaps.add(depth - level)
+        nesting[0] += 1
+        try:
+            kernel(head, level, depth, *rest)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(counting, "_count_depths", recorded)
+    return gaps
+
+
+def test_count_depths_at_every_gap_matches_oracle(monkeypatch):
+    # the kernel entered one level (a loop), two levels (inline) and three
+    # levels (one call, then inline) above its depth
+    gaps = _record_entry_gaps(monkeypatch)
+    for codes, n_range in (((0,), range(5, 8)), ((0, 2), range(6, 9))):
+        for n in n_range:
+            assert count_extensions(
+                2, n, Path(2, bytes(codes)), table=CountTable(2)
+            ) == reference.naive_count_with_prefix(2, n, codes), (codes, n)
+    assert gaps == {1, 2, 3}
+
+    gaps.clear()
+    for dimension, n in ((2, 5), (2, 6), (2, 7), (3, 5)):
+        hist = endpoint_histogram(dimension, n, table=CountTable(dimension))
+        assert hist == _naive_endpoints(dimension, n), (dimension, n)
+    assert {1, 2, 3} <= gaps
+
+    gaps.clear()
+    for m in (5, 6, 7):
+        hist = prefix_histogram(2, m, 2, table=CountTable(2))
+        for codes, value in hist.items():
+            assert value == reference.naive_count_with_prefix(
+                2, m, tuple(codes)), (m, codes)
+    assert gaps == {1, 2, 3}

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per seeded output of the samplers, the couplings, the
 escape-matrix fixed point and the Monte Carlo estimators, and per exact
-count, endpoint histogram, prefix histogram, fixed-point-against-marginal
-comparison and base table of the samplers.
+count (one-sided, under a prefix and two-sided), endpoint histogram, prefix
+histogram, fixed-point-against-marginal comparison and base table of the
+samplers.
 
 Two source trees draw the same streams exactly when this script prints the
 same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
@@ -29,7 +30,9 @@ from sawlab import (
     TwoSidedPath,
     build_escape_matrix,
     compare_to_marginal,
+    count_extensions,
     count_saws,
+    count_two_sided,
     endpoint_histogram,
     escape_power_estimate,
     estimate_decoupling_stats,
@@ -161,6 +164,20 @@ def exact_counts() -> None:
     for d, n in ((2, 12), (3, 9), (5, 6)):
         hist = endpoint_histogram(d, n, table=CountTable(d))
         emit(f"endpoint_histogram d={d} n={n}", sorted(hist.items()))
+    for d, n, prefixes in ((2, 13, ([0], [0, 2], [3, 0, 0, 2, 2, 1])),
+                           (3, 9, ([0], [0, 2, 4])),
+                           (5, 6, ([0, 2], [9, 1, 5]))):
+        emit(f"count_extensions d={d} n={n}",
+             [count_extensions(d, n, validate(p, d), table=CountTable(d))
+              for p in prefixes])
+    for d, m, n in ((2, 6, 6), (3, 4, 4), (5, 3, 3)):
+        # the empty middle with either side first, and an empty side
+        emit(f"count_two_sided d={d} m={m} n={n}",
+             [count_two_sided(d, a, b, table=CountTable(d))
+              for a, b in ((m, n), (m - 1, n + 1), (0, m + n), (m + n, 0))])
+        middle = TwoSidedPath(validate([1], d), validate([0, 2], d))
+        emit(f"count_two_sided middle d={d} m={m} n={n}",
+             count_two_sided(d, m, n, middle, table=CountTable(d)))
 
 
 def marginals() -> None:
