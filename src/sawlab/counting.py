@@ -15,10 +15,11 @@ false return from the first prunes below that vertex and an exception
 ends the search.
 
 Every condition-free pass from the origin (``count_saws``,
-``prefix_histogram``, ``endpoint_histogram``) walks only the
-first-turn-reduced tree: the first step is fixed to +e1 and the first step
-off the e1 axis to +e2, so each walk that turns stands for 2(d-1) walks
-and the straight walk for itself, on top of the 2d first steps.
+``prefix_histogram``, ``endpoint_histogram`` and the pattern pass
+``patterns.exact_mean_density_grid``) walks only the first-turn-reduced
+tree: the first step is fixed to +e1 and the first step off the e1 axis
+to +e2, so each walk that turns stands for 2(d-1) walks and the straight
+walk for itself, on top of the 2d first steps.
 ``_spine`` yields the straight run and the turn off each of its vertices;
 the kernels search below the turns.  An empty-middle two-sided count
 (``count_two_sided``) walks the negative side's reduced tree and every

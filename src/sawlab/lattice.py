@@ -330,28 +330,6 @@ def lattice_symmetries(dimension: int) -> Iterator[SignedPermutation]:
             yield SignedPermutation(perm, signs)
 
 
-def symmetry_generators(dimension: int) -> list[SignedPermutation]:
-    """Adjacent transpositions plus one axis flip; they generate the group."""
-    idperm = tuple(range(dimension))
-    plus = (1,) * dimension
-    gens = [SignedPermutation(idperm, (-1,) + plus[1:])]
-    for i in range(dimension - 1):
-        perm = list(idperm)
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(SignedPermutation(tuple(perm), plus))
-    return gens
-
-
-def _first_step_symmetry(dimension: int, code: int) -> SignedPermutation:
-    """A lattice symmetry sending direction ``code`` to +e1."""
-    axis, sign = code // 2, 1 - 2 * (code % 2)
-    perm = list(range(dimension))
-    perm[0], perm[axis] = perm[axis], perm[0]
-    signs = [1] * dimension
-    signs[0] = sign
-    return SignedPermutation(tuple(perm), tuple(signs))
-
-
 @lru_cache(maxsize=None)
 def _first_turn_symmetries(dimension: int) -> tuple[SignedPermutation, ...]:
     """The 2d * 2(d-1) lattice symmetries sending +e1 and +e2 to each pair

@@ -1,9 +1,11 @@
 """Pattern-density statistics and scalar growth-rate estimators.
 
-Exact mean densities come from one reduced enumeration pass: the first
-step is fixed to +e1 and the pattern is replaced by the multiset of its
-images under the symmetries that map each first step onto +e1, which
-leaves the occurrence total over all of SAW_n unchanged.
+Exact mean densities come from one pass over the first-turn-reduced tree
+(see ``counting``).  A turning walk w there stands for its images g w
+under the first-turn maps, and occ(g w, zeta) = occ(w, g^-1 zeta), so each
+window of w adds the number of maps whose preimage of the pattern it is.
+The straight run only carries its running count; the 2d straight walks
+are added in closed form.
 """
 
 from __future__ import annotations
@@ -15,22 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (CountTable, _budget, _Found, _pack_params, _walk,
-                       count_saws, count_two_sided, default_table)
+from .counting import (CountTable, _budget, _Found, _pack_params, _spine,
+                       _walk, count_saws, count_two_sided, default_table)
 from .errors import BudgetExceededError, NotSelfAvoidingError
-from .lattice import Path, TwoSidedPath, _first_step_symmetry, validate
+from .lattice import Path, TwoSidedPath, _first_turn_symmetries, validate
 from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
                        _keys_from_codes, _radix_powers, _rows_distinct)
-
-
-def _pattern_multiset(dimension: int, pattern: Path) -> Counter:
-    """Images of the pattern under the 2d first-step symmetries."""
-    out: Counter = Counter()
-    for code in range(2 * dimension):
-        g = _first_step_symmetry(dimension, code)
-        table = g.code_table
-        out[tuple(table[c] for c in pattern.steps)] += 1
-    return out
 
 
 def exact_mean_density(dimension: int, n: int, pattern: Path, *,
@@ -42,7 +34,8 @@ def exact_mean_density(dimension: int, n: int, pattern: Path, *,
 def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
                             table: CountTable | None = None
                             ) -> dict[int, Fraction]:
-    """Exact mean densities for every n in [max(k, 1), n_max]; one pass."""
+    """Exact mean densities for every n in [max(k, 1), n_max]; one pass
+    over the first-turn-reduced tree."""
     k = len(pattern)
     if k < 1:
         raise ValueError("pattern must have at least one step")
@@ -51,33 +44,48 @@ def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
     if pattern.dimension != dimension:
         raise ValueError("pattern dimension mismatch")
     table = table or default_table(dimension)
-    # totals[n] and counts[n]: occurrences and walks of length n, first step +e1
-    multiset = _pattern_multiset(dimension, pattern)
+    images = Counter(tuple(g.code_table.index(c) for c in pattern.steps)
+                     for g in _first_turn_symmetries(dimension))
     width, origin_key, deltas = _pack_params(dimension, n_max)
+    # totals[n] and counts[n]: occurrences and reduced turning walks of length n
     totals = [0] * (n_max + 1)
     counts = [0] * (n_max + 1)
     occ = [0] * (n_max + 1)  # occurrences along the current walk, per level
     codes = [0]
+    budget = _budget()
+
+    def carry() -> int:
+        level = len(codes)
+        occ[level] = occ[level - 1] + images.get(tuple(codes[-k:]), 0)
+        return level
 
     def visit(nxt: int) -> bool:
-        level = len(codes)
-        occ[level] = occ[level - 1] + multiset.get(tuple(codes[-k:]), 0)
+        level = carry()
         counts[level] += 1
         totals[level] += occ[level]
         return True
 
+    carry()
     first = origin_key + deltas[0]
-    visit(first)
-    if n_max > 1:
-        _walk(first, n_max - 1, {origin_key, first}, deltas, _budget(), codes,
-              visit, visit)
+    occupied = {origin_key, first}
+    for nxt in _spine(first, n_max - 1, occupied, deltas, budget, codes):
+        if not codes[-1]:
+            carry()  # the straight walks are added below
+        else:
+            visit(nxt)
+            if len(codes) < n_max:
+                _walk(nxt, n_max - len(codes), occupied, deltas, budget,
+                      codes, visit, visit)
+    # the number of maps, not of distinct images: each map is a walk
+    orbit = images.total()
+    # a pattern of equal codes fits n-k+1 times in one straight walk
+    straight = len(set(pattern.steps)) == 1
     out = {}
     for n in range(k, n_max + 1):
-        c_n = counts[n] * 2 * dimension
-        cached = table.get("plain", n)
-        if cached is None:
+        c_n = orbit * counts[n] + 2 * dimension
+        if table.get("plain", n) is None:
             table.put("plain", n, None, c_n)
-        out[n] = Fraction(totals[n], n * counts[n] * 2 * dimension)
+        out[n] = Fraction(totals[n] + straight * (n - k + 1), n * c_n)
     return out
 
 

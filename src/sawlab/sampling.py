@@ -46,9 +46,19 @@ from .errors import (
 from .lattice import Path, TwoSidedPath, empty_two_sided
 
 
+# rejected pairs per walk asked for at which a dimerization level gives up
+_LEVEL_REJECTIONS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seeding and budget knobs for the samplers."""
+    """Seeding and budget knobs for the samplers.
+
+    ``max_rejections`` bounds the candidates a conditioned draw (escaping
+    a prefix, a two-sided walk, a coupling's resample) may reject per walk;
+    the dimerization levels under every draw have their own fixed guard,
+    ``_LEVEL_REJECTIONS``, so a small budget fails only on the condition.
+    """
 
     seed: int = 0
     base_length: int | None = None
@@ -442,7 +452,7 @@ class SawSampler:
         needed at the acceptance rate the length has shown so far, with a
         two-sigma margin.  Round sizes thus also depend only on
         accept/reject indicators.  The draw raises once it has rejected
-        more than ``max_rejections`` pairs per walk asked for."""
+        more than ``_LEVEL_REJECTIONS`` pairs per walk asked for."""
         if n <= self.base_length:
             codes, keys = _base_arrays(self.dimension, n)
             idx = self._base_rows(codes, count)
@@ -466,9 +476,9 @@ class SawSampler:
         got = 0
         attempts = 0
         accepted_raw = 0
-        max_rejections = self.cfg.max_rejections * max(count, 1)
+        limit = _LEVEL_REJECTIONS * max(count, 1)
         while got < count:
-            if attempts - accepted_raw > max_rejections:
+            if attempts - accepted_raw > limit:
                 raise RejectionBudgetExceededError(attempts - accepted_raw)
             need = count - got
             if level[1]:

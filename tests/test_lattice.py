@@ -23,7 +23,6 @@ from sawlab.lattice import (
     lattice_symmetries,
     pattern_density,
     shift,
-    symmetry_generators,
     validate,
     validate_two_sided,
 )
@@ -197,9 +196,3 @@ def test_escape_concat_equivalence_property(a, b):
 def test_symmetry_group_size_and_generators():
     assert len(list(lattice_symmetries(2))) == 8
     assert len(list(lattice_symmetries(3))) == 48
-    gens = symmetry_generators(3)
-    assert len(gens) == 3
-    walk = validate([0, 2, 4], 3)
-    for g in gens:
-        image = g.apply_path(walk)
-        validate(image.steps, 3, anchor=image.anchor)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sawlab.counting import count_extensions, count_saws, enumerate_paths
+from sawlab import reference
+from sawlab.counting import (CountTable, count_extensions, count_saws,
+                             enumerate_paths)
 from sawlab.lattice import Path, lattice_symmetries, pattern_density, validate
 from sawlab.patterns import (
     build_density_report,
@@ -36,6 +38,31 @@ def test_exact_mean_matches_full_enumeration():
         total = sum((pattern_density(Path(d, codes), zeta) for codes in paths),
                     Fraction(0))
         assert exact_mean_density(d, n, zeta) == total / len(paths)
+
+
+@pytest.mark.parametrize("d, n_max, patterns", [
+    (1, 8, [(0,), (1, 1)]),
+    (2, 8, [(0,), (0, 0, 0), (0, 2), tuple(TRAP.steps)]),
+    (3, 6, [(0,), (0, 2), (0, 2, 1)]),
+    (4, 5, [(0, 2), (0, 2, 4)]),
+    (5, 5, [(0,), (0, 0), (0, 2), (1, 1, 3)]),
+])
+def test_reduced_pattern_pass_matches_brute_force(d, n_max, patterns):
+    # straight patterns, turns, a third axis and first steps other than +e1
+    # against every walk of (2d)^n filtered; the pass also caches c_n, which
+    # catches an orbit size taken as the number of distinct images
+    walks = {n: reference.naive_saws(d, n) for n in range(1, n_max + 1)}
+    for zeta in patterns:
+        k = len(zeta)
+        table = CountTable(d)
+        grid = exact_mean_density_grid(d, n_max, validate(zeta, d), table=table)
+        expected = {}
+        for n in range(k, n_max + 1):
+            hits = sum(w[i:i + k] == zeta for w in walks[n]
+                       for i in range(n - k + 1))
+            expected[n] = Fraction(hits, n * len(walks[n]))
+            assert table.get("plain", n) == len(walks[n])
+        assert grid == expected
 
 
 def test_exact_mean_symmetry():

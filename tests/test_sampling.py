@@ -343,11 +343,7 @@ def _first_step_is_zero(rows, tails):
 @pytest.mark.parametrize("budget, d, lengths", [
     (1, 2, (4,)), (5, 2, (4,)), (8, 2, (4,)),
     (1, 5, (12, 2)), (5, 5, (12, 2)), (8, 5, (12, 2)),
-    # at budget 1 a dimerized d=2 batch may run out of its own rejections
-    # (max_rejections per walk asked for) before any candidate is tested:
-    # its 20-step level accepts c_20 / c_10^2 ~ 0.46 of its pairs, so 60
-    # walks take ~70 rejections (22 of 400 seeds raise there)
-    (5, 2, (20, 3)), (8, 2, (20, 3)),
+    (5, 2, (20, 3)), (8, 2, (20, 3)), (1, 2, (20, 3)),
 ])
 def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
     rows = 60
@@ -376,6 +372,17 @@ def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
         except RejectionBudgetExceededError as exc:
             assert exc.attempts == budget
         assert given.max() <= budget
+
+
+def test_dimerization_levels_ignore_the_rejection_budget():
+    # the budget bounds the condition only: the 20-step d=2 level accepts
+    # c_20 / c_10^2 ~ 0.46 of its pairs, so 60 walks reject ~70 pairs,
+    # which a budget of one per walk must not count
+    for seed in range(400):
+        sampler = SawSampler(2, SamplerConfig(seed=seed, max_rejections=1))
+        _, _, rejections = _first_accepted(
+            sampler, (20, 3), 60, lambda p, t: np.ones(p.size, dtype=bool))
+        assert not rejections.any()
 
 
 @pytest.mark.parametrize("d", [2, 5])

@@ -2,8 +2,8 @@
 """Print one SHA-256 per seeded output of the samplers, the couplings, the
 escape-matrix fixed point and the Monte Carlo estimators, and per exact
 count (one-sided, under a prefix and two-sided), endpoint histogram, prefix
-histogram, fixed-point-against-marginal comparison and base table of the
-samplers.
+histogram, exact mean pattern-density grid, fixed-point-against-marginal
+comparison and base table of the samplers.
 
 Two source trees draw the same streams exactly when this script prints the
 same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
@@ -36,6 +36,7 @@ from sawlab import (
     endpoint_histogram,
     escape_power_estimate,
     estimate_decoupling_stats,
+    exact_mean_density_grid,
     perron_fixed_point,
     prefix_histogram,
     run_two_sided_coupling,
@@ -191,6 +192,19 @@ def marginals() -> None:
              [vars(row) for row in comparison.rows], comparison.tv_distance)
 
 
+def pattern_grids() -> None:
+    trap = [3, 0, 0, 2, 2, 1, 3]  # a d=2 walk whose head has no free neighbour
+    for d, n_max, pattern in ((1, 8, [0]), (1, 8, [0, 0]), (2, 9, [0]),
+                              (2, 10, [0, 2]), (2, 10, [0, 0, 0]), (2, 9, trap),
+                              (3, 7, [0, 2, 1]), (4, 6, [0, 2, 4]), (5, 4, [0]),
+                              (5, 6, [0, 2]), (5, 6, [0, 0]), (5, 7, [1, 1, 3])):
+        table = CountTable(d)
+        grid = exact_mean_density_grid(d, n_max, validate(pattern, d),
+                                       table=table)
+        emit(f"exact_mean_density_grid d={d} n_max={n_max} pattern={pattern}",
+             sorted(grid.items()), [table.get("plain", n) for n in grid])
+
+
 def estimators(seed: int) -> None:
     for d, horizon, trials in ((2, 40, 600), (5, 60, 600)):
         est = scalar_estimators(d, horizon, trials, SamplerConfig(seed=seed),
@@ -217,6 +231,7 @@ def main() -> None:
     fixed_points()
     exact_counts()
     marginals()
+    pattern_grids()
     base_tables()
 
 
