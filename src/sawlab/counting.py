@@ -1,18 +1,21 @@
-"""Exact backtracking enumeration and counting of self-avoiding walks.
+"""Exact enumeration and counting of self-avoiding walks.
 
-The depth-first search keeps its occupancy set as packed integers: each
-coordinate is offset into [0, 2L] and given a fixed bit field, so a vertex
-is one int and a step is one addition.  Packing is lossless because every
-reachable coordinate is bounded by the walk extent L.
+A vertex is a packed integer: each coordinate is offset into [0, 2L] and
+given a fixed bit field, so a step is one addition.  Packing is lossless
+because every reachable coordinate is bounded by the walk extent L.
 
-Two recursive kernels do all the searching.  ``_count_depths`` adds the
-number of j-step extensions of a walk, for every j, into a list of counts
-per depth, and can tally the full-length ones by endpoint; it counts its
-last two levels in one loop, without a call per vertex.  ``_walk``
-calls one callback at every vertex it adds above the last level and
-another at the last level, in lexicographic order of the step codes; a
-false return from the first prunes below that vertex and an exception
-ends the search.
+Two kernels do all the searching.  ``_count_frontier`` counts: it expands
+a batch of walks level by level on a numpy frontier, one row of occupied
+keys per walk with its tip last, and adds the walks of every depth below
+each walk with ``np.bincount``; the last level is counted, never built,
+and can be tallied by endpoint.  Its keys take the narrowest signed dtype
+that holds d bit fields (int16, int32 or int64), or Python ints past 63
+bits, and a frontier past ``_SLICE_KEYS`` keys is expanded depth-first in
+slices, so memory stays bounded at any length.  ``_walk`` visits: it keeps
+a set of occupied keys and calls one callback at every vertex it adds
+above the last level and another at the last level, in lexicographic
+order of the step codes; a false return from the first prunes below that
+vertex and an exception ends the search.
 
 Every condition-free pass from the origin (``count_saws``,
 ``prefix_histogram``, ``endpoint_histogram`` and the pattern pass
@@ -30,10 +33,11 @@ A node is one vertex of the tree a pass walks.  A node budget charges one
 node for every vertex the kernels and the reduced tree's straight run add,
 the prefix walk that cuts a count into tasks included, so a count fits it
 or raises ``BudgetExceededError`` the same way serially, on a process pool
-or resumed from a checkpoint.  Each task starts with the nodes left at that
-moment, so a count that runs out stops after about one budget per worker.
-Counts are exact Python integers; optional checkpoints keep the counts and
-nodes of every finished prefix task.
+or resumed from a checkpoint.  Each batch of prefix tasks starts with the
+nodes left at that moment, and a level that would overrun them charges one
+node past them and stops, so a count that runs out stops after about one
+budget per worker.  Counts are exact Python integers; optional checkpoints
+keep the counts and nodes of every finished prefix task.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .lattice import (Coords, LatticePoint, Path, TwoSidedPath,
 _UNLIMITED = 1 << 62
 _SPLIT_DEPTH = 3  # prefix length at which a count is cut into tasks
 _CHECKPOINT_EVERY = 32  # finished tasks between checkpoint writes
+_SLICE_KEYS = 1 << 16  # most keys in one frontier slice of the count kernel
 
 
 class CountTable:
@@ -144,7 +149,7 @@ def _unpack(key: int, dimension: int, width: int, extent: int) -> Coords:
 
 
 # ---------------------------------------------------------------------------
-# the two search kernels
+# the two kernels
 
 
 class _Found(Exception):
@@ -157,58 +162,113 @@ def _budget(node_budget: int | None = None) -> list:
     return [limit, limit]
 
 
-def _count_depths(head: int, level: int, depth: int, occupied: set, deltas,
-                  budget: list, counts: list, ends: dict | None = None) -> None:
-    """Add one to counts[j] for every extension of ``head``, a walk of
-    ``level`` steps, to a walk of j steps, for level < j <= depth; with
-    ``ends`` given, also add one to ends[v] for every depth-step walk
-    ending at v.
+def _key_dtype(dimension: int, width: int):
+    """The narrowest signed numpy dtype holding every key below
+    2^(dimension * width); ``object`` (Python ints) past 63 bits."""
+    bits = dimension * width
+    for dtype in (np.int16, np.int32, np.int64):
+        if bits < np.iinfo(dtype).bits:
+            return dtype
+    return object
 
-    ``head`` must be in ``occupied``: that alone keeps a child from stepping
-    back to it.  So the last two levels are counted without recursing: a
-    child's grandchildren are its free neighbours, found without adding the
-    child, which is no neighbour of itself.  There the budget is charged and
-    checked per child (the child and its grandchildren), so a count still
-    overshoots it by at most 2d nodes.
+
+def _count_frontier(deltas, walk: tuple, tasks, depth: int, budget: list,
+                    dtype, *, pos_depth: int | None = None,
+                    ends: dict | None = None) -> np.ndarray:
+    """tally[i, j]: the number of j-step extensions of ``walk`` below
+    task i, for j past the task's level.
+
+    ``walk`` holds the keys of a walk in order, and a task is the step
+    codes of a path from its tip; its level is its length.  Tasks are
+    expanded level by level on numpy frontiers, one row of keys per walk
+    with its tip last; a task's row joins the frontier at its level.  A
+    child (tip + step) is free when no key of its row equals it; only keys
+    an odd number of steps before the tip are compared, as the others have
+    the tip's parity.  The last level is counted, never built.  With
+    ``pos_depth`` set, a row that reaches ``depth`` is a full negative
+    side: read backwards, it ends at ``walk``'s first key, the positive
+    side's head, and goes on ``pos_depth`` more levels from there.  With
+    ``ends`` given, ends[v] gains the number of last-level walks ending at
+    v.
+
+    A frontier whose children could hold more than ``_SLICE_KEYS`` keys
+    is expanded depth-first in slices whose children hold at most about
+    that many, so memory stays bounded at any depth.  Each level charges
+    its free children to ``budget``; a level that would overrun it charges
+    one node past it and raises.
     """
-    nxt_level = level + 1
-    found = 0
-    if nxt_level == depth - 1:
-        below = 0
-        for delta in deltas:
-            nxt = head + delta
-            if nxt in occupied:
-                continue
-            found += 1
-            grand = 0
-            for step in deltas:
-                end = nxt + step
-                if end not in occupied:
-                    grand += 1
-                    if ends is not None:
-                        ends[end] = ends.get(end, 0) + 1
-            below += grand
-            budget[0] -= 1 + grand
-            if budget[0] < 0:
-                raise BudgetExceededError(budget[1], budget[1] - budget[0])
-        counts[nxt_level] += found
-        counts[depth] += below
-        return
-    for delta in deltas:
-        nxt = head + delta
-        if nxt not in occupied:
-            found += 1
-            if nxt_level < depth:
-                occupied.add(nxt)
-                _count_depths(nxt, nxt_level, depth, occupied, deltas, budget,
-                              counts, ends)
-                occupied.discard(nxt)
-            elif ends is not None:
-                ends[nxt] = ends.get(nxt, 0) + 1
-    counts[nxt_level] += found
-    budget[0] -= found
-    if budget[0] < 0:
-        raise BudgetExceededError(budget[1], budget[1] - budget[0])
+    last = depth + (pos_depth or 0)
+    # int64 holds any number of walks a search can visit
+    tally = np.zeros((len(tasks), last + 1), dtype=np.int64)
+    moves = np.array(deltas, dtype=dtype)
+
+    def step(rows: np.ndarray, owner: np.ndarray, level: int):
+        if level == depth and pos_depth is not None:
+            rows = rows[:, ::-1]
+        kids = rows[:, -1:] + moves
+        near = rows[:, -2::-2]
+        # a pass per column is several times faster while rows are short;
+        # one broadcast keeps long rows (a long prefix) to a few calls
+        if near.shape[1] <= len(near):
+            free = np.ones(kids.shape, dtype=bool)
+            for key in near.T:
+                free &= key[:, None] != kids
+        else:
+            free = (near[:, None, :] != kids[:, :, None]).all(axis=2)
+        found = free.sum(axis=1)
+        nodes = int(found.sum())
+        if nodes > budget[0]:
+            budget[0] = -1
+            raise BudgetExceededError(budget[1], budget[1] + 1)
+        budget[0] -= nodes
+        tally[:, level + 1] += np.bincount(owner, weights=found,
+                                           minlength=len(tasks)).astype(np.int64)
+        if level + 1 == last:
+            if ends is not None:
+                keys, hits = np.unique(kids[free], return_counts=True)
+                for key, hit in zip(keys.tolist(), hits.tolist()):
+                    ends[key] = ends.get(key, 0) + hit
+            return None
+        parent, code = np.nonzero(free)
+        children = np.empty((len(parent), rows.shape[1] + 1), dtype=dtype)
+        children[:, :-1] = rows[parent]
+        children[:, -1] = kids[parent, code]
+        return children, owner[parent]
+
+    def descend(rows: np.ndarray, owner: np.ndarray, level: int) -> None:
+        per = max(1, _SLICE_KEYS // ((rows.shape[1] + 1) * len(deltas)))
+        for lo in range(0, len(rows), per):
+            below = step(rows[lo:lo + per], owner[lo:lo + per], level)
+            if below is not None:
+                descend(*below, level + 1)
+
+    joining = defaultdict(list)
+    for idx, codes in enumerate(tasks):
+        if len(codes) < last:
+            joining[len(codes)].append(idx)
+    base = np.array(walk, dtype=dtype)
+    rows = owner = None
+    for level in range(min(joining, default=last), last):
+        if level in joining:
+            new_owner = np.array(joining[level], dtype=np.intp)
+            codes = np.array([tasks[i] for i in new_owner],
+                             dtype=np.intp).reshape(len(new_owner), level)
+            new = np.concatenate(
+                (np.broadcast_to(base, (len(codes), len(base))),
+                 np.cumsum(moves[codes], axis=1, dtype=dtype) + walk[-1]),
+                axis=1)
+            rows, owner = ((new, new_owner) if rows is None else
+                           (np.concatenate((rows, new)),
+                            np.concatenate((owner, new_owner))))
+        if rows is None:
+            continue
+        if len(rows) * (rows.shape[1] + 1) * len(deltas) > _SLICE_KEYS:
+            descend(rows, owner, level)
+            rows = owner = None
+        else:
+            below = step(rows, owner, level)
+            rows, owner = below if below is not None else (None, None)
+    return tally
 
 
 def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
@@ -277,30 +337,23 @@ def _stop(nxt: int) -> None:
 # prefix tasks, parallel reduction, checkpoints
 
 
-def _count_task(payload) -> tuple[list[int] | None, int]:
-    """Counts per depth below one prefix task and the nodes it charged; the
-    counts are None when it ran past the ``nodes_left`` it was given."""
-    deltas, blocked, head, level, depth, pos_head, pos_depth, nodes_left = payload
-    occupied, budget, codes = set(blocked), _budget(nodes_left), []
-    counts = [0] * ((depth if pos_head is None else pos_depth) + 1)
-
-    def count_positive(tip: int) -> None:  # below a finished negative side
-        counts[0] += 1
-        if pos_depth:
-            _count_depths(pos_head, 0, pos_depth, occupied, deltas, budget,
-                          counts)
-
+def _count_task(payload):
+    """(counts per depth, nodes charged) per task of one batch, as arrays,
+    and the nodes the batch charged; the arrays are None when the batch
+    ran past the ``nodes_left`` it was given."""
+    deltas, walk, dtype, tasks, depth, pos_depth, nodes_left = payload
+    budget = _budget(nodes_left)
     try:
-        if pos_head is None:
-            _count_depths(head, level, depth, occupied, deltas, budget, counts)
-        elif level == depth:
-            count_positive(head)
-        else:
-            _walk(head, depth - level, occupied, deltas, budget, codes, None,
-                  count_positive)
+        tally = _count_frontier(deltas, walk, tasks, depth, budget, dtype,
+                                pos_depth=pos_depth)
     except BudgetExceededError:
-        counts = None
-    return counts, nodes_left - budget[0]
+        return None, nodes_left - budget[0]
+    nodes = tally.sum(axis=1)
+    if pos_depth is None:
+        return (tally, nodes), nodes_left - budget[0]
+    counts = tally[:, depth:]  # counts[:, 0] holds the full negative sides
+    counts[:, 0] += [len(codes) == depth for codes in tasks]  # tasks too
+    return (counts, nodes), nodes_left - budget[0]
 
 
 def _load_checkpoint(path: str | None, signature: str) -> dict:
@@ -334,54 +387,58 @@ def _signature(*parts) -> str:
     return hashlib.sha256(repr((_SPLIT_DEPTH, *parts)).encode()).hexdigest()[:16]
 
 
-def _run_engine(deltas, blocked, head: int, depth: int, *,
-                pos_head: int | None = None, pos_depth: int = 0,
+def _run_engine(deltas, walk: tuple, head: int, depth: int, *, dtype,
+                pos_depth: int | None = None,
                 prefix_len: int = 0, reduced: bool = False, workers: int = 1,
                 node_budget: int | None = None,
                 checkpoint_path: str | None = None,
                 signature: str = "") -> tuple[dict[tuple, list[int]], int]:
     """Counts per depth, keyed by their first ``prefix_len`` step codes,
     and the nodes charged: counts[key][j] is the number of j-step
-    extensions of ``head`` that start with ``key`` or, with ``pos_head``
-    set, of pairs of a full ``depth``-step negative side starting with
-    ``key`` and a j-step positive side.
+    extensions of ``walk``, the keys of a walk ending at ``head``, that
+    start with ``key``.  With ``pos_depth`` set, it is the number of pairs
+    of a full ``depth``-step negative side extending ``walk`` and starting
+    with ``key``, and a j-step positive side from ``walk``'s first key.
 
     The first max(``_SPLIT_DEPTH``, ``prefix_len``) levels, at most
     ``depth``, are walked here (one-sided counts up to the split come from
-    this walk) and cut into prefix tasks, run in-process when
-    ``workers == 1`` and otherwise on a pool of this call's own.
+    this walk) and cut into prefix tasks.  ``_count_frontier`` counts
+    below them on keys of ``dtype``, in batches run in-process when
+    ``workers == 1`` and otherwise on a pool of this call's own: one task
+    per batch when a checkpoint is kept, so that a stopped count keeps its
+    finished tasks, and else the whole task list in one batch, or four
+    interleaved batches per worker on a pool.
 
     With ``reduced``, ``head`` is the tip of a first step along +e1 and
     only the first-turn-reduced tree is walked: the straight run along +e1
     to full depth, and below each of its vertices the turn to +e2, which
     stands for all 2(d-1) turns.  A key then names the walks that start
     with it up to that symmetry: a walk turning inside the key counts once
-    and one turning past it 2(d-1) times.  With ``pos_head`` set too, the
-    reduced tree is the negative side's, and ``pos_head`` must be fixed by
-    the symmetries (the origin).
+    and one turning past it 2(d-1) times.  With ``pos_depth`` set too, the
+    reduced tree is the negative side's, and ``walk`` must start at a
+    vertex the symmetries fix (the origin).
     """
     budget = _budget(node_budget)
     limit = budget[1]
     split = min(max(_SPLIT_DEPTH, prefix_len), depth)
-    size = (depth if pos_head is None else pos_depth) + 1
+    size = (depth if pos_depth is None else pos_depth) + 1
     counts: dict[tuple, list[int]] = defaultdict(lambda: [0] * size)
-    # (key, weight, blocked, head, level); a full-depth one-sided walk has
-    # nothing below it, so it is counted here and is no task
-    tasks = ([] if split or pos_head is None
-             else [((), 1, tuple(blocked), head, 0)])
-    codes, occupied = [], set(blocked)
+    # (key, weight, codes of the path from ``head``); a full-depth
+    # one-sided walk has nothing below it, so it is counted here and is no
+    # task
+    tasks = [] if split or pos_depth is None else [((), 1, ())]
+    codes, occupied = [], set(walk)
     weight = 1  # the walks each vertex below stands for
 
     def visit(nxt: int) -> bool:
-        if pos_head is None and len(codes) >= prefix_len:
+        if pos_depth is None and len(codes) >= prefix_len:
             counts[tuple(codes[:prefix_len])][len(codes)] += weight
         return True
 
     def leaf(nxt: int) -> None:  # one task below each split vertex
         visit(nxt)
-        if pos_head is not None or len(codes) < depth:
-            tasks.append((tuple(codes[:prefix_len]), weight, tuple(occupied),
-                          nxt, len(codes)))
+        if pos_depth is not None or len(codes) < depth:
+            tasks.append((tuple(codes[:prefix_len]), weight, tuple(codes)))
 
     visit(head)  # the empty extension
     if reduced:
@@ -404,37 +461,47 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
 
     done = _load_checkpoint(checkpoint_path, signature)
     charged = limit - budget[0] + sum(nodes for _, nodes in done.values())
-    todo = iter([i for i in range(len(tasks)) if i not in done])
+    todo = [i for i in range(len(tasks)) if i not in done]
+    many = (len(todo) if checkpoint_path is not None
+            else 1 if workers == 1 else 4 * workers)
+    batches = iter([todo[i::many] for i in range(min(many, len(todo)))])
 
-    def record(idx: int, task_counts: list[int] | None, used: int) -> int:
-        if task_counts is not None:
-            done[idx] = (task_counts, used)
-            if checkpoint_path is not None and len(done) % _CHECKPOINT_EVERY == 0:
-                _save_checkpoint(checkpoint_path, signature, done)
+    # (task indices, their counts per depth): the loaded and the finished
+    finished = [(list(done), [task_counts for task_counts, _ in done.values()])]
+
+    def record(batch: list[int], result, used: int) -> int:
+        if result is None:
+            return used
+        finished.append((batch, result[0]))
+        if checkpoint_path is not None:
+            for idx, *entry in zip(batch, *(part.tolist() for part in result)):
+                done[idx] = entry
+                if len(done) % _CHECKPOINT_EVERY == 0:
+                    _save_checkpoint(checkpoint_path, signature, done)
         return used
 
     pool = (ProcessPoolExecutor(max_workers=workers)
             if workers > 1 and len(done) < len(tasks) else None)
-    running: dict[Future, int] = {}
+    running: dict[Future, list[int]] = {}
     try:
         while True:
-            # each task gets the nodes left when it starts, and at most one
+            # each batch gets the nodes left when it starts, and at most one
             # per worker runs: a count that runs out stops after about one
             # budget per worker
             while charged <= limit and len(running) < workers:
-                idx = next(todo, None)
-                if idx is None:
+                batch = next(batches, None)
+                if batch is None:
                     break
-                payload = (deltas, *tasks[idx][2:], depth, pos_head,
-                           pos_depth, limit - charged)
+                payload = (deltas, walk, dtype, [tasks[i][2] for i in batch],
+                           depth, pos_depth, limit - charged)
                 if pool is None:
-                    charged += record(idx, *_count_task(payload))
+                    charged += record(batch, *_count_task(payload))
                 else:
-                    running[pool.submit(_count_task, payload)] = idx
+                    running[pool.submit(_count_task, payload)] = batch
             if not running:
                 break
-            finished, _ = wait(running, return_when=FIRST_COMPLETED)
-            for fut in finished:
+            ready, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in ready:
                 charged += record(running.pop(fut), *fut.result())
     finally:
         if pool is not None:
@@ -443,9 +510,19 @@ def _run_engine(deltas, blocked, head: int, depth: int, *,
         if checkpoint_path is not None:
             _save_checkpoint(checkpoint_path, signature, done)
         raise BudgetExceededError(limit, charged, checkpoint_path)
-    for idx, (task_counts, _) in done.items():
-        key, weight = tasks[idx][:2]
-        counts[key] = [a + weight * b for a, b in zip(counts[key], task_counts)]
+    order = [idx for batch, _ in finished for idx in batch]
+    if order:  # weight each task's counts and add them up per key
+        task_counts = np.concatenate([
+            np.asarray(part, dtype=np.int64).reshape(-1, size)
+            for _, part in finished])
+        weights = np.array([tasks[idx][1] for idx in order], dtype=np.int64)
+        weighted = task_counts * weights[:, None]
+        keys: dict[tuple, int] = {}
+        ids = np.array([keys.setdefault(tasks[idx][0], len(keys))
+                        for idx in order])
+        for key, kid in keys.items():
+            row = weighted[ids == kid].sum(axis=0).tolist()
+            counts[key] = [a + b for a, b in zip(counts[key], row)]
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return counts, charged
@@ -465,8 +542,8 @@ def _origin_counts(dimension: int, n: int, *, prefix_len: int = 0,
     width, origin_key, deltas = _pack_params(dimension, n)
     first = origin_key + deltas[0]
     counts, _ = _run_engine(
-        deltas, frozenset((origin_key, first)), first, n - 1,
-        prefix_len=prefix_len, reduced=True, workers=workers,
+        deltas, (origin_key, first), first, n - 1,
+        dtype=_key_dtype(dimension, width), prefix_len=prefix_len, reduced=True, workers=workers,
         node_budget=node_budget, checkpoint_path=checkpoint_path,
         # the layout tag keeps a checkpoint of another task list out
         signature=_signature(dimension, "plain", n, prefix_len, "first-turn"),
@@ -520,15 +597,16 @@ def endpoint_histogram(dimension: int, n: int, *,
         budget, codes, ends = _budget(node_budget), [], {}
         first = origin_key + deltas[0]
         occupied = {origin_key, first}
+        turns = []  # the codes of each turn off the straight run
         for nxt in _spine(first, n - 1, occupied, deltas, budget, codes):
-            level = len(codes) + 1
             if not codes[-1]:
                 continue  # the straight walks are added below
-            if level == n:
+            if len(codes) == n - 1:
                 ends[nxt] = ends.get(nxt, 0) + 1
             else:
-                _count_depths(nxt, level, n, occupied, deltas, budget,
-                              [0] * (n + 1), ends)
+                turns.append(tuple(codes))
+        _count_frontier(deltas, (origin_key, first), turns, n - 1, budget,
+                        _key_dtype(dimension, width), ends=ends)
         for delta in deltas:
             out[_unpack(origin_key + n * delta, dimension, width, n)] += 1
         # every image of a point at once: image[m, i] = signs[m, i] *
@@ -589,10 +667,10 @@ def count_extensions(dimension: int, n: int, prefix: Path, *,
         return cached
     anchored = prefix.re_anchored()
     width, origin_key, deltas = _pack_params(dimension, n)
-    blocked = frozenset(_pack(v, width, n) for v in anchored.vertices)
-    head = _pack(anchored.end, width, n)
+    walk = tuple(_pack(v, width, n) for v in anchored.vertices)
     counts, _ = _run_engine(
-        deltas, blocked, head, n - k, workers=workers,
+        deltas, walk, walk[-1], n - k, dtype=_key_dtype(dimension, width),
+        workers=workers,
         node_budget=node_budget, checkpoint_path=checkpoint_path,
         signature=_signature(dimension, "prefix", n, prefix.steps))
     value = counts[()][-1]
@@ -662,19 +740,16 @@ def count_two_sided(dimension: int, m: int, n: int,
     width, origin_key, deltas = _pack_params(dimension, extent)
     reduced = xi.neg_length == xi.pos_length == 0 < extent
     if reduced:
-        neg_head = origin_key + deltas[0]
-        blocked, pos_head = frozenset((origin_key, neg_head)), origin_key
+        walk = (origin_key, origin_key + deltas[0])
         neg_depth, pos_depth = (m - 1, n) if m >= n else (n - 1, m)
         layout = ("first-turn",)
-    else:
-        blocked = frozenset(_pack(v, width, extent) for v in xi.vertex_set)
-        neg_head = _pack(xi.neg.end, width, extent)
-        pos_head = _pack(xi.pos.end, width, extent)
+    else:  # the middle from its positive end to its negative end
+        walk = tuple(_pack(v, width, extent) for v in reversed(xi.vertices))
         neg_depth, pos_depth = m - xi.neg_length, n - xi.pos_length
         layout = ()
     counts, _ = _run_engine(
-        deltas, blocked, neg_head, neg_depth, pos_head=pos_head,
-        pos_depth=pos_depth, reduced=reduced, workers=workers,
+        deltas, walk, walk[-1], neg_depth,
+        dtype=_key_dtype(dimension, width), pos_depth=pos_depth, reduced=reduced, workers=workers,
         node_budget=node_budget, checkpoint_path=checkpoint_path,
         # the layout tag keeps a checkpoint of another task list out
         signature=_signature(dimension, "two_sided", m, n, key, *layout),

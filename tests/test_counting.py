@@ -6,6 +6,7 @@ import os
 import shutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sawlab import counting, reference
@@ -528,25 +529,20 @@ def test_checkpoint_of_the_unreduced_layout_is_ignored(tmp_path):
 
 
 def _record_entry_gaps(monkeypatch) -> set:
-    """depth - level at every call into ``_count_depths`` from outside it."""
-    gaps, kernel, nesting = set(), counting._count_depths, [0]
+    """depth - level of every task handed to ``_count_frontier``."""
+    gaps, kernel = set(), counting._count_frontier
 
-    def recorded(head, level, depth, *rest):
-        if not nesting[0]:
-            gaps.add(depth - level)
-        nesting[0] += 1
-        try:
-            kernel(head, level, depth, *rest)
-        finally:
-            nesting[0] -= 1
+    def recorded(deltas, walk, tasks, depth, *rest, **kwargs):
+        gaps.update(depth - len(codes) for codes in tasks)
+        return kernel(deltas, walk, tasks, depth, *rest, **kwargs)
 
-    monkeypatch.setattr(counting, "_count_depths", recorded)
+    monkeypatch.setattr(counting, "_count_frontier", recorded)
     return gaps
 
 
 def test_count_depths_at_every_gap_matches_oracle(monkeypatch):
-    # the kernel entered one level (a loop), two levels (inline) and three
-    # levels (one call, then inline) above its depth
+    # tasks one level (counted, never built), two levels and three levels
+    # above the kernel's depth
     gaps = _record_entry_gaps(monkeypatch)
     for codes, n_range in (((0,), range(5, 8)), ((0, 2), range(6, 9))):
         for n in n_range:
@@ -568,3 +564,74 @@ def test_count_depths_at_every_gap_matches_oracle(monkeypatch):
             assert value == reference.naive_count_with_prefix(
                 2, m, tuple(codes)), (m, codes)
     assert gaps == {1, 2, 3}
+
+
+def _kernel_below_one_step(monkeypatch) -> set:
+    """Cut counts into tasks after one step, so that ``_count_frontier``
+    counts walks too short for the usual split; returns the task gaps."""
+    monkeypatch.setattr(counting, "_SPLIT_DEPTH", 1)
+    return _record_entry_gaps(monkeypatch)
+
+
+@pytest.mark.parametrize("dimension, dtype",
+                         [(8, np.int64), (16, object), (20, object)])
+def test_frontier_keys_of_every_width(monkeypatch, dimension, dtype):
+    width = counting._pack_params(dimension, 4)[0]
+    assert counting._key_dtype(dimension, width) is dtype
+    gaps = _kernel_below_one_step(monkeypatch)
+    q = 2 * dimension  # every 4-step walk is self-avoiding but the squares
+    assert (count_saws(dimension, 4, table=CountTable(dimension))
+            == q * (q - 1) ** 3 - q * (q - 2))
+    assert gaps == {1, 2}
+
+
+@pytest.mark.parametrize("length, dtype", [(66, np.int32), (32767, np.int64)])
+def test_frontier_below_a_long_prefix(monkeypatch, length, dtype):
+    # three steps past a straight run reach back no further than three
+    # steps, so they escape it as they escape the straight (0, 0, 0)
+    n = length + 3
+    assert counting._key_dtype(2, counting._pack_params(2, n)[0]) is dtype
+    gaps = _kernel_below_one_step(monkeypatch)
+    assert (count_extensions(2, n, Path(2, bytes(length)), table=CountTable(2))
+            == reference.naive_count_with_prefix(2, 6, (0, 0, 0)))
+    assert gaps == {2}
+
+
+def test_sliced_frontier_matches_whole_and_oracles(monkeypatch):
+    middle = TwoSidedPath(validate([1], 2), validate([0, 2], 2))
+
+    def results():
+        return ([count_saws(d, n, table=CountTable(d))
+                 for d, n in ((2, 10), (3, 7))],
+                endpoint_histogram(2, 8, table=CountTable(2)),
+                prefix_histogram(2, 8, 3, table=CountTable(2)),
+                [count_two_sided(2, m, n, table=CountTable(2))
+                 for m, n in ((3, 3), (0, 6), (1, 5), (6, 4))],
+                count_two_sided(2, 3, 3, middle, table=CountTable(2)))
+
+    whole = results()
+    monkeypatch.setattr(counting, "_SLICE_KEYS", 8)  # one row per slice
+    assert results() == whole
+    plain, ends, prefixes, two_sided, with_middle = whole
+    assert plain == [A001411[10], C_N[3][7]]
+    walks = reference.naive_saws(2, 8)
+    assert ends == _naive_endpoints(2, 8)
+    tally = {}
+    for codes in walks:
+        tally[bytes(codes[:3])] = tally.get(bytes(codes[:3]), 0) + 1
+    assert prefixes == tally
+    assert two_sided[:3] == [reference.naive_count_two_sided(2, m, n)
+                             for m, n in ((3, 3), (0, 6), (1, 5))]
+    assert two_sided[3] == A001411[10]
+    assert with_middle == reference.naive_count_two_sided(
+        2, 3, 3, neg_prefix=(1,), pos_prefix=(0, 2))
+
+
+def test_endpoint_histogram_charges_the_reduced_tree():
+    nodes = _reduced_nodes(9)  # the tree count_saws(2, 9) walks
+    hist = endpoint_histogram(2, 9, table=CountTable(2), node_budget=nodes)
+    assert sum(hist.values()) == A001411[9]
+    with pytest.raises(BudgetExceededError) as err:
+        endpoint_histogram(2, 9, table=CountTable(2), node_budget=nodes - 1)
+    assert err.value.budget == nodes - 1
+    assert err.value.nodes > nodes - 1

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per seeded output of the samplers, the couplings, the
 escape-matrix fixed point and the Monte Carlo estimators, and per exact
-count (one-sided, under a prefix and two-sided), endpoint histogram, prefix
-histogram, exact mean pattern-density grid, fixed-point-against-marginal
-comparison and base table of the samplers.
+count (one-sided, under a prefix and two-sided, with keys of every width
+the count kernel takes), endpoint histogram, prefix histogram, exact mean
+pattern-density grid, fixed-point-against-marginal comparison and base
+table of the samplers.
 
 Two source trees draw the same streams exactly when this script prints the
 same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
@@ -162,6 +163,13 @@ def exact_counts() -> None:
         count_saws(d, n, table=table)
         emit(f"count_saws d={d} n=0..{n}",
              [table.get("plain", k) for k in range(n + 1)])
+    # keys of 64 bits and more: the n = 4 counts stop at the split, the
+    # n = 5 ones count below it
+    for d, n in ((8, 5), (16, 4), (16, 5), (20, 4), (20, 5)):
+        table = CountTable(d)
+        count_saws(d, n, table=table)
+        emit(f"count_saws d={d} n=0..{n}",
+             [table.get("plain", k) for k in range(n + 1)])
     for d, n in ((2, 12), (3, 9), (5, 6)):
         hist = endpoint_histogram(d, n, table=CountTable(d))
         emit(f"endpoint_histogram d={d} n={n}", sorted(hist.items()))
@@ -171,6 +179,11 @@ def exact_counts() -> None:
         emit(f"count_extensions d={d} n={n}",
              [count_extensions(d, n, validate(p, d), table=CountTable(d))
               for p in prefixes])
+    for length, free in ((66, 3), (66, 5), (32767, 3), (32767, 5)):
+        # straight prefixes whose keys need 32 and 64 bits
+        emit(f"count_extensions d=2 straight={length} n={length + free}",
+             count_extensions(2, length + free, Path(2, bytes(length)),
+                              table=CountTable(2)))
     for d, m, n in ((2, 6, 6), (3, 4, 4), (5, 3, 3)):
         # the empty middle with either side first, and an empty side
         emit(f"count_two_sided d={d} m={m} n={n}",
