@@ -12,8 +12,14 @@ bounds the total-variation distance of the shifted walks.
 One engine runs every coupling: it advances T trials together on packed
 vertex keys, with a walk held as a tuple of arms (one for a one-sided
 walk, negative and positive sides for a two-sided one), and decides
-escape with the samplers' ``_escapes_batch``.  ``run_one_sided_couplings``
-is that engine on one arm; ``run_one_sided_coupling`` and
+escape with the samplers' ``_escapes_batch``.  A round of proxy
+candidates is tested against both walks in one call, on the candidates
+stacked twice, and ``_first_accepted`` hands back the taken proxy's
+verdict, which says which walks it escapes, so the proxy is not tested
+again; a block whose proxy escapes both walks draws nothing more.  The
+two sides of a proxy share one draw while they have one length (see
+``sampling._first_accepted``).  ``run_one_sided_couplings`` is that
+engine on one arm; ``run_one_sided_coupling`` and
 ``run_two_sided_coupling`` are batches of one.
 """
 
@@ -27,8 +33,11 @@ import numpy as np
 from .errors import ImpossiblePrefixError
 from .counting import has_extension
 from .lattice import Path, TwoSidedPath
-from .sampling import (SamplerConfig, SawSampler, _escapes_batch,
+from .sampling import (SamplerConfig, SawSampler, _check_arms, _escapes_batch,
                        _first_accepted, _keys_from_codes, _radix_powers)
+
+# a proxy's verdict adds 1 when it escapes walk 0 and 2 when it escapes walk 1
+_WALK_BITS = np.array([[1], [2]], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,11 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     vertex keys, (2, T, L_j + 1) per arm, under the dimension's one
     packing: the starts are packed from their codes once, and each draw
     comes with its keys from ``_first_accepted``, so a translation is one
-    addition and no coordinates are built.
+    addition and no coordinates are built.  A proxy round sorts once for
+    both walks, and the taken proxy's verdict (1: it escapes walk 0, 2:
+    walk 1, 3: both) picks the walks that redraw; a two-sided start whose
+    sides are not self-avoiding or meet away from the origin raises
+    ``NotSelfAvoidingError`` before anything is drawn.
 
     Returns (blocks, step codes per arm as (2, T, L_j) uint8, success and
     resamples as (T, blocks) arrays).
@@ -197,6 +210,10 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
             start = np.frombuffer(steps, dtype=np.uint8)
             codes[j][w, :, :k] = start
             keys[j][w, :, :k + 1] = _keys_from_codes(sampler.dimension, start[None])
+    if len(lengths) > 1:  # a one-arm start is a ``Path``, self-avoiding by contract
+        # both walks' starts have the arm lengths of the first's
+        _check_arms(sampler.dimension, starts,
+                    [arm[:, 0, :len(steps) + 1] for arm, steps in zip(keys, starts[0])])
     success = np.empty((trials, len(blocks)), dtype=bool)
     resamples = np.empty((trials, len(blocks)), dtype=np.int64)
     for l, (a_prev, a_next) in enumerate(blocks):
@@ -204,28 +221,33 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
         heads = [arm[:, :, :h + 1] for arm, (h, _) in zip(keys, cuts)]
 
         def escapes_either(rows, tails):
-            return (_escapes_batch([h[0, rows] for h in heads], tails)
-                    | _escapes_batch([h[1, rows] for h in heads], tails))
+            # walk 0's heads over the candidates, then walk 1's: one sort
+            size = rows.size
+            ok = _escapes_batch([h[:, rows].reshape(2 * size, -1) for h in heads],
+                                [np.concatenate([t, t]) for t in tails])
+            ok = ok.view(np.uint8)
+            return ok[:size] | ok[size:] << 1  # bit w: the candidate escapes walk w
 
         draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
-        proxy, proxy_keys, resamples[:, l] = _first_accepted(
+        proxy, proxy_keys, resamples[:, l], escaped = _first_accepted(
             sampler, draw, trials, escapes_either)
-        hits = np.stack([_escapes_batch([h[w] for h in heads], proxy_keys)
-                         for w in (0, 1)])
-        walk, row = np.nonzero(~hits)  # at most one walk per row
-        own, own_keys, _ = _first_accepted(
+        for j, (h, c) in enumerate(cuts):
+            codes[j][:, :, h:c] = proxy[j][:, :c - h]
+            np.add(keys[j][:, :, h:h + 1], proxy_keys[j][:, 1:c - h + 1],
+                   out=keys[j][:, :, h + 1:c + 1])
+        success[:, l] = True
+        walk, row = np.nonzero((escaped & _WALK_BITS) == 0)  # at most one walk per row
+        if not row.size:
+            continue
+        own, own_keys, _, _ = _first_accepted(
             sampler, draw, row.size,
             lambda rows, tails: _escapes_batch(
                 [h[walk[rows], row[rows]] for h in heads], tails))
-        success[:, l] = True
         for j, (h, c) in enumerate(cuts):
-            step = np.stack([proxy[j][:, :c - h]] * 2)
-            tail = np.stack([proxy_keys[j][:, 1:c - h + 1]] * 2)
-            step[walk, row] = own[j][:, :c - h]
-            tail[walk, row] = own_keys[j][:, 1:c - h + 1]
-            codes[j][:, :, h:c] = step
-            keys[j][:, :, h + 1:c + 1] = keys[j][:, :, h:h + 1] + tail
-            success[:, l] &= (step[0] == step[1]).all(axis=1)
+            codes[j][walk, row, h:c] = own[j][:, :c - h]
+            keys[j][walk, row, h + 1:c + 1] = (keys[j][walk, row, h:h + 1]
+                                               + own_keys[j][:, 1:c - h + 1])
+            success[row, l] &= (own[j][:, :c - h] == proxy[j][row, :c - h]).all(axis=1)
     return blocks, codes, success, resamples
 
 
@@ -284,7 +306,9 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
     middles on [-k, k], sharing one (negative, positive) side pair per
     iteration; runs until the blocks cover max(m, n).
 
-    A side whose budget is exhausted contributes a length-0 draw.
+    A side whose budget is exhausted contributes a length-0 draw.  A
+    middle whose sides are not self-avoiding or meet away from the origin
+    raises ``NotSelfAvoidingError`` before anything is drawn.
     """
     k = start1.neg_length
     if {start1.neg_length, start1.pos_length, start2.neg_length,

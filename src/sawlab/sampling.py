@@ -21,8 +21,16 @@ per-draw call is a batch of one.  The
 conditioned draws (escaping a prefix, extending a two-sided middle) and
 the couplings reject such draws with one packed-key escape test,
 ``_escapes_batch``, on walks made of one arm (one-sided) or two (the
-negative and positive sides).  Only the mean-square displacement in
-``patterns.scalar_estimators`` unpacks walks to coordinates.
+negative and positive sides).  Their rejection rounds run in
+``_first_accepted``: the arms of one length (two sides with as many steps
+left) share one draw per round, cut by position, which stays exact
+because how many walks a draw holds depends only on accept/reject
+indicators; and the condition's verdict on each taken candidate comes
+back with it, so a coupling learns which walks its proxy escapes from the
+round's own sort.  A two-sided middle whose sides are not self-avoiding
+or meet away from the origin is refused before anything is drawn.  Only
+the mean-square displacement in ``patterns.scalar_estimators`` unpacks
+walks to coordinates.
 
 Streams come from a counter-based Philox generator; distinct
 ``stream_id`` values (and any extra derivation key parts) give
@@ -43,7 +51,8 @@ from .errors import (
     NoEscaperExistsError,
     RejectionBudgetExceededError,
 )
-from .lattice import Path, TwoSidedPath, empty_two_sided
+from .lattice import (Path, TwoSidedPath, empty_two_sided, validate,
+                      validate_two_sided)
 
 
 # rejected pairs per walk asked for at which a dimerization level gives up
@@ -233,6 +242,20 @@ def _escapes_batch(heads, tails) -> np.ndarray:
     return _rows_distinct(np.concatenate(parts, axis=1))
 
 
+def _check_arms(dimension: int, walks, keys) -> None:
+    """Refuse walks whose arms do not make one self-avoiding walk: walk p
+    has arms with step codes ``walks[p]`` and packed vertex keys
+    ``keys[j][p]``, all from the origin, and passes when its arms hold
+    distinct keys (the origin once).  One sort decides; the lattice's own
+    checks, run on a failing walk's step codes, raise
+    ``NotSelfAvoidingError`` with its position."""
+    joined = np.concatenate([keys[0]] + [arm[:, 1:] for arm in keys[1:]],
+                            axis=1)
+    for arms, ok in zip(walks, _rows_distinct(joined)):
+        if not ok:  # a side revisits a vertex, or the two sides meet
+            validate_two_sided(*[validate(steps, dimension) for steps in arms])
+
+
 def _rows_distinct(keys: np.ndarray) -> np.ndarray:
     """True where a row of ``keys`` holds no key twice; sorts ``keys`` in
     place and compares neighbours."""
@@ -252,60 +275,93 @@ def _joined(first, second):
     return np.concatenate([c1, c2], axis=1), keys
 
 
+@lru_cache(maxsize=None)
+def _arm_groups(lengths: tuple[int, ...]):
+    """Arms grouped by length for shared draws: (length, number of arms)
+    per distinct length in order of first use, and per arm (its group,
+    its place among the group's arms)."""
+    order = list(dict.fromkeys(lengths))
+    return (tuple((n, lengths.count(n)) for n in order),
+            tuple((order.index(n), lengths[:j].count(n))
+                  for j, n in enumerate(lengths)))
+
+
 def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
                     count: int, accept):
     """For each of ``count`` rows, the first of i.i.d. candidates (one
     uniform walk per arm, of the given ``lengths``) that
     ``accept(rows, keys)`` takes: (codes per arm, vertex keys per arm,
-    rejections, the number of candidates rejected before the taken one).
+    rejections, verdicts), where a row's rejections are the candidates it
+    rejected before the taken one and its verdict is what ``accept`` said
+    of the taken one.
 
-    Each round gives every waiting row a run of ``per`` candidates, row r
-    of the waiting rows taking candidates r*per .. r*per+per-1 of each
-    arm's draw, and ``accept`` gets the row of each candidate (so a row
-    repeats ``per`` times) and, per arm, the candidates' packed vertex keys,
-    and returns a mask of the candidates it takes.  ``per`` starts at 1 and
-    doubles each round, below a row's budget (a row that rejects
-    ``max_rejections`` candidates raises) and a cap on the round's size.
-    Each arm's draw keeps the spare walks its last dimerization round
-    accepted, and a round uses every full run the arms hold.
+    Each round gives every waiting row a run of ``per`` candidates, and
+    ``accept`` gets the row of each candidate (so a row repeats ``per``
+    times) and, per arm, the candidates' packed vertex keys.  It returns
+    one verdict per candidate, as bool or uint8: zero rejects, anything
+    else takes, and the taken verdicts come back as uint8, so a caller can
+    learn more of a taken candidate than that it was taken (the couplings
+    learn which walks it escapes) without testing it again.  ``per``
+    starts at 1 and doubles each round, below a row's budget (a row that
+    rejects ``max_rejections`` candidates raises) and a cap on the round's
+    size.
 
-    Exactness: a row's candidates are i.i.d. uniform, and how many a row
-    gets depends only on earlier rounds and on accept/reject indicators
-    inside ``_draw_batch``, never on the values of the walks the row
-    receives; so the first candidate it accepts follows exactly the
-    conditioned law, as with one candidate per round."""
+    The k arms of one length share one draw of k * rows * per walks (more
+    with the spare walks its last dimerization round accepted), and arm i
+    of that length takes walks i*rows*per .. (i+1)*rows*per-1 of it, row r
+    of the waiting rows taking the arm's candidates r*per .. r*per+per-1.
+    A round uses every full run the draws hold.
+
+    Exactness: a row's candidates are i.i.d. uniform, on every arm and
+    across arms, because the walks of one draw are, and how many walks a
+    draw holds, and so which positions feed which arm and row, depends only
+    on earlier rounds and on accept/reject indicators inside
+    ``_draw_batch``, never on the values of the walks; so the first
+    candidate a row accepts follows exactly the conditioned law, as with
+    one candidate per round and one draw per arm."""
+    groups, slots = _arm_groups(lengths)
     codes = [np.empty((count, n), dtype=np.uint8) for n in lengths]
     keys = [np.empty((count, n + 1), dtype=np.int64) for n in lengths]
     rejections = np.zeros(count, dtype=np.int64)
+    verdicts = np.empty(count, dtype=np.uint8)
     budget = max(1, sampler.cfg.max_rejections)
     pending = np.arange(count)
     used = 0  # candidates each pending row has been given, all rejected
     per = 1
     while pending.size:
         rows = pending.size
-        drawn = [sampler._draw_batch(n, rows * per, spare=True) for n in lengths]
-        drawn_codes = [arm_codes for arm_codes, _ in drawn]
-        drawn_keys = [arm_keys for _, arm_keys in drawn]
-        if per == 1 and all(len(arm_codes) == rows for arm_codes in drawn_codes):
-            pick = hit = accept(pending, drawn_keys)
+        size = rows * per
+        drawn = [sampler._draw_batch(n, k * size, spare=True) for n, k in groups]
+        held = min([len(c) // k for (c, _), (_, k) in zip(drawn, groups)])
+        if held != size:  # spare walks: use every full run the draws hold
+            per = min(held // rows, budget - used)
+            size = rows * per
+        drawn_codes = [drawn[g][0][i * size:(i + 1) * size] for g, i in slots]
+        drawn_keys = [drawn[g][1][i * size:(i + 1) * size] for g, i in slots]
+        verdict = accept(pending if per == 1 else pending.repeat(per), drawn_keys)
+        if per == 1:
+            if not used and np.count_nonzero(verdict) == rows:
+                # every row took its first candidate: the draws are the result
+                return drawn_codes, drawn_keys, rejections, verdict.view(np.uint8)
+            pick = hit = verdict.astype(bool)
             first = 0
         else:
-            per = min(min(map(len, drawn_codes)) // rows, budget - used)
-            drawn_codes = [arm_codes[:rows * per] for arm_codes in drawn_codes]
-            drawn_keys = [arm_keys[:rows * per] for arm_keys in drawn_keys]
-            ok = accept(pending.repeat(per), drawn_keys).reshape(rows, per)
+            ok = verdict.astype(bool).reshape(rows, per)
             first = ok.argmax(axis=1)  # a row's first taken candidate, if any
-            pick = first + np.arange(0, rows * per, per)
+            pick = first + np.arange(0, size, per)
             hit = ok.ravel().take(pick)
+            if not used and np.count_nonzero(hit) == rows:
+                # every row took a candidate of its first run: return the picks
+                return ([arm_codes.take(pick, axis=0) for arm_codes in drawn_codes],
+                        [arm_keys.take(pick, axis=0) for arm_keys in drawn_keys],
+                        first, verdict.view(np.uint8).take(pick))
             first, pick = first[hit], pick[hit]
         taken = pending[hit]
-        if not used and per == 1 and taken.size == count:
-            # every row took its first candidate: the draws are the result
-            return drawn_codes, drawn_keys, rejections
         if taken.size:
             for j in range(len(lengths)):
                 codes[j][taken] = drawn_codes[j][pick]
                 keys[j][taken] = drawn_keys[j][pick]
+            verdicts[taken] = verdict[pick]
         rejections[taken] = used + first
         pending = pending[~hit]
         used += per
@@ -315,7 +371,7 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
             # a round holds at most ~4e6 vertex keys
             cap = 4_000_000 // (pending.size * (sum(lengths) + len(lengths)))
             per = min(2 * per, budget - used, max(1, cap))
-    return codes, keys, rejections
+    return codes, keys, rejections, verdicts
 
 
 @dataclass
@@ -363,7 +419,9 @@ class SawSampler:
                   middle: TwoSidedPath | None = None) -> TwoSidedPath:
         """Exact two-sided walk with side lengths (m, n) extending ``middle``
         (empty by default): independent uniform side extensions, negative
-        first, rejected until the sides meet only at the origin."""
+        first, rejected until the sides meet only at the origin.  A middle
+        whose sides are not self-avoiding or meet away from the origin
+        raises ``NotSelfAvoidingError`` before anything is drawn."""
         middle = middle or empty_two_sided(self.dimension)
         if middle.neg_length > m or middle.pos_length > n:
             raise ValueError(
@@ -410,7 +468,9 @@ class SawSampler:
         head_keys = [_keys_from_codes(self.dimension,
                                       np.frombuffer(h, dtype=np.uint8)[None])
                      for h in heads]
-        codes, _, rejections = _first_accepted(
+        if len(heads) > 1:  # a one-arm head is a ``Path``, self-avoiding by contract
+            _check_arms(self.dimension, (heads,), head_keys)
+        codes, _, rejections, _ = _first_accepted(
             self, lengths, 1,
             lambda rows, tails: _escapes_batch(
                 head_keys if rows.size == 1

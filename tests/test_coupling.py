@@ -1,5 +1,6 @@
 """Coupling construction, schedules, marginal preservation, decay stats."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,100 @@ def test_two_sided_one_block_success_matches_enumeration():
         succ += trace.records[0].success
     sigma = (exact * (1 - exact) / trials) ** 0.5
     assert abs(succ / trials - exact) <= 4 * sigma
+
+
+def _two_sided_support(d, m, n, middle):
+    support = []
+    for neg in enumerate_paths(d, m, prefix=middle.neg):
+        for pos in enumerate_paths(d, n, prefix=middle.pos):
+            if _extends_two_sided(d, neg, pos, b"", b""):
+                support.append((neg, pos))
+    return {key: i for i, key in enumerate(support)}
+
+
+def test_two_sided_coupling_marginals_match_enumeration():
+    # each output is uniform over the two-sided walks extending its middle,
+    # whether it took the shared proxy or its own redraw
+    d, m, n, trials = 2, 3, 3, 3000
+    middles = (TwoSidedPath(validate([1], d), validate([0], d)),
+               TwoSidedPath(validate([1], d), validate([2], d)))
+    sched = CouplingSchedule.geometric(1, 3)
+    sampler = SawSampler(d, SamplerConfig(seed=211))
+    indexes = [_two_sided_support(d, m, n, middle) for middle in middles]
+    counts = [np.zeros(len(index)) for index in indexes]
+    failures = 0
+    for _ in range(trials):
+        trace = run_two_sided_coupling(d, m, n, *middles, sched, sampler=sampler)
+        failures += not trace.all_successful()
+        for walk, index, tally in zip((trace.walk1, trace.walk2), indexes, counts):
+            tally[index[(walk.neg.steps, walk.pos.steps)]] += 1
+    assert failures  # the walks' own redraws are exercised
+    for tally in counts:
+        expected = trials / tally.size
+        statistic = float(((tally - expected) ** 2 / expected).sum())
+        assert statistic <= stats.chi2.isf(1e-3, tally.size - 1)
+
+
+@pytest.mark.parametrize("neg, pos", [
+    pytest.param([0, 2], [0, 3], id="sides-meet"),
+    pytest.param([1, 0], [2, 2], id="neg-side-reverses"),
+])
+def test_two_sided_coupling_refuses_an_invalid_middle_at_once(neg, pos):
+    # the constructor trusts its sides; the coupling must refuse them before
+    # it draws, not reject proxies until the budget runs out
+    good = TwoSidedPath(validate([1, 1], 2), validate([0, 0], 2))
+    bad = TwoSidedPath(Path(2, bytes(neg)), Path(2, bytes(pos)))
+    sched = CouplingSchedule.geometric(2, 8)
+    for start1, start2 in ((good, bad), (bad, good)):
+        start = time.perf_counter()
+        with pytest.raises(NotSelfAvoidingError):
+            run_two_sided_coupling(2, 8, 8, start1, start2, sched,
+                                   SamplerConfig(seed=5))
+        assert time.perf_counter() - start < 0.1
+
+
+def test_a_coupling_block_sorts_once_per_round(monkeypatch):
+    # the proxy's rounds test both walks in one sort of stacked rows, the
+    # taken proxy's verdicts are reused, and a block whose proxy escapes
+    # both walks draws no redraw
+    import sawlab.coupling as coupling
+
+    sorts, rounds, calls = [], [], []
+    escapes, first_accepted = coupling._escapes_batch, coupling._first_accepted
+
+    def sorted_once(heads, tails):
+        sorts.append(len(heads[0]))
+        return escapes(heads, tails)
+
+    def counted(sampler, lengths, count, accept):
+        calls.append(count)
+
+        def one_round(rows, tails):
+            before = len(sorts)
+            out = accept(rows, tails)
+            rounds.append((len(calls), rows.size, sorts[before:]))
+            return out
+        return first_accepted(sampler, lengths, count, one_round)
+
+    monkeypatch.setattr(coupling, "_escapes_batch", sorted_once)
+    monkeypatch.setattr(coupling, "_first_accepted", counted)
+    mid1 = TwoSidedPath(validate([1], 2), validate([0], 2))
+    mid2 = TwoSidedPath(validate([1], 2), validate([2], 2))
+    sched = CouplingSchedule.explicit(1, [12])  # one block
+    redraws = set()
+    for seed in range(30):
+        for log in (sorts, rounds, calls):
+            log.clear()
+        trace = run_two_sided_coupling(2, 12, 12, mid1, mid2, sched,
+                                       SamplerConfig(seed=seed))
+        assert calls in ([1], [1, 1])  # the proxy, then at most one redraw
+        redraws.add(len(calls))
+        assert len(sorts) == len(rounds)  # no sort outside a round
+        for call, size, made in rounds:
+            assert made == [2 * size if call == 1 else size]
+        if len(calls) == 1:
+            assert trace.all_successful()
+    assert redraws == {1, 2}
 
 
 @pytest.mark.parametrize("m, n", [(16, 16), (2, 5)])

@@ -1,5 +1,7 @@
 """Sampler exactness, reproducibility, acceptance-rate identity, budgets."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -366,7 +368,7 @@ def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
         given[:] = 0
         sampler = SawSampler(d, SamplerConfig(seed=seed, max_rejections=budget))
         try:
-            _, _, rejections = _first_accepted(
+            _, _, rejections, _ = _first_accepted(
                 sampler, lengths, rows, counted(_first_step_is_zero))
             assert (rejections < budget).all()
         except RejectionBudgetExceededError as exc:
@@ -380,7 +382,7 @@ def test_dimerization_levels_ignore_the_rejection_budget():
     # which a budget of one per walk must not count
     for seed in range(400):
         sampler = SawSampler(2, SamplerConfig(seed=seed, max_rejections=1))
-        _, _, rejections = _first_accepted(
+        _, _, rejections, _ = _first_accepted(
             sampler, (20, 3), 60, lambda p, t: np.ones(p.size, dtype=bool))
         assert not rejections.any()
 
@@ -394,7 +396,7 @@ def test_first_accepted_law_with_candidate_runs(d):
     lengths = (SamplerConfig().resolve_base_length(d) + 12, 3)
     draws = 4000
     sampler = SawSampler(d, SamplerConfig(seed=73))
-    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero)
+    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero)[:3]
     ones = [_first_accepted(sampler, lengths, 1, _first_step_is_zero)
             for _ in range(draws)]
     ones = ([np.concatenate([one[0][j] for one in ones]) for j in (0, 1)],
@@ -445,6 +447,98 @@ def test_two_sided_extending_a_middle_law():
         ts = sampler.two_sided(m, n, middle)
         counts[index[(ts.neg.steps, ts.pos.steps)]] += 1
     assert chi_square_uniform(counts, draws)
+
+
+def test_two_sided_unequal_arms_law():
+    # remaining arms of 1 and 2 steps: one draw per arm, no shared draw
+    d, m, n, draws = 2, 2, 3, 12_000
+    middle = TwoSidedPath(validate([1], d), validate([2], d))
+    support = []
+    for neg in enumerate_paths(d, m, prefix=middle.neg):
+        for pos in enumerate_paths(d, n, prefix=middle.pos):
+            try:
+                validate_two_sided(Path(d, neg), Path(d, pos))
+            except NotSelfAvoidingError:
+                continue
+            support.append((neg, pos))
+    index = {key: i for i, key in enumerate(support)}
+    sampler = SawSampler(d, SamplerConfig(seed=71))
+    counts = np.zeros(len(support))
+    for _ in range(draws):
+        ts = sampler.two_sided(m, n, middle)
+        counts[index[(ts.neg.steps, ts.pos.steps)]] += 1
+    assert chi_square_uniform(counts, draws)
+
+
+@pytest.mark.parametrize("neg, pos", [
+    pytest.param([0], [0], id="sides-meet"),
+    pytest.param([1, 2, 0, 3], [2], id="neg-side-returns-to-origin"),
+    pytest.param([1], [0, 1], id="pos-side-reverses"),
+])
+def test_two_sided_refuses_an_invalid_middle_at_once(neg, pos):
+    # the constructor trusts its sides; the sampler must refuse them before
+    # it draws, not reject candidates until the budget runs out
+    middle = TwoSidedPath(Path(2, bytes(neg)), Path(2, bytes(pos)))
+    sampler = SawSampler(2, SamplerConfig(seed=79))
+    start = time.perf_counter()
+    with pytest.raises(NotSelfAvoidingError):
+        sampler.two_sided(5, 5, middle)
+    assert time.perf_counter() - start < 0.1
+    fresh = SawSampler(2, SamplerConfig(seed=79))
+    assert sampler.uniform(12).steps == fresh.uniform(12).steps  # nothing drawn
+
+
+def test_equal_arms_share_one_draw_per_round(monkeypatch):
+    # arms of 15 > base_length steps in d=2; a quarter of the candidates
+    # are taken, so rows wait over several rounds
+    waits = 0
+    for rows in (1, 40):
+        sampler = SawSampler(2, SamplerConfig(seed=rows))
+        draw = sampler._draw_batch
+        top, rounds, depth = [], [], [0]
+
+        def spy(n, count, **kwargs):
+            if not depth[0]:  # the dimerization's own calls are not counted
+                top.append((n, count))
+            depth[0] += 1
+            try:
+                return draw(n, count, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counted(pending, tails):
+            rounds.append(pending.size)
+            return _first_step_is_zero(pending, tails)
+
+        monkeypatch.setattr(sampler, "_draw_batch", spy)
+        codes, keys, _, _ = _first_accepted(sampler, (15, 15), rows, counted)
+        waits += len(rounds) - 1
+        assert len(top) == len(rounds)
+        assert all(n == 15 and count % 2 == 0 for n, count in top)
+        assert top[0] == (15, 2 * rows)
+        assert (codes[0][:, 0] == 0).all()
+        for arm_codes, arm_keys in zip(codes, keys):
+            assert np.array_equal(arm_keys, _keys_from_codes(2, arm_codes))
+    assert waits  # some round left rows waiting
+
+
+def test_equal_arms_rejections_are_geometric():
+    # both 15-step arms must start with step code 0: p = 1/16 for
+    # independent arms, 1/4 were they one walk; batches of one often take
+    # their candidate from a first run of spare walks
+    p, draws = 1 / 16, 2000
+    sampler = SawSampler(2, SamplerConfig(seed=83))
+
+    def both(rows, tails):
+        return (tails[0][:, 1] == 1) & (tails[1][:, 1] == 1)
+
+    rejections = np.concatenate([_first_accepted(sampler, (15, 15), 1, both)[2]
+                                 for _ in range(draws)])
+    sigma = ((1 - p) / p ** 2 / draws) ** 0.5
+    assert abs(rejections.mean() - (1 - p) / p) <= 4 * sigma
+    # the first candidate is taken with probability p, wherever it came from
+    first = np.count_nonzero(rejections == 0) / draws
+    assert abs(first - p) <= 4 * (p * (1 - p) / draws) ** 0.5
 
 
 def test_two_sided_middle_longer_than_side_raises():

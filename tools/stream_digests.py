@@ -118,6 +118,15 @@ def per_draw(seed: int) -> None:
             walks += [sampler.two_sided(m, n, middle),
                       sampler.last_two_sided_attempts]
         emit(f"two_sided middle d={d} seed={seed}", walks)
+        # unequal arms only, on a fresh stream: arms of unequal lengths
+        # never share a draw
+        sampler = SawSampler(d, SamplerConfig(seed=seed))
+        walks = []
+        for m, n, mid in ((0, 5, None), (3, 7, None), (20, 4, None),
+                          (1, 4, middle), (16, 9, middle)):
+            walks += [sampler.two_sided(m, n, mid),
+                      sampler.last_two_sided_attempts]
+        emit(f"two_sided unequal d={d} seed={seed}", walks)
 
 
 def couplings(seed: int) -> None:
@@ -130,7 +139,10 @@ def couplings(seed: int) -> None:
         emit(f"estimate_decoupling_stats d={d} horizon={horizon} seed={seed}",
              batch.codes1, batch.codes2, batch.success, batch.resamples,
              [vars(row) for row in stats.decay + stats.tails])
+    # at unequal sides the arms' draws never have one length, so they
+    # never share a draw
     for d, middles, sides in ((2, ([1], [0], [1], [2]), (16, 16)),
+                              (2, ([1], [0], [1], [2]), (16, 9)),
                               (5, ([1], [0], [3], [4]), (12, 20))):
         start1 = TwoSidedPath(validate(middles[0], d), validate(middles[1], d))
         start2 = TwoSidedPath(validate(middles[2], d), validate(middles[3], d))
