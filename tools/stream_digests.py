@@ -13,12 +13,19 @@ same lines under both.  It imports ``sawlab`` from ``PYTHONPATH``:
     PYTHONPATH=/other/checkout/src python3 tools/stream_digests.py > old.txt
     diff old.txt new.txt
 
-Each line is ``<digest>  <output>``; the run takes a few seconds.
+Each line is ``<digest>  <output>``; the run takes a few seconds.  With
+``--check FILE`` nothing is printed but the lines that differ from FILE
+(lines starting with ``#`` there are comments): each is named as changed,
+missing or extra, and the script exits 1 if there is any.
+
+    PYTHONPATH=src python3 tools/stream_digests.py --check tests/stream_digests.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import sys
 
 import numpy as np
 
@@ -47,6 +54,7 @@ from sawlab import (
 from sawlab.sampling import _base_arrays
 
 SEEDS = (0, 1, 2)
+_LINES: dict[str, str] = {}  # output -> digest, in the order emitted
 
 
 def _encode(part) -> bytes:
@@ -67,7 +75,8 @@ def emit(label: str, *parts) -> None:
     for part in parts:
         data = _encode(part)
         h.update(len(data).to_bytes(8, "little") + data)
-    print(f"{h.hexdigest()}  {label}", flush=True)
+    assert label not in _LINES, label
+    _LINES[label] = h.hexdigest()
 
 
 def uniform_batches(seed: int) -> None:
@@ -246,7 +255,7 @@ def base_tables() -> None:
             emit(f"_base_arrays d={d} n={n}", *_base_arrays(d, n))
 
 
-def main() -> None:
+def emit_all() -> None:
     for seed in SEEDS:
         uniform_batches(seed)
         bottom_levels(seed)
@@ -260,5 +269,39 @@ def main() -> None:
     base_tables()
 
 
+def differences(golden: str) -> list[str]:
+    """One line per output whose digest differs from the ``golden`` text's:
+    changed, missing (in ``golden`` only) or extra (emitted only)."""
+    expected = {}
+    for line in golden.splitlines():
+        if line.strip() and not line.startswith("#"):
+            digest, label = line.split("  ", 1)
+            expected[label] = digest
+    out = [f"changed: {label} ({expected[label]} -> {digest})"
+           for label, digest in _LINES.items()
+           if label in expected and expected[label] != digest]
+    out += [f"missing: {label}" for label in expected if label not in _LINES]
+    out += [f"extra: {label}" for label in _LINES if label not in expected]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digests in FILE; print each "
+                             "differing line and exit 1 if there is any")
+    args = parser.parse_args(argv)
+    emit_all()
+    if args.check is None:
+        for label, digest in _LINES.items():
+            print(f"{digest}  {label}")
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        diff = differences(fh.read())
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
