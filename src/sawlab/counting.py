@@ -1,43 +1,41 @@
 """Exact enumeration and counting of self-avoiding walks.
 
-A vertex is a packed integer: each coordinate is offset into [0, 2L] and
-given a fixed bit field, so a step is one addition.  Packing is lossless
-because every reachable coordinate is bounded by the walk extent L.
+A vertex is a key sum(x_i * base**i), centred at the origin, so a step is
+one addition (``_moves``).  A count within distance L of the origin takes
+base 2L+1 and the narrowest signed dtype holding its keys (int16, int32 or
+int64; Python ints past int64); the samplers keep one fixed base.
 
-Two kernels do all the searching.  ``_count_frontier`` counts: it expands
-a batch of walks level by level on a numpy frontier, one row of occupied
-keys per walk with its tip last, and adds the walks of every depth below
-each walk with ``np.bincount``; the last level is counted, never built,
-and can be tallied by endpoint.  Its keys take the narrowest signed dtype
-that holds d bit fields (int16, int32 or int64), or Python ints past 63
-bits, and a frontier past ``_SLICE_KEYS`` keys is expanded depth-first in
-slices, so memory stays bounded at any length.  ``_walk`` visits: it keeps
-a set of occupied keys and calls one callback at every vertex it adds
-above the last level and another at the last level, in lexicographic
-order of the step codes; a false return from the first prunes below that
-vertex and an exception ends the search.
+One extend step (``_free_steps``, ``_grow``) builds every frontier: rows
+of keys, one walk per row with its tip last, extended by the 2d moves,
+each new tip compared only with the keys of opposite parity.  The count
+kernel ``_count_frontier`` expands batches of walks level by level and
+tallies the walks of every depth below each with ``np.bincount``; the
+last level is counted, never built, and can be tallied by endpoint or by
+pattern occurrence.  Frontiers past ``_SLICE_KEYS`` keys are expanded
+depth-first in slices, so memory stays bounded.  ``_frontiers`` builds
+levels with their step codes in lexicographic order, for a count's prefix
+split and ``enumerate_paths``; the samplers' base tables take the same
+step (``_extend``).  Only the early-exit searches (``has_extension``,
+``patterns.is_proper_internal_pattern``) walk depth-first in Python.
 
 Every condition-free pass from the origin (``count_saws``,
-``prefix_histogram``, ``endpoint_histogram`` and the pattern pass
-``patterns.exact_mean_density_grid``) walks only the first-turn-reduced
-tree: the first step is fixed to +e1 and the first step off the e1 axis
-to +e2, so each walk that turns stands for 2(d-1) walks and the straight
-walk for itself, on top of the 2d first steps.
-``_spine`` yields the straight run and the turn off each of its vertices;
-the kernels search below the turns.  An empty-middle two-sided count
-(``count_two_sided``) walks the negative side's reduced tree and every
+``prefix_histogram``, ``endpoint_histogram``,
+``patterns.exact_mean_density_grid``) walks the first-turn-reduced tree:
+the first step is fixed to +e1 and the first step off the e1 axis to +e2,
+so a walk that turns stands for 2(d-1) walks, on top of the 2d first
+steps; the straight row takes only codes 0 and 2.  An empty-middle
+``count_two_sided`` walks the negative side's reduced tree and every
 positive side below it.  Passes under a prefix, an endpoint or a nonempty
-two-sided middle walk their whole tree.
+middle walk their whole tree.
 
-A node is one vertex of the tree a pass walks.  A node budget charges one
-node for every vertex the kernels and the reduced tree's straight run add,
-the prefix walk that cuts a count into tasks included, so a count fits it
-or raises ``BudgetExceededError`` the same way serially, on a process pool
-or resumed from a checkpoint.  Each batch of prefix tasks starts with the
-nodes left at that moment, and a level that would overrun them charges one
-node past them and stops, so a count that runs out stops after about one
-budget per worker.  Counts are exact Python integers; optional checkpoints
-keep the counts and nodes of every finished prefix task.
+A node is one vertex of the tree a pass walks.  A node budget charges
+every vertex a frontier adds, the prefix split included, so a count fits
+it or raises ``BudgetExceededError`` the same way serially, on a process
+pool or resumed from a checkpoint.  Each batch of prefix tasks starts with
+the nodes left at that moment, and a level that would overrun them
+charges one node past them and stops, so a count that runs out stops
+after about one budget per worker.  Counts are exact Python integers;
+optional checkpoints keep the counts and nodes of every finished task.
 """
 
 from __future__ import annotations
@@ -51,12 +49,14 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import BudgetExceededError, CheckpointIgnoredWarning
 from .lattice import (Coords, LatticePoint, Path, TwoSidedPath,
-                      _first_turn_symmetries, empty_two_sided)
+                      _first_turn_symmetries, direction_vectors,
+                      empty_two_sided)
 
 _UNLIMITED = 1 << 62
 _SPLIT_DEPTH = 3  # prefix length at which a count is cut into tasks
@@ -120,32 +120,87 @@ def default_table(dimension: int) -> CountTable:
 
 
 # ---------------------------------------------------------------------------
-# packed-coordinate machinery
+# vertex keys and the extend step
 
 
-def _pack_params(dimension: int, extent: int):
-    """Bit layout for coordinates in [-extent, extent]."""
-    width = max(2, (2 * extent + 1).bit_length())
-    origin_key = 0
-    for axis in range(dimension):
-        origin_key |= extent << (axis * width)
-    deltas = []
-    for code in range(2 * dimension):
-        axis, sign = code // 2, 1 - 2 * (code % 2)
-        deltas.append(sign * (1 << (axis * width)))
-    return width, origin_key, tuple(deltas)
+@lru_cache(maxsize=256)
+def _moves(dimension: int, base: int) -> np.ndarray:
+    """The key move of each step code under keys sum(x_i * base**i): code
+    2a adds base**a, 2a+1 subtracts it.  Keys are injective on coordinates
+    with 2|x_i| + 1 <= base and lie within +-(base**dimension - 1) / 2, so
+    the moves take the narrowest signed dtype holding that (``object`` past
+    int64).  Shared, so read-only."""
+    span = base ** dimension
+    dtype = next((t for t in (np.int16, np.int32, np.int64)
+                  if span < 1 << np.iinfo(t).bits), object)
+    moves = np.array([sign * base ** axis for axis in range(dimension)
+                      for sign in (1, -1)], dtype=dtype)
+    moves.flags.writeable = False
+    return moves
 
 
-def _pack(coords: Coords, width: int, extent: int) -> int:
-    key = 0
-    for axis, c in enumerate(coords):
-        key |= (c + extent) << (axis * width)
-    return key
+def _walk_keys(moves, steps) -> tuple:
+    """The keys (Python ints) of the origin-anchored walk with step codes
+    ``steps``."""
+    return tuple(accumulate((int(moves[c]) for c in steps), initial=0))
 
 
-def _unpack(key: int, dimension: int, width: int, extent: int) -> Coords:
-    mask = (1 << width) - 1
-    return tuple(((key >> (axis * width)) & mask) - extent for axis in range(dimension))
+def _free_steps(rows: np.ndarray, moves: np.ndarray):
+    """(kids, free) for rows of keys, each a walk with its tip last:
+    kids[i, c] is row i's tip moved by step code c, and free where no key
+    of the row equals it.  Only keys an odd number of steps before the tip
+    are compared, as the others have the tip's parity."""
+    kids = rows[:, -1:] + moves
+    near = rows[:, -2::-2]
+    # a pass per column is several times faster while rows are short;
+    # one broadcast keeps long rows (a long prefix) to a few calls
+    if near.shape[1] <= len(near):
+        free = np.ones(kids.shape, dtype=bool)
+        for key in near.T:
+            free &= key[:, None] != kids
+    else:
+        free = (near[:, None, :] != kids[:, :, None]).all(axis=2)
+    return kids, free
+
+
+def _grow(rows: np.ndarray, kids: np.ndarray, free: np.ndarray):
+    """The free one-step extensions of ``rows`` (see ``_free_steps``) in
+    lexicographic order: (parent row, step code, keys) of each."""
+    parent, code = np.nonzero(free)  # row-major: parent, then code
+    children = np.empty((len(parent), rows.shape[1] + 1), dtype=rows.dtype)
+    children[:, :-1] = rows[parent]
+    children[:, -1] = kids[parent, code]
+    return parent, code, children
+
+
+def _extend(rows: np.ndarray, codes: np.ndarray, moves: np.ndarray,
+            budget: list | None = None, first_turn: bool = False):
+    """(keys, step codes) of every free one-step extension of the walks
+    ``rows``/``codes``, in lexicographic order when theirs is, charged to
+    ``budget`` if given.  With ``first_turn``, row 0 is the straight run
+    along +e1 of a first-turn-reduced tree: it goes on or turns to +e2."""
+    kids, free = _free_steps(rows, moves)
+    if first_turn and len(free):
+        free[0, 1] = free[0, 3:] = False
+    if budget is not None:
+        _charge(budget, int(np.count_nonzero(free)))
+    parent, code, rows = _grow(rows, kids, free)
+    grown = np.empty((len(parent), codes.shape[1] + 1), dtype=np.uint8)
+    grown[:, :-1] = codes[parent]
+    grown[:, -1] = code
+    return rows, grown
+
+
+def _frontiers(moves: np.ndarray, walk: tuple, levels: int,
+               budget: list | None = None, first_turn: bool = False):
+    """Yield the step codes (rows, j) of the walks j = 0 .. ``levels`` steps
+    past ``walk`` (its keys in order) in lexicographic order (``_extend``)."""
+    rows = np.array([walk], dtype=moves.dtype)
+    codes = np.zeros((1, 0), dtype=np.uint8)
+    yield codes
+    for _ in range(levels):
+        rows, codes = _extend(rows, codes, moves, budget, first_turn)
+        yield codes
 
 
 # ---------------------------------------------------------------------------
@@ -162,116 +217,118 @@ def _budget(node_budget: int | None = None) -> list:
     return [limit, limit]
 
 
-def _key_dtype(dimension: int, width: int):
-    """The narrowest signed numpy dtype holding every key below
-    2^(dimension * width); ``object`` (Python ints) past 63 bits."""
-    bits = dimension * width
-    for dtype in (np.int16, np.int32, np.int64):
-        if bits < np.iinfo(dtype).bits:
-            return dtype
-    return object
+def _charge(budget: list, nodes: int) -> None:
+    """Charge ``nodes`` to ``budget``; nodes that would overrun it charge
+    one node past it and raise."""
+    if nodes > budget[0]:
+        budget[0] = -1
+        raise BudgetExceededError(budget[1], budget[1] + 1)
+    budget[0] -= nodes
 
 
-def _count_frontier(deltas, walk: tuple, tasks, depth: int, budget: list,
-                    dtype, *, pos_depth: int | None = None,
-                    ends: dict | None = None) -> np.ndarray:
-    """tally[i, j]: the number of j-step extensions of ``walk`` below
-    task i, for j past the task's level.
+def _count_frontier(moves: np.ndarray, walk: tuple, tasks: np.ndarray,
+                    depth: int, budget: list, *, pos_depth: int | None = None,
+                    run: bool = False, ends: dict | None = None,
+                    windows: tuple | None = None) -> np.ndarray:
+    """tally[i, j]: the number of j-step extensions of ``walk`` below task
+    i, for j past the tasks' level, and in row len(tasks) (with ``run``)
+    of those that turn off the run.
 
-    ``walk`` holds the keys of a walk in order, and a task is the step
-    codes of a path from its tip; its level is its length.  Tasks are
-    expanded level by level on numpy frontiers, one row of keys per walk
-    with its tip last; a task's row joins the frontier at its level.  A
-    child (tip + step) is free when no key of its row equals it; only keys
-    an odd number of steps before the tip are compared, as the others have
-    the tip's parity.  The last level is counted, never built.  With
+    ``walk`` holds the keys of a walk in order, and the tasks, a (T, level)
+    array, the step codes of paths from its tip.  They are expanded level
+    by level, one row of keys per walk with its tip last (``_free_steps``);
+    the last level is counted, never built.  With ``run``, ``walk`` starts
+    at the origin and task 0 is the straight walk along +e1 of a
+    first-turn-reduced tree: on the negative side its row takes only codes
+    0 and 2, and the turn leaves the task for row len(tasks).  With
     ``pos_depth`` set, a row that reaches ``depth`` is a full negative
     side: read backwards, it ends at ``walk``'s first key, the positive
     side's head, and goes on ``pos_depth`` more levels from there.  With
-    ``ends`` given, ends[v] gains the number of last-level walks ending at
-    v.
+    ``ends``, ends[v] gains the number of last-level walks ending at v.
+    With ``windows`` = (ids, weights, k, totals), totals[i, j] gains the
+    occurrences in the walks of tally[i, j], where the window of k codes
+    (past ``walk``) with base-2d id ids[m], newest code last, occurs
+    weights[m] times; each row carries its newest window's id and its
+    running count.
 
     A frontier whose children could hold more than ``_SLICE_KEYS`` keys
-    is expanded depth-first in slices whose children hold at most about
-    that many, so memory stays bounded at any depth.  Each level charges
-    its free children to ``budget``; a level that would overrun it charges
-    one node past it and raises.
+    is expanded depth-first in slices of about that many, so memory stays
+    bounded at any depth.  Each level charges its free children to
+    ``budget`` (``_charge``).
     """
     last = depth + (pos_depth or 0)
+    count, level = tasks.shape
     # int64 holds any number of walks a search can visit
-    tally = np.zeros((len(tasks), last + 1), dtype=np.int64)
-    moves = np.array(deltas, dtype=dtype)
+    tally = np.zeros((count + 1, last + 1), dtype=np.int64)
+    q = len(moves)
+    if windows is not None:
+        ids, weights, k, totals = windows
+        shift = q ** (k - 1)  # a window's id less its oldest code
 
-    def step(rows: np.ndarray, owner: np.ndarray, level: int):
+        def occurring(win):
+            at = np.minimum(np.searchsorted(ids, win), len(ids) - 1)
+            return np.where(ids[at] == win, weights[at], 0)
+
+    def step(rows, owner, marks, level):
         if level == depth and pos_depth is not None:
             rows = rows[:, ::-1]
-        kids = rows[:, -1:] + moves
-        near = rows[:, -2::-2]
-        # a pass per column is several times faster while rows are short;
-        # one broadcast keeps long rows (a long prefix) to a few calls
-        if near.shape[1] <= len(near):
-            free = np.ones(kids.shape, dtype=bool)
-            for key in near.T:
-                free &= key[:, None] != kids
-        else:
-            free = (near[:, None, :] != kids[:, :, None]).all(axis=2)
+        kids, free = _free_steps(rows, moves)
+        on_run = run and q > 2 and level < depth and owner[0] == 0
+        if on_run:  # row 0 is the run: it goes on or turns to +e2
+            free[0, 1] = free[0, 3:] = False
+
+        def add(table, per_row, turn):  # the run's turn is row count's
+            table[:, level + 1] += np.bincount(owner, per_row, count + 1).astype(
+                np.int64)
+            if on_run:
+                table[[0, count], level + 1] += (-turn, turn)
+
         found = free.sum(axis=1)
-        nodes = int(found.sum())
-        if nodes > budget[0]:
-            budget[0] = -1
-            raise BudgetExceededError(budget[1], budget[1] + 1)
-        budget[0] -= nodes
-        tally[:, level + 1] += np.bincount(owner, weights=found,
-                                           minlength=len(tasks)).astype(np.int64)
+        _charge(budget, int(found.sum()))
+        add(tally, found, 1)
+        if windows is not None:
+            kid_win = (marks[0] % shift)[:, None] * q + np.arange(q)
+            kid_occ = marks[1][:, None] + occurring(kid_win) * (level + 1 >= k)
+            add(totals, (kid_occ * free).sum(axis=1), kid_occ[0, 2])
         if level + 1 == last:
             if ends is not None:
                 keys, hits = np.unique(kids[free], return_counts=True)
                 for key, hit in zip(keys.tolist(), hits.tolist()):
                     ends[key] = ends.get(key, 0) + hit
             return None
-        parent, code = np.nonzero(free)
-        children = np.empty((len(parent), rows.shape[1] + 1), dtype=dtype)
-        children[:, :-1] = rows[parent]
-        children[:, -1] = kids[parent, code]
-        return children, owner[parent]
+        parent, code, children = _grow(rows, kids, free)
+        heirs = owner[parent]
+        if on_run:
+            heirs[1] = count  # the turn is child 1, after the run's own
+        if windows is not None:
+            marks = (kid_win[parent, code], kid_occ[parent, code])
+        return children, heirs, marks
 
-    def descend(rows: np.ndarray, owner: np.ndarray, level: int) -> None:
-        per = max(1, _SLICE_KEYS // ((rows.shape[1] + 1) * len(deltas)))
+    def descend(rows, owner, marks, level) -> None:
+        per = max(1, _SLICE_KEYS // ((rows.shape[1] + 1) * q))
         for lo in range(0, len(rows), per):
-            below = step(rows[lo:lo + per], owner[lo:lo + per], level)
+            below = step(rows[lo:lo + per], owner[lo:lo + per],
+                         tuple(m[lo:lo + per] for m in marks), level)
             if below is not None:
                 descend(*below, level + 1)
 
-    joining = defaultdict(list)
-    for idx, codes in enumerate(tasks):
-        if len(codes) < last:
-            joining[len(codes)].append(idx)
-    base = np.array(walk, dtype=dtype)
-    rows = owner = None
-    for level in range(min(joining, default=last), last):
-        if level in joining:
-            new_owner = np.array(joining[level], dtype=np.intp)
-            codes = np.array([tasks[i] for i in new_owner],
-                             dtype=np.intp).reshape(len(new_owner), level)
-            new = np.concatenate(
-                (np.broadcast_to(base, (len(codes), len(base))),
-                 np.cumsum(moves[codes], axis=1, dtype=dtype) + walk[-1]),
-                axis=1)
-            rows, owner = ((new, new_owner) if rows is None else
-                           (np.concatenate((rows, new)),
-                            np.concatenate((owner, new_owner))))
-        if rows is None:
-            continue
-        if len(rows) * (rows.shape[1] + 1) * len(deltas) > _SLICE_KEYS:
-            descend(rows, owner, level)
-            rows = owner = None
-        else:
-            below = step(rows, owner, level)
-            rows, owner = below if below is not None else (None, None)
+    if count and level < last:
+        marks = ()
+        if windows is not None:  # the windows inside the tasks' own codes
+            win, occ = np.zeros((2, count), dtype=np.int64)
+            for j in range(level):
+                win = win % shift * q + tasks[:, j]
+                occ += occurring(win) * (j + 1 >= k)
+            marks = (win, occ)
+        descend(np.concatenate(
+            (np.broadcast_to(np.array(walk, dtype=moves.dtype),
+                             (count, len(walk))),
+             np.cumsum(moves[tasks], axis=1, dtype=moves.dtype) + walk[-1]),
+            axis=1), np.arange(count), marks, level)
     return tally
 
 
-def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
+def _walk(head: int, depth: int, occupied: set, moves, budget: list,
           codes: list, visit, leaf) -> None:
     """Pre-order visit of every extension of ``head`` by 1..depth steps.
 
@@ -284,8 +341,8 @@ def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
     and ``occupied`` as they stood when it was raised, so a caller may read
     the path to the visited vertex from ``codes``.
     """
-    for code, delta in enumerate(deltas):
-        nxt = head + delta
+    for code, move in enumerate(moves):
+        nxt = head + move
         if nxt in occupied:
             continue
         budget[0] -= 1
@@ -296,36 +353,9 @@ def _walk(head: int, depth: int, occupied: set, deltas, budget: list,
         if depth == 1:
             leaf(nxt)
         elif visit is None or visit(nxt):
-            _walk(nxt, depth - 1, occupied, deltas, budget, codes, visit, leaf)
+            _walk(nxt, depth - 1, occupied, moves, budget, codes, visit, leaf)
         occupied.discard(nxt)
         codes.pop()
-
-
-def _spine(head: int, depth: int, occupied: set, deltas, budget: list,
-           codes: list):
-    """The first-turn-reduced tree's straight run from ``head``, the tip of
-    a walk along +e1.
-
-    For each of ``depth`` levels this yields the turn to +e2 off the run's
-    tip (none in d=1) and then the run's next vertex along +e1, while
-    ``codes`` ends in the step to the yielded vertex and ``occupied`` holds
-    it; the run stays in both.  One node is charged per vertex yielded, so
-    the other 2(d-1) - 1 turns are never added or charged.
-    """
-    steps = (2, 0) if len(deltas) > 2 else (0,)
-    for _ in range(depth):
-        for code in steps:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError(budget[1], budget[1] - budget[0])
-            nxt = head + deltas[code]
-            codes.append(code)
-            occupied.add(nxt)
-            yield nxt
-            if code:
-                occupied.discard(nxt)
-                codes.pop()
-        head = nxt
 
 
 def _stop(nxt: int) -> None:
@@ -340,19 +370,23 @@ def _stop(nxt: int) -> None:
 def _count_task(payload):
     """(counts per depth, nodes charged) per task of one batch, as arrays,
     and the nodes the batch charged; the arrays are None when the batch
-    ran past the ``nodes_left`` it was given."""
-    deltas, walk, dtype, tasks, depth, pos_depth, nodes_left = payload
+    ran past the ``nodes_left`` it was given.  The walks turning off the
+    run are counted into the run's task 2(d-1) times (see
+    ``_count_frontier``)."""
+    moves, walk, tasks, depth, pos_depth, run, nodes_left = payload
     budget = _budget(nodes_left)
     try:
-        tally = _count_frontier(deltas, walk, tasks, depth, budget, dtype,
-                                pos_depth=pos_depth)
+        tally = _count_frontier(moves, walk, tasks, depth, budget,
+                                pos_depth=pos_depth, run=run)
     except BudgetExceededError:
         return None, nodes_left - budget[0]
-    nodes = tally.sum(axis=1)
+    nodes = tally[:-1].sum(axis=1)
+    nodes[0] += tally[-1].sum()
+    tally[0] += (len(moves) - 2) * tally[-1]
     if pos_depth is None:
-        return (tally, nodes), nodes_left - budget[0]
-    counts = tally[:, depth:]  # counts[:, 0] holds the full negative sides
-    counts[:, 0] += [len(codes) == depth for codes in tasks]  # tasks too
+        return (tally[:-1], nodes), nodes_left - budget[0]
+    counts = tally[:-1, depth:]  # counts[:, 0] holds the full negative sides
+    counts[:, 0] += tasks.shape[1] == depth  # the tasks too, when they are
     return (counts, nodes), nodes_left - budget[0]
 
 
@@ -383,81 +417,79 @@ def _save_checkpoint(path: str, signature: str, done: dict) -> None:
     os.replace(tmp, path)
 
 
+# the task layout of first-turn-reduced passes: the frontier's walks at the
+# split, in lexicographic order; the tag keeps a checkpoint of another
+# layout out
+_REDUCED_LAYOUT = "first-turn-lexicographic"
+
+
 def _signature(*parts) -> str:
     return hashlib.sha256(repr((_SPLIT_DEPTH, *parts)).encode()).hexdigest()[:16]
 
 
-def _run_engine(deltas, walk: tuple, head: int, depth: int, *, dtype,
-                pos_depth: int | None = None,
-                prefix_len: int = 0, reduced: bool = False, workers: int = 1,
+def _by_key(codes: np.ndarray, prefix_len: int, values: np.ndarray) -> dict:
+    """``values`` (one entry per row of ``codes``) summed per key, the
+    tuple of a row's first ``prefix_len`` codes."""
+    if not prefix_len:
+        return {(): values.sum(axis=0)}
+    keys, inverse = np.unique(codes[:, :prefix_len], axis=0,
+                              return_inverse=True)
+    sums = np.zeros((len(keys),) + values.shape[1:], dtype=values.dtype)
+    np.add.at(sums, inverse.ravel(), values)
+    return dict(zip(map(tuple, keys.tolist()), sums))
+
+
+def _run_engine(moves: np.ndarray, walk: tuple, depth: int,
+                pos_depth: int | None, *, prefix_len: int = 0,
+                reduced: bool = False, workers: int = 1,
                 node_budget: int | None = None,
                 checkpoint_path: str | None = None,
                 signature: str = "") -> tuple[dict[tuple, list[int]], int]:
     """Counts per depth, keyed by their first ``prefix_len`` step codes,
     and the nodes charged: counts[key][j] is the number of j-step
-    extensions of ``walk``, the keys of a walk ending at ``head``, that
-    start with ``key``.  With ``pos_depth`` set, it is the number of pairs
-    of a full ``depth``-step negative side extending ``walk`` and starting
-    with ``key``, and a j-step positive side from ``walk``'s first key.
+    extensions of ``walk`` (its keys under ``moves``, in order) that start
+    with ``key``.  With ``pos_depth`` set, it is the number of pairs of a
+    full ``depth``-step negative side extending ``walk`` and starting with
+    ``key``, and a j-step positive side from ``walk``'s first key.
 
     The first max(``_SPLIT_DEPTH``, ``prefix_len``) levels, at most
-    ``depth``, are walked here (one-sided counts up to the split come from
-    this walk) and cut into prefix tasks.  ``_count_frontier`` counts
-    below them on keys of ``dtype``, in batches run in-process when
-    ``workers == 1`` and otherwise on a pool of this call's own: one task
-    per batch when a checkpoint is kept, so that a stopped count keeps its
-    finished tasks, and else the whole task list in one batch, or four
-    interleaved batches per worker on a pool.
+    ``depth``, are built here (``_frontiers``; one-sided counts up to the
+    split come from them), and the walks of the last are the tasks, in
+    lexicographic order.  ``_count_frontier`` counts below them, in
+    batches run in-process when ``workers == 1`` and otherwise on a pool
+    of this call's own: one task per batch when a checkpoint is kept, so
+    that a stopped count keeps its finished tasks, and else the whole
+    task list in one batch, or four interleaved batches per worker.
 
-    With ``reduced``, ``head`` is the tip of a first step along +e1 and
-    only the first-turn-reduced tree is walked: the straight run along +e1
-    to full depth, and below each of its vertices the turn to +e2, which
-    stands for all 2(d-1) turns.  A key then names the walks that start
-    with it up to that symmetry: a walk turning inside the key counts once
-    and one turning past it 2(d-1) times.  With ``pos_depth`` set too, the
-    reduced tree is the negative side's, and ``walk`` must start at a
-    vertex the symmetries fix (the origin).
+    With ``reduced``, ``walk`` is the first step along +e1 from the origin
+    and only the first-turn-reduced tree is walked: the straight run (task
+    0) goes on or turns to +e2, which stands for all 2(d-1) turns.  A key
+    then names the walks that start with it up to that symmetry: a walk
+    turning inside the key counts once and one turning past it 2(d-1)
+    times.
     """
     budget = _budget(node_budget)
     limit = budget[1]
     split = min(max(_SPLIT_DEPTH, prefix_len), depth)
     size = (depth if pos_depth is None else pos_depth) + 1
     counts: dict[tuple, list[int]] = defaultdict(lambda: [0] * size)
-    # (key, weight, codes of the path from ``head``); a full-depth
-    # one-sided walk has nothing below it, so it is counted here and is no
-    # task
-    tasks = [] if split or pos_depth is None else [((), 1, ())]
-    codes, occupied = [], set(walk)
-    weight = 1  # the walks each vertex below stands for
+    levels = list(_frontiers(moves, walk, split, budget, reduced))
 
-    def visit(nxt: int) -> bool:
-        if pos_depth is None and len(codes) >= prefix_len:
-            counts[tuple(codes[:prefix_len])][len(codes)] += weight
-        return True
+    def weights(codes: np.ndarray) -> np.ndarray:
+        """The walks each row of ``codes`` stands for."""
+        if not reduced:
+            return np.ones(len(codes), dtype=np.int64)
+        past = codes.any(axis=1) & ~codes[:, :prefix_len].any(axis=1)
+        return np.where(past, len(moves) - 2, 1)
 
-    def leaf(nxt: int) -> None:  # one task below each split vertex
-        visit(nxt)
-        if pos_depth is not None or len(codes) < depth:
-            tasks.append((tuple(codes[:prefix_len]), weight, tuple(codes)))
-
-    visit(head)  # the empty extension
-    if reduced:
-        turns = len(deltas) - 2
-        for nxt in _spine(head, depth, occupied, deltas, budget, codes):
-            level = len(codes)
-            weight = turns if codes[-1] and level > prefix_len else 1
-            if not codes[-1]:
-                # the run's own children come from ``_spine``; its full-depth
-                # tip is a task when it still has a positive side below
-                (leaf if level == depth else visit)(nxt)
-            elif level < split:
-                visit(nxt)
-                _walk(nxt, split - level, occupied, deltas, budget, codes,
-                      visit, leaf)
-            else:
-                leaf(nxt)
-    elif split:
-        _walk(head, split, occupied, deltas, budget, codes, visit, leaf)
+    if pos_depth is None:
+        for level in range(prefix_len, split + 1):
+            for key, value in _by_key(levels[level], prefix_len,
+                                      weights(levels[level])).items():
+                counts[key][level] += int(value)
+    tasks = levels[split]
+    if split == depth and pos_depth is None:
+        tasks = tasks[:0]  # a full-depth one-sided walk has nothing below it
 
     done = _load_checkpoint(checkpoint_path, signature)
     charged = limit - budget[0] + sum(nodes for _, nodes in done.values())
@@ -492,8 +524,8 @@ def _run_engine(deltas, walk: tuple, head: int, depth: int, *, dtype,
                 batch = next(batches, None)
                 if batch is None:
                     break
-                payload = (deltas, walk, dtype, [tasks[i][2] for i in batch],
-                           depth, pos_depth, limit - charged)
+                payload = (moves, walk, tasks[batch], depth, pos_depth,
+                           reduced and batch[0] == 0, limit - charged)
                 if pool is None:
                     charged += record(batch, *_count_task(payload))
                 else:
@@ -515,14 +547,10 @@ def _run_engine(deltas, walk: tuple, head: int, depth: int, *, dtype,
         task_counts = np.concatenate([
             np.asarray(part, dtype=np.int64).reshape(-1, size)
             for _, part in finished])
-        weights = np.array([tasks[idx][1] for idx in order], dtype=np.int64)
-        weighted = task_counts * weights[:, None]
-        keys: dict[tuple, int] = {}
-        ids = np.array([keys.setdefault(tasks[idx][0], len(keys))
-                        for idx in order])
-        for key, kid in keys.items():
-            row = weighted[ids == kid].sum(axis=0).tolist()
-            counts[key] = [a + b for a, b in zip(counts[key], row)]
+        codes = tasks[order]
+        for key, row in _by_key(codes, prefix_len,
+                                task_counts * weights(codes)[:, None]).items():
+            counts[key] = [a + b for a, b in zip(counts[key], row.tolist())]
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return counts, charged
@@ -539,14 +567,12 @@ def _origin_counts(dimension: int, n: int, *, prefix_len: int = 0,
     first step fixed to +e1: counts[key][j] is the number of (j+1)-step
     walks that start with +e1 and then ``key`` up to the first-turn
     symmetry (see ``_run_engine``)."""
-    width, origin_key, deltas = _pack_params(dimension, n)
-    first = origin_key + deltas[0]
+    moves = _moves(dimension, 2 * n + 1)
     counts, _ = _run_engine(
-        deltas, (origin_key, first), first, n - 1,
-        dtype=_key_dtype(dimension, width), prefix_len=prefix_len, reduced=True, workers=workers,
-        node_budget=node_budget, checkpoint_path=checkpoint_path,
-        # the layout tag keeps a checkpoint of another task list out
-        signature=_signature(dimension, "plain", n, prefix_len, "first-turn"),
+        moves, (0, int(moves[0])), n - 1, None, prefix_len=prefix_len,
+        reduced=True, workers=workers, node_budget=node_budget,
+        checkpoint_path=checkpoint_path,
+        signature=_signature(dimension, "plain", n, prefix_len, _REDUCED_LAYOUT),
     )
     return counts
 
@@ -583,39 +609,36 @@ def endpoint_histogram(dimension: int, n: int, *,
                        node_budget: int | None = None) -> dict[Coords, int]:
     """Counts of n-step walks grouped by endpoint, from one reduced pass.
 
-    The pass walks the straight walk and, for each t, the walks that go t
-    steps along +e1 and then turn to +e2; each turning walk's endpoint is
+    The pass walks the first-turn-reduced tree (see ``_run_engine``): the
+    walks along +e1 that turn to +e2, cut into tasks at ``_SPLIT_DEPTH``
+    as counts are, and the straight walk.  Each turning walk's endpoint is
     spread over the 2d * 2(d-1) symmetries that send (+e1, +e2) to every
-    (first step, first turn) pair.
+    (first step, first turn) pair, and the 2d straight walks are added.
     """
     table = table or default_table(dimension)
-    width, origin_key, deltas = _pack_params(dimension, n)
     out: dict[Coords, int] = defaultdict(int)
     if n == 0:
         out[(0,) * dimension] = 1
     else:
-        budget, codes, ends = _budget(node_budget), [], {}
-        first = origin_key + deltas[0]
-        occupied = {origin_key, first}
-        turns = []  # the codes of each turn off the straight run
-        for nxt in _spine(first, n - 1, occupied, deltas, budget, codes):
-            if not codes[-1]:
-                continue  # the straight walks are added below
-            if len(codes) == n - 1:
-                ends[nxt] = ends.get(nxt, 0) + 1
-            else:
-                turns.append(tuple(codes))
-        _count_frontier(deltas, (origin_key, first), turns, n - 1, budget,
-                        _key_dtype(dimension, width), ends=ends)
-        for delta in deltas:
-            out[_unpack(origin_key + n * delta, dimension, width, n)] += 1
-        # every image of a point at once: image[m, i] = signs[m, i] *
+        for step in direction_vectors(dimension):
+            out[tuple(n * c for c in step)] += 1  # the straight walks
+    if n > 1:
+        moves = _moves(dimension, 2 * n + 1)
+        walk, budget, ends = (0, int(moves[0])), _budget(node_budget), {}
+        *_, tasks = _frontiers(moves, walk, min(_SPLIT_DEPTH, n - 2), budget,
+                               first_turn=True)
+        _count_frontier(moves, walk, tasks, n - 1, budget, run=True, ends=ends)
+        del ends[n * int(moves[0])]  # the straight walk's
+        # a key's coordinates are its balanced base-(2n+1) digits; every
+        # image of a point at once: image[m, i] = signs[m, i] *
         # point[perms[m, i]], as SignedPermutation.apply_point
+        base, half = 2 * n + 1, ((2 * n + 1) ** dimension - 1) // 2
         maps = _first_turn_symmetries(dimension)
         perms = np.array([g.perm for g in maps], dtype=np.intp).reshape(-1, dimension)
         signs = np.array([g.signs for g in maps], dtype=np.int64).reshape(-1, dimension)
         for key, value in ends.items():
-            point = np.array(_unpack(key, dimension, width, n))
+            point = np.array([(key + half) // base ** axis % base - n
+                              for axis in range(dimension)])
             for image in (point[perms] * signs).tolist():
                 out[tuple(image)] += value
     for coords, value in out.items():
@@ -665,12 +688,9 @@ def count_extensions(dimension: int, n: int, prefix: Path, *,
     cached = table.get("prefix", n, prefix.steps)
     if cached is not None:
         return cached
-    anchored = prefix.re_anchored()
-    width, origin_key, deltas = _pack_params(dimension, n)
-    walk = tuple(_pack(v, width, n) for v in anchored.vertices)
+    moves = _moves(dimension, 2 * n + 1)
     counts, _ = _run_engine(
-        deltas, walk, walk[-1], n - k, dtype=_key_dtype(dimension, width),
-        workers=workers,
+        moves, _walk_keys(moves, prefix.steps), n - k, None, workers=workers,
         node_budget=node_budget, checkpoint_path=checkpoint_path,
         signature=_signature(dimension, "prefix", n, prefix.steps))
     value = counts[()][-1]
@@ -693,13 +713,11 @@ def has_extension(dimension: int, extra_steps: int, prefix: Path) -> bool:
 def _has_extension(dimension: int, extra_steps: int, steps: bytes) -> bool:
     """``has_extension`` keyed on the prefix's step codes; its anchor plays
     no part."""
-    anchored = Path(dimension, steps)
-    extent = len(steps) + extra_steps
-    width, origin_key, deltas = _pack_params(dimension, extent)
-    occupied = {_pack(v, width, extent) for v in anchored.vertices}
-    head = _pack(anchored.end, width, extent)
+    moves = _moves(dimension, 2 * (len(steps) + extra_steps) + 1).tolist()
+    walk = _walk_keys(moves, steps)
     try:
-        _walk(head, extra_steps, occupied, deltas, _budget(), [], None, _stop)
+        _walk(walk[-1], extra_steps, set(walk), moves, _budget(), [], None,
+              _stop)
     except _Found:
         return True
     return False
@@ -736,22 +754,20 @@ def count_two_sided(dimension: int, m: int, n: int,
     cached = table.get("two_sided", m + n, key)
     if cached is not None:
         return cached
-    extent = m + n
-    width, origin_key, deltas = _pack_params(dimension, extent)
-    reduced = xi.neg_length == xi.pos_length == 0 < extent
+    moves = _moves(dimension, 2 * (m + n) + 1)
+    reduced = xi.neg_length == xi.pos_length == 0 < m + n
     if reduced:
-        walk = (origin_key, origin_key + deltas[0])
+        walk = (0, int(moves[0]))
         neg_depth, pos_depth = (m - 1, n) if m >= n else (n - 1, m)
-        layout = ("first-turn",)
+        layout = (_REDUCED_LAYOUT,)
     else:  # the middle from its positive end to its negative end
-        walk = tuple(_pack(v, width, extent) for v in reversed(xi.vertices))
+        walk = (_walk_keys(moves, xi.pos.steps)[::-1]
+                + _walk_keys(moves, xi.neg.steps)[1:])
         neg_depth, pos_depth = m - xi.neg_length, n - xi.pos_length
         layout = ()
     counts, _ = _run_engine(
-        deltas, walk, walk[-1], neg_depth,
-        dtype=_key_dtype(dimension, width), pos_depth=pos_depth, reduced=reduced, workers=workers,
+        moves, walk, neg_depth, pos_depth, reduced=reduced, workers=workers,
         node_budget=node_budget, checkpoint_path=checkpoint_path,
-        # the layout tag keeps a checkpoint of another task list out
         signature=_signature(dimension, "two_sided", m, n, key, *layout),
     )
     value = (2 * dimension if reduced else 1) * counts[()][-1]
@@ -762,21 +778,19 @@ def count_two_sided(dimension: int, m: int, n: int,
 def enumerate_paths(dimension: int, n: int, prefix: Path | None = None) -> list[bytes]:
     """All n-step walks (optionally with a forced prefix) as step codes.
 
-    Canonical order: lexicographic in direction codes, which is the
-    depth-first visiting order.
+    Canonical order: lexicographic in direction codes.  The walks are
+    built level by level past the prefix (``_frontiers``).
     """
-    if prefix is not None and len(prefix) > n:
+    steps = b"" if prefix is None else prefix.steps
+    if len(steps) > n:
         raise ValueError("prefix longer than requested length")
-    width, origin_key, deltas = _pack_params(dimension, n)
-    anchored = (prefix or Path(dimension)).re_anchored()
-    occupied = {_pack(v, width, n) for v in anchored.vertices}
-    codes = list(anchored.steps)
-    if len(codes) == n:
-        return [bytes(codes)]
-    acc: list[bytes] = []
-    _walk(_pack(anchored.end, width, n), n - len(codes), occupied, deltas,
-          _budget(), codes, None, lambda nxt: acc.append(bytes(codes)))
-    return acc
+    moves = _moves(dimension, 2 * n + 1)
+    *_, codes = _frontiers(moves, _walk_keys(moves, steps), n - len(steps))
+    full = np.empty((len(codes), n), dtype=np.uint8)
+    full[:, :len(steps)] = np.frombuffer(steps, dtype=np.uint8)
+    full[:, len(steps):] = codes
+    # a void view hands each row out as bytes at once
+    return full.view(f"V{n}").ravel().tolist() if n else [b""]
 
 
 def prefix_histogram(dimension: int, m: int, k: int, *,

@@ -1,11 +1,13 @@
 """Pattern-density statistics and scalar growth-rate estimators.
 
-Exact mean densities come from one pass over the first-turn-reduced tree
-(see ``counting``).  A turning walk w there stands for its images g w
-under the first-turn maps, and occ(g w, zeta) = occ(w, g^-1 zeta), so each
-window of w adds the number of maps whose preimage of the pattern it is.
-The straight run only carries its running count; the 2d straight walks
-are added in closed form.
+Exact mean densities come from one pass of the count kernel
+(``counting._count_frontier``) over the first-turn-reduced tree.  A
+turning walk w there stands for its images g w under the first-turn maps,
+and occ(g w, zeta) = occ(w, g^-1 zeta), so each window of w adds the
+number of maps whose preimage of the pattern it is.  Each row of the
+kernel's frontier carries the base-2d id of its last k codes and its
+running occurrence count, and the counts are tallied per depth.  The 2d
+straight walks are added in closed form.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (CountTable, _budget, _Found, _pack_params, _spine,
-                       _walk, count_saws, count_two_sided, default_table)
+from .counting import (CountTable, _budget, _count_frontier, _moves,
+                       _Found, _walk, count_saws, count_two_sided,
+                       default_table)
 from .errors import BudgetExceededError, NotSelfAvoidingError
 from .lattice import Path, TwoSidedPath, _first_turn_symmetries, validate
 from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
@@ -44,40 +47,28 @@ def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
     if pattern.dimension != dimension:
         raise ValueError("pattern dimension mismatch")
     table = table or default_table(dimension)
-    images = Counter(tuple(g.code_table.index(c) for c in pattern.steps)
-                     for g in _first_turn_symmetries(dimension))
-    width, origin_key, deltas = _pack_params(dimension, n_max)
-    # totals[n] and counts[n]: occurrences and reduced turning walks of length n
-    totals = [0] * (n_max + 1)
-    counts = [0] * (n_max + 1)
-    occ = [0] * (n_max + 1)  # occurrences along the current walk, per level
-    codes = [0]
-    budget = _budget()
-
-    def carry() -> int:
-        level = len(codes)
-        occ[level] = occ[level - 1] + images.get(tuple(codes[-k:]), 0)
-        return level
-
-    def visit(nxt: int) -> bool:
-        level = carry()
-        counts[level] += 1
-        totals[level] += occ[level]
-        return True
-
-    carry()
-    first = origin_key + deltas[0]
-    occupied = {origin_key, first}
-    for nxt in _spine(first, n_max - 1, occupied, deltas, budget, codes):
-        if not codes[-1]:
-            carry()  # the straight walks are added below
-        else:
-            visit(nxt)
-            if len(codes) < n_max:
-                _walk(nxt, n_max - len(codes), occupied, deltas, budget,
-                      codes, visit, visit)
+    maps = _first_turn_symmetries(dimension)
+    # counts[n] and totals[n]: reduced turning walks of length n and their
+    # occurrences; d=1 has none
+    counts = totals = [0] * (n_max + 1)
+    if maps:
+        q = 2 * dimension
+        if q ** k > 1 << 63:
+            raise ValueError(f"a pattern of {k} steps has window ids past 64 "
+                             "bits; its exact pass could not finish anyway")
+        # the base-q id of each preimage g^-1 zeta, newest code last: the
+        # windows of a reduced walk that add one occurrence per map
+        images = Counter(sum(g.code_table.index(c) * q ** (k - 1 - i)
+                             for i, c in enumerate(pattern.steps)) for g in maps)
+        ids, weights = np.array(sorted(images.items()), dtype=np.int64).T
+        totals = np.zeros((2, n_max + 1), dtype=np.int64)
+        tally = _count_frontier(_moves(dimension, 2 * n_max + 1), (0,),
+                                np.zeros((1, 1), dtype=np.uint8), n_max,
+                                _budget(), run=True,
+                                windows=(ids, weights, k, totals))
+        counts, totals = tally[1].tolist(), totals[1].tolist()
     # the number of maps, not of distinct images: each map is a walk
-    orbit = images.total()
+    orbit = len(maps)
     # a pattern of equal codes fits n-k+1 times in one straight walk
     straight = len(set(pattern.steps)) == 1
     out = {}
@@ -181,7 +172,7 @@ def is_proper_internal_pattern(dimension: int, pattern: Path, *,
     if tripled is not None and len(tripled) <= budget_length:
         return ProperPatternResult("yes", tripled)
 
-    width, origin_key, deltas = _pack_params(dimension, budget_length)
+    moves = _moves(dimension, 2 * budget_length + 1).tolist()
     target = list(pattern.steps)
     occ = [0] * (budget_length + 1)  # occurrences along the current walk
     codes: list[int] = []
@@ -196,8 +187,7 @@ def is_proper_internal_pattern(dimension: int, pattern: Path, *,
 
     try:
         if budget_length > 0:
-            _walk(origin_key, budget_length, {origin_key}, deltas, budget,
-                  codes, visit, visit)
+            _walk(0, budget_length, {0}, moves, budget, codes, visit, visit)
     except _Found:
         return ProperPatternResult("yes", Path(dimension, bytes(codes)),
                                    budget[1] - budget[0])

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import has_extension
+from .counting import _extend, _moves, has_extension
 from .errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
@@ -93,22 +93,15 @@ def derive_generator(cfg: SamplerConfig, extra_key: tuple[int, ...] = ()) -> np.
 def _base_arrays(dimension: int, n: int):
     """(codes, keys) arrays over all of SAW_n in canonical (lexicographic)
     order, shared between calls, so read-only: each walk of SAW_{n-1} is
-    extended by step codes 0 .. 2d-1 in order, dropping the extensions whose
-    new tip is already one of the walk's vertices."""
+    extended by step codes 0 .. 2d-1 in order (``counting._extend``, the
+    count kernel's step), dropping the extensions whose new tip is already
+    one of the walk's vertices."""
     if n == 0:
         codes = np.zeros((1, 0), dtype=np.uint8)
         keys = np.zeros((1, 1), dtype=np.int64)
     else:
         prev_codes, prev_keys = _base_arrays(dimension, n - 1)
-        tips = prev_keys[:, -1:] + _packing(dimension)[2]  # (rows, 2d)
-        fresh = ~(prev_keys[:, None, :] == tips[:, :, None]).any(axis=2)
-        parent, code = np.nonzero(fresh)  # row-major: parent, then code
-        codes = np.empty((parent.size, n), dtype=np.uint8)
-        codes[:, :-1] = prev_codes[parent]
-        codes[:, -1] = code
-        keys = np.empty((parent.size, n + 1), dtype=np.int64)
-        keys[:, :-1] = prev_keys[parent]
-        keys[:, -1] = tips[parent, code]
+        keys, codes = _extend(prev_keys, prev_codes, _packing(dimension)[2])
     codes.flags.writeable = False
     keys.flags.writeable = False
     return codes, keys
@@ -188,12 +181,13 @@ def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _packing(dimension: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The dimension's one packing of vertices into int64 keys: (base,
-    radix, moves).  The base is the largest odd one with base**dimension
-    <= 2**62, the radix holds its powers base**0 .. base**(dimension-1),
-    and step code 2a (2a+1) moves the key by +radix[a] (-radix[a]).  The
-    key sum(x_i * radix[i]) is injective on coordinates with
-    2 * |x_i| + 1 <= base.  The arrays are shared, so read-only."""
+    """The dimension's one packing of vertices into int64 keys for the
+    draws: (base, radix, moves), under ``counting._moves``'s format with
+    the largest odd base with base**dimension <= 2**62.  The radix holds
+    the powers base**0 .. base**(dimension-1), and step code 2a (2a+1)
+    moves the key by +radix[a] (-radix[a]).  The key sum(x_i * radix[i])
+    is injective on coordinates with 2 * |x_i| + 1 <= base.  The arrays
+    are shared, so read-only."""
     limit = 1 << 62
     base = round(limit ** (1 / dimension))  # float guess, made exact below
     while base ** dimension > limit:
@@ -201,11 +195,8 @@ def _packing(dimension: int) -> tuple[int, np.ndarray, np.ndarray]:
     while (base + 1) ** dimension <= limit:
         base += 1
     base -= 1 - base % 2
-    radix = np.array([base ** i for i in range(dimension)], dtype=np.int64)
-    moves = np.stack([radix, -radix], axis=1).ravel()
-    radix.flags.writeable = False
-    moves.flags.writeable = False
-    return base, radix, moves
+    moves = _moves(dimension, base)
+    return base, moves[::2], moves
 
 
 def _radix_powers(dimension: int, extent: int) -> np.ndarray:

@@ -215,8 +215,9 @@ def check_dmp_two_ways(dimension: int, m_max: int, prefix_max: int,
 
 def check_two_sided_bijection(dimension: int, n_max: int,
                               table: CountTable) -> CheckResult:
-    # both counts walk a first-turn-reduced tree through ``_spine``, so the
-    # brute-force pairs are compared too wherever they are cheap
+    # both counts walk a first-turn-reduced tree on the count kernel, whose
+    # straight row takes only +e1 and +e2, so the brute-force pairs are
+    # compared too wherever they are cheap
     bad = []
     checked = brute = 0
     for m in range(0, min(3, n_max) + 1):

@@ -308,6 +308,29 @@ def test_submultiplicativity_on_cached_counts():
             assert counts[a + b] <= counts[a] * counts[b]
 
 
+@pytest.mark.parametrize("dimension, n_max", [(1, 6), (2, 7), (3, 5), (4, 4)])
+def test_enumeration_is_the_filtered_oracle(dimension, n_max):
+    # with and without a prefix, in the oracle's lexicographic order
+    for n in range(n_max + 1):
+        walks = [bytes(w) for w in reference.naive_saws(dimension, n)]
+        assert enumerate_paths(dimension, n) == walks
+        for k in range(min(n, 2) + 1):
+            for head in enumerate_paths(dimension, k):
+                assert enumerate_paths(dimension, n, prefix=Path(
+                    dimension, head)) == [w for w in walks
+                                          if w[:k] == head], (n, head)
+
+
+def test_enumeration_leaves_the_base_tables_alone():
+    from sawlab.sampling import SamplerConfig, _base_arrays
+    _base_arrays(2, 3)
+    before = _base_arrays.cache_info().currsize
+    length = SamplerConfig().resolve_base_length(2) + 2
+    assert len(enumerate_paths(2, length)) == A001411[length]
+    assert len(enumerate_paths(2, length, prefix=validate([0, 2], 2))) > 0
+    assert _base_arrays.cache_info().currsize == before
+
+
 def test_enumeration_canonical_order_and_prefix():
     paths = enumerate_paths(2, 3)
     assert len(paths) == count_saws(2, 3)
@@ -528,6 +551,30 @@ def test_checkpoint_of_the_unreduced_layout_is_ignored(tmp_path):
                           checkpoint_path=ckpt) == A001411[9]
 
 
+@pytest.mark.parametrize("kind", ["plain", "two_sided"])
+def test_checkpoint_of_the_spine_layout_is_ignored(tmp_path, kind):
+    # a checkpoint written while reduced passes cut their tasks off a
+    # straight run walked apart (its turns first, each at its own level):
+    # its task indices name other walks of the frontier, so it must not be
+    # loaded
+    parts = ((2, "plain", 9, 0) if kind == "plain"
+             else (2, "two_sided", 5, 5, (5, 5, b"", b"")))
+    old = hashlib.sha256(
+        repr((3, *parts, "first-turn")).encode()).hexdigest()[:16]
+    ckpt = str(tmp_path / "count.ckpt")
+    size = 9 if kind == "plain" else 6
+    with open(ckpt, "w", encoding="utf-8") as fh:
+        json.dump({"signature": old,
+                   "done": {str(i): {"counts": [0] * (size - 1) + [1],
+                                     "nodes": 5} for i in range(4)}}, fh)
+    with pytest.warns(CheckpointIgnoredWarning, match="another count"):
+        value = (count_saws(2, 9, table=CountTable(2), checkpoint_path=ckpt)
+                 if kind == "plain" else
+                 count_two_sided(2, 5, 5, table=CountTable(2),
+                                 checkpoint_path=ckpt))
+    assert value == A001411[9 if kind == "plain" else 10]
+
+
 def _record_entry_gaps(monkeypatch) -> set:
     """depth - level of every task handed to ``_count_frontier``."""
     gaps, kernel = set(), counting._count_frontier
@@ -573,24 +620,28 @@ def _kernel_below_one_step(monkeypatch) -> set:
     return _record_entry_gaps(monkeypatch)
 
 
-@pytest.mark.parametrize("dimension, dtype",
-                         [(8, np.int64), (16, object), (20, object)])
+@pytest.mark.parametrize("dimension, dtype", [
+    (5, np.int16), (8, np.int32), (16, np.int64), (20, np.int64),
+    (21, object)])
 def test_frontier_keys_of_every_width(monkeypatch, dimension, dtype):
-    width = counting._pack_params(dimension, 4)[0]
-    assert counting._key_dtype(dimension, width) is dtype
+    # 4-step walks take base 9: keys within +-(9^d - 1)/2, so int16 holds
+    # d <= 5, int32 d <= 10 and int64 d <= 20
+    assert counting._moves(dimension, 9).dtype == dtype
     gaps = _kernel_below_one_step(monkeypatch)
     q = 2 * dimension  # every 4-step walk is self-avoiding but the squares
     assert (count_saws(dimension, 4, table=CountTable(dimension))
             == q * (q - 1) ** 3 - q * (q - 2))
-    assert gaps == {1, 2}
+    assert gaps == {2}
 
 
-@pytest.mark.parametrize("length, dtype", [(66, np.int32), (32767, np.int64)])
+@pytest.mark.parametrize("length, dtype", [(66, np.int16), (125, np.int32),
+                                           (32764, np.int32), (32767, np.int64)])
 def test_frontier_below_a_long_prefix(monkeypatch, length, dtype):
     # three steps past a straight run reach back no further than three
-    # steps, so they escape it as they escape the straight (0, 0, 0)
+    # steps, so they escape it as they escape the straight (0, 0, 0); in
+    # d=2 base 2n+1 takes int16 up to n = 127 and int32 up to n = 32767
     n = length + 3
-    assert counting._key_dtype(2, counting._pack_params(2, n)[0]) is dtype
+    assert counting._moves(2, 2 * n + 1).dtype == dtype
     gaps = _kernel_below_one_step(monkeypatch)
     assert (count_extensions(2, n, Path(2, bytes(length)), table=CountTable(2))
             == reference.naive_count_with_prefix(2, 6, (0, 0, 0)))

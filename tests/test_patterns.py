@@ -45,11 +45,12 @@ def test_exact_mean_matches_full_enumeration():
     (2, 8, [(0,), (0, 0, 0), (0, 2), tuple(TRAP.steps)]),
     (3, 6, [(0,), (0, 2), (0, 2, 1)]),
     (4, 5, [(0, 2), (0, 2, 4)]),
-    (5, 5, [(0,), (0, 0), (0, 2), (1, 1, 3)]),
+    (5, 5, [(0,), (0, 0), (0, 2), (1, 1, 3), (0, 2, 4, 1, 6)]),
 ])
 def test_reduced_pattern_pass_matches_brute_force(d, n_max, patterns):
-    # straight patterns, turns, a third axis and first steps other than +e1
-    # against every walk of (2d)^n filtered; the pass also caches c_n, which
+    # straight patterns, turns, a third axis, first steps other than +e1
+    # and a window as long as the walks (k = n_max) against every walk of
+    # (2d)^n filtered; the pass also caches c_n, which
     # catches an orbit size taken as the number of distinct images
     walks = {n: reference.naive_saws(d, n) for n in range(1, n_max + 1)}
     for zeta in patterns:
@@ -63,6 +64,15 @@ def test_reduced_pattern_pass_matches_brute_force(d, n_max, patterns):
             expected[n] = Fraction(hits, n * len(walks[n]))
             assert table.get("plain", n) == len(walks[n])
         assert grid == expected
+
+
+def test_exact_pass_refuses_window_ids_past_64_bits():
+    # 4^32 window ids: the pass over 32-step walks in d=2 could not finish
+    with pytest.raises(ValueError, match="past 64 bits"):
+        exact_mean_density_grid(2, 32, validate([0] * 32, 2))
+    # d=1 has no turning walks, so no windows are tallied at any length
+    assert exact_mean_density_grid(1, 70, validate([0] * 70, 1))[70] == Fraction(
+        1, 140)
 
 
 def test_exact_mean_symmetry():

@@ -184,8 +184,8 @@ def exact_counts() -> None:
         count_saws(d, n, table=table)
         emit(f"count_saws d={d} n=0..{n}",
              [table.get("plain", k) for k in range(n + 1)])
-    # keys of 64 bits and more: the n = 4 counts stop at the split, the
-    # n = 5 ones count below it
+    # wide keys (int32 at d=8, int64, Python ints at d=20 n=5): the n = 4
+    # counts stop at the split, the n = 5 ones count below it
     for d, n in ((8, 5), (16, 4), (16, 5), (20, 4), (20, 5)):
         table = CountTable(d)
         count_saws(d, n, table=table)
@@ -201,7 +201,7 @@ def exact_counts() -> None:
              [count_extensions(d, n, validate(p, d), table=CountTable(d))
               for p in prefixes])
     for length, free in ((66, 3), (66, 5), (32767, 3), (32767, 5)):
-        # straight prefixes whose keys need 32 and 64 bits
+        # long straight prefixes: int16 keys at 66 steps, int64 at 32767
         emit(f"count_extensions d=2 straight={length} n={length + free}",
              count_extensions(2, length + free, Path(2, bytes(length)),
                               table=CountTable(2)))
