@@ -3,7 +3,8 @@
 A vertex is a key sum(x_i * base**i), centred at the origin, so a step is
 one addition (``_moves``).  A count within distance L of the origin takes
 base 2L+1 and the narrowest signed dtype holding its keys (int16, int32 or
-int64; Python ints past int64); the samplers keep one fixed base.
+int64; Python ints past int64); the samplers' draws take one of three
+fixed bases, one per dtype (``sampling._packing``), by the same rule.
 
 One extend step (``_free_steps``, ``_grow``) builds every frontier: rows
 of keys, one walk per row with its tip last, extended by the 2d moves,
@@ -14,8 +15,9 @@ last level is counted, never built, and can be tallied by endpoint or by
 pattern occurrence.  Frontiers past ``_SLICE_KEYS`` keys are expanded
 depth-first in slices, so memory stays bounded.  ``_frontiers`` builds
 levels with their step codes in lexicographic order, for a count's prefix
-split and ``enumerate_paths``; the samplers' base tables take the same
-step (``_extend``).  Only the early-exit searches (``has_extension``,
+split and ``enumerate_paths``, and builds no keys for the last; the
+samplers' base tables take the same step (``_extend``).  Only the
+early-exit searches (``has_extension``,
 ``patterns.is_proper_internal_pattern``) walk depth-first in Python.
 
 Every condition-free pass from the origin (``count_saws``,
@@ -174,17 +176,22 @@ def _grow(rows: np.ndarray, kids: np.ndarray, free: np.ndarray):
 
 
 def _extend(rows: np.ndarray, codes: np.ndarray, moves: np.ndarray,
-            budget: list | None = None, first_turn: bool = False):
+            budget: list | None = None, first_turn: bool = False,
+            keys: bool = True):
     """(keys, step codes) of every free one-step extension of the walks
     ``rows``/``codes``, in lexicographic order when theirs is, charged to
-    ``budget`` if given.  With ``first_turn``, row 0 is the straight run
+    ``budget`` if given; without ``keys``, only the step codes are built
+    and the keys are None.  With ``first_turn``, row 0 is the straight run
     along +e1 of a first-turn-reduced tree: it goes on or turns to +e2."""
     kids, free = _free_steps(rows, moves)
     if first_turn and len(free):
         free[0, 1] = free[0, 3:] = False
     if budget is not None:
         _charge(budget, int(np.count_nonzero(free)))
-    parent, code, rows = _grow(rows, kids, free)
+    if keys:
+        parent, code, rows = _grow(rows, kids, free)
+    else:
+        (parent, code), rows = np.nonzero(free), None
     grown = np.empty((len(parent), codes.shape[1] + 1), dtype=np.uint8)
     grown[:, :-1] = codes[parent]
     grown[:, -1] = code
@@ -194,12 +201,14 @@ def _extend(rows: np.ndarray, codes: np.ndarray, moves: np.ndarray,
 def _frontiers(moves: np.ndarray, walk: tuple, levels: int,
                budget: list | None = None, first_turn: bool = False):
     """Yield the step codes (rows, j) of the walks j = 0 .. ``levels`` steps
-    past ``walk`` (its keys in order) in lexicographic order (``_extend``)."""
+    past ``walk`` (its keys in order) in lexicographic order (``_extend``);
+    the last level's keys are never built."""
     rows = np.array([walk], dtype=moves.dtype)
     codes = np.zeros((1, 0), dtype=np.uint8)
     yield codes
-    for _ in range(levels):
-        rows, codes = _extend(rows, codes, moves, budget, first_turn)
+    for level in range(1, levels + 1):
+        rows, codes = _extend(rows, codes, moves, budget, first_turn,
+                              keys=level < levels)
         yield codes
 
 
@@ -786,11 +795,13 @@ def enumerate_paths(dimension: int, n: int, prefix: Path | None = None) -> list[
         raise ValueError("prefix longer than requested length")
     moves = _moves(dimension, 2 * n + 1)
     *_, codes = _frontiers(moves, _walk_keys(moves, steps), n - len(steps))
-    full = np.empty((len(codes), n), dtype=np.uint8)
-    full[:, :len(steps)] = np.frombuffer(steps, dtype=np.uint8)
-    full[:, len(steps):] = codes
+    if steps:
+        full = np.empty((len(codes), n), dtype=np.uint8)
+        full[:, :len(steps)] = np.frombuffer(steps, dtype=np.uint8)
+        full[:, len(steps):] = codes
+        codes = full
     # a void view hands each row out as bytes at once
-    return full.view(f"V{n}").ravel().tolist() if n else [b""]
+    return codes.view(f"V{n}").ravel().tolist() if n else [b""]
 
 
 def prefix_histogram(dimension: int, m: int, k: int, *,

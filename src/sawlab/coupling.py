@@ -34,7 +34,7 @@ from .errors import ImpossiblePrefixError
 from .counting import has_extension
 from .lattice import Path, TwoSidedPath
 from .sampling import (SamplerConfig, SawSampler, _check_arms, _escapes_batch,
-                       _first_accepted, _keys_from_codes, _radix_powers)
+                       _first_accepted, _key_dtype, _keys_from_codes)
 
 # a proxy's verdict adds 1 when it escapes walk 0 and 2 when it escapes walk 1
 _WALK_BITS = np.array([[1], [2]], dtype=np.uint8)
@@ -188,9 +188,10 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     h = min(a_{l-1}, L_j) and c = min(a_l, L_j): draws have L_j - h steps
     on arm j (an arm whose length is used up gets a length-0 draw) and
     each walk keeps steps h..c of its draw.  Walks are held as packed
-    vertex keys, (2, T, L_j + 1) per arm, under the dimension's one
-    packing: the starts are packed from their codes once, and each draw
-    comes with its keys from ``_first_accepted``, so a translation is one
+    vertex keys, (2, T, L_j + 1) per arm, under the narrowest packing that
+    holds the longest arm (``sampling._key_dtype``): the starts are
+    packed from their codes once, and each draw comes with its keys under
+    that packing from ``_first_accepted``, so a translation is one
     addition and no coordinates are built.  A proxy round sorts once for
     both walks, and the taken proxy's verdict (1: it escapes walk 0, 2:
     walk 1, 3: both) picks the walks that redraw; a two-sided start whose
@@ -201,15 +202,17 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     resamples as (T, blocks) arrays).
     """
     blocks = schedule.blocks(max(lengths))
-    _radix_powers(sampler.dimension, max(lengths))  # refuses walks keys cannot hold
+    # refuses walks keys cannot hold
+    dtype = _key_dtype(sampler.dimension, max(lengths))
     codes = [np.empty((2, trials, n), dtype=np.uint8) for n in lengths]
-    keys = [np.empty((2, trials, n + 1), dtype=np.int64) for n in lengths]
+    keys = [np.empty((2, trials, n + 1), dtype=dtype) for n in lengths]
     for w, arms in enumerate(starts):
         for j, steps in enumerate(arms):
             k = len(steps)
             start = np.frombuffer(steps, dtype=np.uint8)
             codes[j][w, :, :k] = start
-            keys[j][w, :, :k + 1] = _keys_from_codes(sampler.dimension, start[None])
+            keys[j][w, :, :k + 1] = _keys_from_codes(sampler.dimension, start[None],
+                                                     dtype)
     if len(lengths) > 1:  # a one-arm start is a ``Path``, self-avoiding by contract
         # both walks' starts have the arm lengths of the first's
         _check_arms(sampler.dimension, starts,
@@ -230,7 +233,7 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
 
         draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
         proxy, proxy_keys, resamples[:, l], escaped = _first_accepted(
-            sampler, draw, trials, escapes_either)
+            sampler, draw, trials, escapes_either, dtype)
         for j, (h, c) in enumerate(cuts):
             codes[j][:, :, h:c] = proxy[j][:, :c - h]
             np.add(keys[j][:, :, h:h + 1], proxy_keys[j][:, 1:c - h + 1],
@@ -242,7 +245,7 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
         own, own_keys, _, _ = _first_accepted(
             sampler, draw, row.size,
             lambda rows, tails: _escapes_batch(
-                [h[walk[rows], row[rows]] for h in heads], tails))
+                [h[walk[rows], row[rows]] for h in heads], tails), dtype)
         for j, (h, c) in enumerate(cuts):
             codes[j][walk, row, h:c] = own[j][:, :c - h]
             keys[j][walk, row, h + 1:c + 1] = (keys[j][walk, row, h:h + 1]

@@ -25,7 +25,7 @@ from .counting import (CountTable, _budget, _count_frontier, _moves,
 from .errors import BudgetExceededError, NotSelfAvoidingError
 from .lattice import Path, TwoSidedPath, _first_turn_symmetries, validate
 from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
-                       _keys_from_codes, _radix_powers, _rows_distinct)
+                       _key_dtype, _keys_from_codes, _rows_distinct)
 
 
 def exact_mean_density(dimension: int, n: int, pattern: Path, *,
@@ -267,7 +267,9 @@ def escape_power_estimate(dimension: int, horizon: int, k: int, trials: int,
         raise ValueError("k must be in [1, horizon]")
     table = table or default_table(dimension)
     sampler = SawSampler(dimension, cfg)
-    _radix_powers(dimension, horizon + k)  # refuses walks keys cannot hold
+    # both walks start at the origin, so their extent is the horizon (k is
+    # at most it); refuses walks keys cannot hold
+    dtype = _key_dtype(dimension, horizon)
     disjoint = 0
     remaining = trials
     while remaining > 0:
@@ -277,8 +279,8 @@ def escape_power_estimate(dimension: int, horizon: int, k: int, trials: int,
         # both walks are self-avoiding, so they share a vertex besides the
         # origin iff the long walk's keys and the short one's past the
         # origin hold a repeat
-        keys = np.concatenate([_keys_from_codes(dimension, long_codes),
-                               _keys_from_codes(dimension, short_codes)[:, 1:]],
+        keys = np.concatenate([_keys_from_codes(dimension, long_codes, dtype),
+                               _keys_from_codes(dimension, short_codes, dtype)[:, 1:]],
                               axis=1)
         disjoint += int(np.count_nonzero(_rows_distinct(keys)))
         remaining -= rows

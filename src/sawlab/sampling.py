@@ -1,36 +1,40 @@
 """Exact uniform sampling of self-avoiding walks.
 
 One vectorized engine, ``SawSampler._draw_batch``, makes every draw and
-returns each walk as step codes and as int64 vertex keys, packed under one
-radix per dimension (``_packing``).  Short walks are drawn by indexing a
-cached full enumeration; longer walks by dimerization: draw uniform halves
-recursively and accept iff their concatenation is self-avoiding, which
-keeps the output exactly uniform and makes the top-level acceptance rate
-exactly c_n / (c_a * c_b).  The packing is linear, so a half moves to the
-other's tip by one addition, and a level tests its pairs by sorting their
-joined keys.  At the lowest levels, where both halves index base tables
-(the first half has n1 <= ``base_length`` steps), a pair is tested instead
-by ANDing two cached occupancy bitmasks (``_occupancy``) over the box of
-radius n1: the first half's vertices other than its tip, relative to the
-tip, and the second half's vertices after its start.  Only the accepted
-pairs are joined.  A sampler takes this path when the box of radius
-``base_length`` fits ``_MASK_WORDS`` 64-bit words (d = 2 up to base 10,
-d = 3 up to base 3; never d >= 3 at the default base); the draws, the
-accept/reject indicators and so every stream are the same either way.  A
-per-draw call is a batch of one.  The
-conditioned draws (escaping a prefix, extending a two-sided middle) and
-the couplings reject such draws with one packed-key escape test,
-``_escapes_batch``, on walks made of one arm (one-sided) or two (the
-negative and positive sides).  Their rejection rounds run in
-``_first_accepted``: the arms of one length (two sides with as many steps
-left) share one draw per round, cut by position, which stays exact
-because how many walks a draw holds depends only on accept/reject
-indicators; and the condition's verdict on each taken candidate comes
-back with it, so a coupling learns which walks its proxy escapes from the
-round's own sort.  A two-sided middle whose sides are not self-avoiding
-or meet away from the origin is refused before anything is drawn.  Only
-the mean-square displacement in ``patterns.scalar_estimators`` unpacks
-walks to coordinates.
+returns each walk as step codes and as packed vertex keys.  A dimension has
+three packings (``_packing``), one per key dtype (int16, int32, int64),
+each under one fixed radix; a draw works under the narrowest whose base
+covers its extent (``_key_dtype``), at every level, so a d=2 walk of 127
+steps sorts int16 keys and one of 128 steps int32 keys.  Self-avoidance
+does not depend on the packing, so neither does any stream.  Short walks
+are drawn by indexing a cached full enumeration; longer walks by
+dimerization: draw uniform halves recursively and accept iff their
+concatenation is self-avoiding, which keeps the output exactly uniform and
+makes the top-level acceptance rate exactly c_n / (c_a * c_b).  The
+packing is linear, so a half moves to the other's tip by one addition, and
+a level tests its pairs by sorting their joined keys.  At the lowest
+levels, where both halves index base tables (the first half has n1 <=
+``base_length`` steps), a pair is tested instead by ANDing two cached
+occupancy bitmasks (``_occupancy``) over the box of radius n1: the first
+half's vertices other than its tip, relative to the tip, and the second
+half's vertices after its start.  Only the accepted pairs are joined.  A
+sampler takes this path when the box of radius ``base_length`` fits
+``_MASK_WORDS`` 64-bit words (d = 2 up to base 10, d = 3 up to base 3;
+never d >= 3 at the default base); the draws, the accept/reject indicators
+and so every stream are the same either way.  A per-draw call is a batch
+of one.  The conditioned draws (escaping a prefix, extending a two-sided
+middle) and the couplings reject such draws with one packed-key escape
+test, ``_escapes_batch``, on walks made of one arm (one-sided) or two (the
+negative and positive sides), under the packing of the walks they build.
+Their rejection rounds run in ``_first_accepted``: the arms of one length
+(two sides with as many steps left) share one draw per round, cut by
+position, which stays exact because how many walks a draw holds depends
+only on accept/reject indicators; and the condition's verdict on each
+taken candidate comes back with it, so a coupling learns which walks its
+proxy escapes from the round's own sort.  A two-sided middle whose sides
+are not self-avoiding or meet away from the origin is refused before
+anything is drawn.  Only the mean-square displacement in
+``patterns.scalar_estimators`` unpacks walks to coordinates.
 
 Streams come from a counter-based Philox generator; distinct
 ``stream_id`` values (and any extra derivation key parts) give
@@ -90,18 +94,22 @@ def derive_generator(cfg: SamplerConfig, extra_key: tuple[int, ...] = ()) -> np.
 
 
 @lru_cache(maxsize=128)
-def _base_arrays(dimension: int, n: int):
+def _base_arrays(dimension: int, n: int, dtype: np.dtype | None = None):
     """(codes, keys) arrays over all of SAW_n in canonical (lexicographic)
-    order, shared between calls, so read-only: each walk of SAW_{n-1} is
-    extended by step codes 0 .. 2d-1 in order (``counting._extend``, the
-    count kernel's step), dropping the extensions whose new tip is already
-    one of the walk's vertices."""
+    order, with keys under the packing of ``dtype`` (``_packing``; by
+    default the narrowest that holds n steps), shared between calls, so
+    read-only: each walk of SAW_{n-1} is extended by step codes 0 .. 2d-1
+    in order (``counting._extend``, the count kernel's step), dropping the
+    extensions whose new tip is already one of the walk's vertices.  The
+    codes do not depend on the packing."""
+    if dtype is None:
+        return _base_arrays(dimension, n, _key_dtype(dimension, n))
     if n == 0:
         codes = np.zeros((1, 0), dtype=np.uint8)
-        keys = np.zeros((1, 1), dtype=np.int64)
+        keys = np.zeros((1, 1), dtype=dtype)
     else:
-        prev_codes, prev_keys = _base_arrays(dimension, n - 1)
-        keys, codes = _extend(prev_keys, prev_codes, _packing(dimension)[2])
+        prev_codes, prev_keys = _base_arrays(dimension, n - 1, dtype)
+        keys, codes = _extend(prev_keys, prev_codes, _packing(dimension, dtype)[2])
     codes.flags.writeable = False
     keys.flags.writeable = False
     return codes, keys
@@ -179,44 +187,58 @@ def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
     return coords
 
 
+# the key dtypes of the draws' packings, narrowest first
+_KEY_DTYPES = tuple(np.dtype(t) for t in (np.int16, np.int32, np.int64))
+
+
 @lru_cache(maxsize=None)
-def _packing(dimension: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The dimension's one packing of vertices into int64 keys for the
-    draws: (base, radix, moves), under ``counting._moves``'s format with
-    the largest odd base with base**dimension <= 2**62.  The radix holds
-    the powers base**0 .. base**(dimension-1), and step code 2a (2a+1)
-    moves the key by +radix[a] (-radix[a]).  The key sum(x_i * radix[i])
-    is injective on coordinates with 2 * |x_i| + 1 <= base.  The arrays
-    are shared, so read-only."""
-    limit = 1 << 62
+def _packing(dimension: int, dtype: np.dtype) -> tuple[int, np.ndarray, np.ndarray]:
+    """The dimension's packing of vertices into keys of ``dtype``, one of
+    ``_KEY_DTYPES``: (base, radix, moves) under ``counting._moves``'s
+    format.  The base is the largest odd one whose keys the dtype holds:
+    for int16 and int32, the largest for which ``_moves`` picks that dtype
+    (base**dimension < 2**16, 2**32, so keys lie within +-(2**15 - 1),
+    +-(2**31 - 1)); for int64, the largest with base**dimension <= 2**62.
+    The radix holds the powers base**0 .. base**(dimension-1), and step
+    code 2a (2a+1) moves the key by +radix[a] (-radix[a]).  The key
+    sum(x_i * radix[i]) is injective on coordinates with 2 * |x_i| + 1 <=
+    base.  The arrays are shared, so read-only."""
+    limit = 1 << 62 if dtype == np.int64 else (1 << 8 * dtype.itemsize) - 1
     base = round(limit ** (1 / dimension))  # float guess, made exact below
     while base ** dimension > limit:
         base -= 1
     while (base + 1) ** dimension <= limit:
         base += 1
     base -= 1 - base % 2
-    moves = _moves(dimension, base)
+    # ``_moves`` picks a narrower dtype where the base is tiny (huge dimensions)
+    moves = _moves(dimension, base).astype(dtype, copy=False)
+    moves.flags.writeable = False
     return base, moves[::2], moves
 
 
-def _radix_powers(dimension: int, extent: int) -> np.ndarray:
-    """The dimension's radix (see ``_packing``), once coordinates bounded
-    by ``extent`` are checked to pack injectively."""
-    base, radix, _ = _packing(dimension)
-    if 2 * extent + 1 > base:
-        raise ValueError(
-            f"coordinates of extent {extent} in dimension {dimension} "
-            "do not fit packed 64-bit keys"
-        )
-    return radix
+def _key_dtype(dimension: int, extent: int) -> np.dtype:
+    """The key dtype of the narrowest packing (``_packing``) whose base
+    covers coordinates bounded by ``extent`` (2 * extent + 1 <= base): every
+    key of a draw of that extent is built under it.  Extents past the int64
+    packing's base are refused."""
+    for dtype in _KEY_DTYPES:
+        if 2 * extent + 1 <= _packing(dimension, dtype)[0]:
+            return dtype
+    raise ValueError(
+        f"coordinates of extent {extent} in dimension {dimension} "
+        "do not fit packed 64-bit keys"
+    )
 
 
-def _keys_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
-    """Packed vertex keys (rows, n+1) as int64 of origin-anchored walks with
-    step codes (rows, n): a running sum of the dimension's moves."""
+def _keys_from_codes(dimension: int, codes: np.ndarray,
+                     dtype: np.dtype) -> np.ndarray:
+    """Packed vertex keys (rows, n+1) of origin-anchored walks with step
+    codes (rows, n), under the packing of ``dtype``: a running sum of its
+    moves."""
     rows, n = codes.shape
-    keys = np.zeros((rows, n + 1), dtype=np.int64)
-    np.cumsum(_packing(dimension)[2][codes], axis=1, out=keys[:, 1:])
+    keys = np.zeros((rows, n + 1), dtype=dtype)
+    np.cumsum(_packing(dimension, dtype)[2][codes], axis=1, dtype=dtype,
+              out=keys[:, 1:])
     return keys
 
 
@@ -247,11 +269,25 @@ def _check_arms(dimension: int, walks, keys) -> None:
             validate_two_sided(*[validate(steps, dimension) for steps in arms])
 
 
+# below this many rows, ``_rows_distinct`` compares neighbours row-wise
+_FEW_ROWS = 16
+
+
 def _rows_distinct(keys: np.ndarray) -> np.ndarray:
     """True where a row of ``keys`` holds no key twice; sorts ``keys`` in
-    place and compares neighbours."""
+    place and compares neighbours.  Past ``_FEW_ROWS`` rows they are
+    compared on the flat buffer, with the pairs that cross from one row's
+    last key to the next row's first masked, and one ``reduceat`` gathers
+    each row's repeats: about a fifth faster than a strided compare at
+    5,000 rows, and a few tenths of a microsecond dearer below 16."""
     keys.sort(axis=1)
-    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+    rows, width = keys.shape
+    if rows < _FEW_ROWS or width < 2:
+        return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+    flat = keys.reshape(-1)
+    repeat = flat[1:] == flat[:-1]
+    repeat[width - 1::width] = False  # a row's last key and the next one's first
+    return ~np.logical_or.reduceat(repeat, np.arange(0, rows * width, width))
 
 
 def _joined(first, second):
@@ -260,7 +296,7 @@ def _joined(first, second):
     walk's keys are its own plus the key of the first walk's tip."""
     (c1, k1), (c2, k2) = first, second
     n1 = c1.shape[1]
-    keys = np.empty((c1.shape[0], n1 + c2.shape[1] + 1), dtype=np.int64)
+    keys = np.empty((c1.shape[0], n1 + c2.shape[1] + 1), dtype=k1.dtype)
     keys[:, :n1 + 1] = k1
     np.add(k2[:, 1:], k1[:, -1:], out=keys[:, n1 + 1:])
     return np.concatenate([c1, c2], axis=1), keys
@@ -278,13 +314,14 @@ def _arm_groups(lengths: tuple[int, ...]):
 
 
 def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
-                    count: int, accept):
+                    count: int, accept, dtype: np.dtype):
     """For each of ``count`` rows, the first of i.i.d. candidates (one
     uniform walk per arm, of the given ``lengths``) that
     ``accept(rows, keys)`` takes: (codes per arm, vertex keys per arm,
     rejections, verdicts), where a row's rejections are the candidates it
     rejected before the taken one and its verdict is what ``accept`` said
-    of the taken one.
+    of the taken one.  Every key is under the packing of ``dtype``, which
+    must cover the walks the caller builds from the arms.
 
     Each round gives every waiting row a run of ``per`` candidates, and
     ``accept`` gets the row of each candidate (so a row repeats ``per``
@@ -312,7 +349,7 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
     one candidate per round and one draw per arm."""
     groups, slots = _arm_groups(lengths)
     codes = [np.empty((count, n), dtype=np.uint8) for n in lengths]
-    keys = [np.empty((count, n + 1), dtype=np.int64) for n in lengths]
+    keys = [np.empty((count, n + 1), dtype=dtype) for n in lengths]
     rejections = np.zeros(count, dtype=np.int64)
     verdicts = np.empty(count, dtype=np.uint8)
     budget = max(1, sampler.cfg.max_rejections)
@@ -322,7 +359,8 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
     while pending.size:
         rows = pending.size
         size = rows * per
-        drawn = [sampler._draw_batch(n, k * size, spare=True) for n, k in groups]
+        drawn = [sampler._draw_batch(n, k * size, dtype, spare=True)
+                 for n, k in groups]
         held = min([len(c) // k for (c, _), (_, k) in zip(drawn, groups)])
         if held != size:  # spare walks: use every full run the draws hold
             per = min(held // rows, budget - used)
@@ -402,8 +440,8 @@ class SawSampler:
         """One exactly-uniform draw from SAW_n: a batch of one."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        _radix_powers(self.dimension, n)  # refuses walks keys cannot hold
-        codes, _ = self._draw_batch(n, 1)
+        dtype = _key_dtype(self.dimension, n)  # refuses walks keys cannot hold
+        codes, _ = self._draw_batch(n, 1, dtype)
         return Path(self.dimension, codes[0].tobytes())
 
     def two_sided(self, m: int, n: int,
@@ -454,10 +492,10 @@ class SawSampler:
         """One draw per arm, extending the arms with step codes ``heads``
         by ``lengths`` steps to a self-avoiding walk, as a batch of one of
         ``_first_accepted``: (extension step codes per arm, attempts)."""
-        _radix_powers(self.dimension,
-                      max(len(h) + n for h, n in zip(heads, lengths)))
+        dtype = _key_dtype(self.dimension,
+                           max(len(h) + n for h, n in zip(heads, lengths)))
         head_keys = [_keys_from_codes(self.dimension,
-                                      np.frombuffer(h, dtype=np.uint8)[None])
+                                      np.frombuffer(h, dtype=np.uint8)[None], dtype)
                      for h in heads]
         if len(heads) > 1:  # a one-arm head is a ``Path``, self-avoiding by contract
             _check_arms(self.dimension, (heads,), head_keys)
@@ -466,7 +504,7 @@ class SawSampler:
             lambda rows, tails: _escapes_batch(
                 head_keys if rows.size == 1
                 else [h.take(rows, axis=0) for h in head_keys],
-                tails))
+                tails), dtype)
         return [c[0].tobytes() for c in codes], int(rejections[0]) + 1
 
     # -- batch API ---------------------------------------------------------
@@ -482,17 +520,19 @@ class SawSampler:
         self.last_batch_stats = BatchStats()
         if n == 0:
             return np.zeros((count, 0), dtype=np.uint8)
-        _radix_powers(self.dimension, n)  # refuses walks keys cannot hold
+        dtype = _key_dtype(self.dimension, n)  # refuses walks keys cannot hold
         if count == 0:
             return np.zeros((0, n), dtype=np.uint8)  # nothing drawn
-        codes, _ = self._draw_batch(n, count, top=True)
+        codes, _ = self._draw_batch(n, count, dtype, top=True)
         return codes
 
-    def _draw_batch(self, n: int, count: int, top: bool = False,
-                    spare: bool = False):
+    def _draw_batch(self, n: int, count: int, dtype: np.dtype,
+                    top: bool = False, spare: bool = False):
         """``count`` uniform draws from SAW_n: step codes (count, n) and
-        packed vertex keys (count, n+1), or None for the keys at the top
-        level, whose caller reads codes only.  With ``spare``, a draw by
+        packed vertex keys (count, n+1) under the packing of ``dtype``, which
+        must cover n steps (``_key_dtype``), or None for the keys at
+        the top level, whose caller reads codes only.  Every level of the
+        draw works under the top level's packing.  With ``spare``, a draw by
         dimerization returns every walk its last round accepted, so at
         least ``count``; each is uniform and independent of the others,
         and how many there are depends only on accept/reject indicators.
@@ -505,7 +545,7 @@ class SawSampler:
         accept/reject indicators.  The draw raises once it has rejected
         more than ``_LEVEL_REJECTIONS`` pairs per walk asked for."""
         if n <= self.base_length:
-            codes, keys = _base_arrays(self.dimension, n)
+            codes, keys = _base_arrays(self.dimension, n, dtype)
             idx = self._base_rows(codes, count)
             if top:
                 self.last_batch_stats.attempts += count
@@ -516,8 +556,8 @@ class SawSampler:
         n2 = n - n1
         masked = self._masked and n1 <= self.base_length
         if masked:  # both halves index base tables: test pairs by masks
-            (c1, k1), (c2, k2) = (_base_arrays(self.dimension, n1),
-                                  _base_arrays(self.dimension, n2))
+            (c1, k1), (c2, k2) = (_base_arrays(self.dimension, n1, dtype),
+                                  _base_arrays(self.dimension, n2, dtype))
             before = _occupancy(self.dimension, n1, n1, True)
             after = _occupancy(self.dimension, n2, n1, False)
         # this sampler's accepted and attempted pairs at this level so far
@@ -537,18 +577,20 @@ class SawSampler:
                 chunk = math.ceil((need + 2 * math.sqrt(need * (1 - p))) / p) + 8
             else:
                 chunk = min(need, 256) + 8
-            # a round holds at most 500,000 vertex keys; the halves and the
-            # sorted keys live only inside these calls, and the top level,
-            # which keeps no keys, sorts them in place: 20,000 walks of 200
-            # steps in d=5 peak at 58 MB of process memory
+            # a round holds at most 500,000 vertex keys, of the draw's
+            # dtype; the halves and the sorted keys live only inside these
+            # calls, and the top level, which keeps no keys, sorts them in
+            # place: 20,000 walks of 200 steps in d=5 (int64 keys) peak at
+            # about 62 MB of process memory, and as many of 128 steps in
+            # d=2 (int32 keys) at about 56 MB
             chunk = min(chunk, max(1, 500_000 // (n + 1)))
             if masked:
                 i1 = self._base_rows(c1, chunk)
                 i2 = self._base_rows(c2, chunk)
                 ok = _junction_avoids(before, after, i1, i2)
             else:
-                codes, keys = _joined(self._draw_batch(n1, chunk),
-                                      self._draw_batch(n2, chunk))
+                codes, keys = _joined(self._draw_batch(n1, chunk, dtype),
+                                      self._draw_batch(n2, chunk, dtype))
                 ok = _rows_distinct(keys if top else keys.copy())
             accepted = int(np.count_nonzero(ok))
             attempts += chunk

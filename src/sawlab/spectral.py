@@ -19,7 +19,7 @@ from .errors import (
     StartsDisagreeError,
     ZeroTotalMassError,
 )
-from .sampling import _base_arrays, _escapes_batch, _radix_powers
+from .sampling import _base_arrays, _escapes_batch, _key_dtype
 
 
 @dataclass
@@ -73,8 +73,8 @@ def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
     count = count_saws(dimension, n)
     if count > max_paths:
         raise BudgetExceededError(max_paths, count)
-    _radix_powers(dimension, 2 * n)  # refuses walks keys cannot hold
-    codes, keys = _base_arrays(dimension, n)
+    # a head and a tail make 2n steps; refuses walks keys cannot hold
+    codes, keys = _base_arrays(dimension, n, _key_dtype(dimension, 2 * n))
     paths = [row.tobytes() for row in codes]
     size = len(paths)
     rows = np.empty((size, size), dtype=bool)

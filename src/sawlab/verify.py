@@ -23,7 +23,7 @@ from .lattice import (Path, concat, escapes, lattice_symmetries,
                       pattern_density, validate)
 from .errors import NotSelfAvoidingError
 from .patterns import exact_mean_density_grid
-from .sampling import _escapes_batch, _keys_from_codes
+from .sampling import _escapes_batch, _key_dtype, _keys_from_codes
 from .spectral import build_escape_matrix, perron_fixed_point
 
 
@@ -275,8 +275,11 @@ def check_escape_concat_equivalence(dimension: int, length_max: int) -> CheckRes
     test ``sampling._escapes_batch`` passes, exhaustively."""
     by_length = [[Path(dimension, codes) for codes in enumerate_paths(dimension, n)]
                  for n in range(length_max + 1)]
-    keys = [_keys_from_codes(dimension, np.frombuffer(
-                b"".join(w.steps for w in walks), np.uint8).reshape(len(walks), n))
+    # a head and a tail make up to 2 * length_max steps
+    dtype = _key_dtype(dimension, 2 * length_max)
+    keys = [_keys_from_codes(
+                dimension, np.frombuffer(b"".join(w.steps for w in walks), np.uint8)
+                .reshape(len(walks), n), dtype)
             for n, walks in enumerate(by_length)]
     pairs = bad = 0
     for heads, head_keys in zip(by_length, keys):

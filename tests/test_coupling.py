@@ -22,7 +22,7 @@ from sawlab.errors import (ImpossiblePrefixError, NotSelfAvoidingError,
 from sawlab.lattice import (Path, TwoSidedPath, concat, escapes, validate,
                             validate_two_sided)
 from sawlab.sampling import (SamplerConfig, SawSampler, _coords_from_codes,
-                             _escapes_batch, _radix_powers)
+                             _escapes_batch, _key_dtype, _packing)
 
 
 def test_schedule_geometric_rule():
@@ -105,7 +105,7 @@ def _extends_two_sided(d, neg_head, pos_head, neg_tail, pos_tail):
 def test_batched_escape_matches_oracle(d, arms, head_len, tail_len):
     sampler = SawSampler(d, SamplerConfig(seed=31 + d))
     pairs = 400
-    radix = _radix_powers(d, head_len + tail_len)
+    radix = _packing(d, _key_dtype(d, head_len + tail_len))[1]
     heads = [sampler.uniform_batch(head_len, pairs) for _ in range(arms)]
     tails = [sampler.uniform_batch(tail_len, pairs) for _ in range(arms)]
     got = _escapes_batch(
@@ -328,7 +328,7 @@ def test_a_coupling_block_sorts_once_per_round(monkeypatch):
         sorts.append(len(heads[0]))
         return escapes(heads, tails)
 
-    def counted(sampler, lengths, count, accept):
+    def counted(sampler, lengths, count, accept, dtype):
         calls.append(count)
 
         def one_round(rows, tails):
@@ -336,7 +336,7 @@ def test_a_coupling_block_sorts_once_per_round(monkeypatch):
             out = accept(rows, tails)
             rounds.append((len(calls), rows.size, sorts[before:]))
             return out
-        return first_accepted(sampler, lengths, count, one_round)
+        return first_accepted(sampler, lengths, count, one_round, dtype)
 
     monkeypatch.setattr(coupling, "_escapes_batch", sorted_once)
     monkeypatch.setattr(coupling, "_first_accepted", counted)

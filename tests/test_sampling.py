@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sawlab.counting import count_saws, enumerate_paths
+from sawlab.counting import _moves, count_saws, enumerate_paths
 from sawlab.errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
@@ -19,12 +19,15 @@ from sawlab.sampling import (
     SawSampler,
     _base_arrays,
     _coords_from_codes,
+    _KEY_DTYPES,
+    _escapes_batch,
     _first_accepted,
     _joined,
     _junction_avoids,
+    _key_dtype,
     _keys_from_codes,
     _occupancy,
-    _radix_powers,
+    _packing,
     _rows_distinct,
     sample_prefix_conditioned,
     sample_uniform,
@@ -228,9 +231,10 @@ def test_keys_from_codes_is_the_coordinate_packing(d):
     rng = np.random.default_rng(61 + d)
     for n in (0, 1, 7, 40):
         codes = rng.integers(0, 2 * d, size=(50, n), dtype=np.uint8)
-        want = _coords_from_codes(d, codes).astype(np.int64) @ _radix_powers(d, n)
-        got = _keys_from_codes(d, codes)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        dtype = _key_dtype(d, n)  # the narrowest packing holding n steps
+        want = _coords_from_codes(d, codes).astype(np.int64) @ _packing(d, dtype)[1]
+        got = _keys_from_codes(d, codes, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d, n, count", [
@@ -240,10 +244,11 @@ def test_keys_from_codes_is_the_coordinate_packing(d):
 def test_draw_batch_keys_match_its_codes(d, n, count):
     # base-table draws (n <= base_length), dimerized ones and batches of one
     sampler = SawSampler(d, SamplerConfig(seed=67))
+    dtype = _key_dtype(d, n)
     for _ in range(3):
-        codes, keys = sampler._draw_batch(n, count)
+        codes, keys = sampler._draw_batch(n, count, dtype)
         assert codes.shape == (count, n) and keys.shape == (count, n + 1)
-        assert np.array_equal(keys, _keys_from_codes(d, codes))
+        assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
 
 
 @pytest.mark.parametrize("d, n, count", [
@@ -253,12 +258,13 @@ def test_spare_draws_are_walks_with_their_keys(d, n, count):
     # a dimerized draw keeps every walk its last round accepted; a
     # base-table draw returns exactly the count
     sampler = SawSampler(d, SamplerConfig(seed=71))
+    dtype = _key_dtype(d, n)
     for _ in range(3):
-        codes, keys = sampler._draw_batch(n, count, spare=True)
+        codes, keys = sampler._draw_batch(n, count, dtype, spare=True)
         if n <= sampler.base_length:
             assert codes.shape[0] == count
         assert codes.shape[0] >= count and codes.shape[1] == n
-        assert np.array_equal(keys, _keys_from_codes(d, codes))
+        assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
         for row in codes:
             validate(row.tolist(), d)
 
@@ -320,9 +326,10 @@ def test_lowest_levels_use_masks_where_the_box_fits(monkeypatch, d, base, masked
                         lambda *args: calls.append(1) or _junction_avoids(*args))
     sampler = SawSampler(d, SamplerConfig(seed=3, base_length=base))
     n = 2 * sampler.base_length
-    codes, keys = sampler._draw_batch(n, 20)
+    dtype = _key_dtype(d, n)
+    codes, keys = sampler._draw_batch(n, 20, dtype)
     assert bool(calls) == masked
-    assert np.array_equal(keys, _keys_from_codes(d, codes))
+    assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
     for row in codes[:5]:
         validate(row.tolist(), d)
 
@@ -333,7 +340,7 @@ def test_base_arrays_are_the_enumeration(d):
     for n in range(base_length + 1):
         codes, keys = _base_arrays(d, n)
         assert [row.tobytes() for row in codes] == enumerate_paths(d, n)
-        assert np.array_equal(keys, _keys_from_codes(d, codes))
+        assert np.array_equal(keys, _keys_from_codes(d, codes, _key_dtype(d, n)))
         assert not codes.flags.writeable and not keys.flags.writeable
 
 
@@ -357,10 +364,11 @@ def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
             return accept(pending, tails)
         return inner
 
+    dtype = _key_dtype(d, max(lengths))
     sampler = SawSampler(d, SamplerConfig(seed=budget, max_rejections=budget))
     with pytest.raises(RejectionBudgetExceededError) as err:
         _first_accepted(sampler, lengths, rows,
-                        counted(lambda p, t: np.zeros(p.size, dtype=bool)))
+                        counted(lambda p, t: np.zeros(p.size, dtype=bool)), dtype)
     assert err.value.attempts == budget
     assert (given == budget).all()
     # rows that accept on the way: none is given more than the budget
@@ -369,7 +377,7 @@ def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
         sampler = SawSampler(d, SamplerConfig(seed=seed, max_rejections=budget))
         try:
             _, _, rejections, _ = _first_accepted(
-                sampler, lengths, rows, counted(_first_step_is_zero))
+                sampler, lengths, rows, counted(_first_step_is_zero), dtype)
             assert (rejections < budget).all()
         except RejectionBudgetExceededError as exc:
             assert exc.attempts == budget
@@ -383,7 +391,8 @@ def test_dimerization_levels_ignore_the_rejection_budget():
     for seed in range(400):
         sampler = SawSampler(2, SamplerConfig(seed=seed, max_rejections=1))
         _, _, rejections, _ = _first_accepted(
-            sampler, (20, 3), 60, lambda p, t: np.ones(p.size, dtype=bool))
+            sampler, (20, 3), 60, lambda p, t: np.ones(p.size, dtype=bool),
+            _key_dtype(2, 20))
         assert not rejections.any()
 
 
@@ -395,9 +404,10 @@ def test_first_accepted_law_with_candidate_runs(d):
     p = 1 / (2 * d)
     lengths = (SamplerConfig().resolve_base_length(d) + 12, 3)
     draws = 4000
+    dtype = _key_dtype(d, max(lengths))  # every arm's packing
     sampler = SawSampler(d, SamplerConfig(seed=73))
-    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero)[:3]
-    ones = [_first_accepted(sampler, lengths, 1, _first_step_is_zero)
+    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero, dtype)[:3]
+    ones = [_first_accepted(sampler, lengths, 1, _first_step_is_zero, dtype)
             for _ in range(draws)]
     ones = ([np.concatenate([one[0][j] for one in ones]) for j in (0, 1)],
             [np.concatenate([one[1][j] for one in ones]) for j in (0, 1)],
@@ -407,14 +417,15 @@ def test_first_accepted_law_with_candidate_runs(d):
         assert abs(rejections.mean() - (1 - p) / p) <= 4 * sigma
         assert (codes[0][:, 0] == 0).all()
         for arm_codes, arm_keys in zip(codes, keys):
-            assert np.array_equal(arm_keys, _keys_from_codes(d, arm_codes))
+            assert arm_keys.dtype == dtype
+            assert np.array_equal(arm_keys, _keys_from_codes(d, arm_codes, dtype))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_radix_refuses_exactly_the_extents_keys_cannot_hold(d):
     def accepts(extent):
         try:
-            _radix_powers(d, extent)
+            _key_dtype(d, extent)
         except ValueError:
             return False
         return True
@@ -426,7 +437,111 @@ def test_radix_refuses_exactly_the_extents_keys_cannot_hold(d):
         lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
     assert (2 * lo + 1) ** d <= 1 << 62 < (2 * lo + 3) ** d
     with pytest.raises(ValueError, match=rf"extent {lo + 1} "):
-        _radix_powers(d, lo + 1)
+        _key_dtype(d, lo + 1)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_narrow_packings_take_the_count_kernels_largest_base(d):
+    # the int16 and int32 bases are the largest odd ones whose moves
+    # ``counting._moves`` puts in that dtype
+    for dtype in _KEY_DTYPES[:2]:
+        base = _packing(d, dtype)[0]
+        assert base % 2 and _moves(d, base).dtype == dtype
+        assert _moves(d, base + 2).dtype != dtype
+
+
+def _tier_boundaries(d):
+    # the largest extent of the int16 and int32 packings and one step past
+    # each, with the key dtype a draw of that extent takes
+    out = []
+    for narrow, wide in zip(_KEY_DTYPES, _KEY_DTYPES[1:]):
+        top = (_packing(d, narrow)[0] - 1) // 2
+        out += [(top, narrow), (top + 1, wide)]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_keys_from_codes_at_the_tier_boundaries(d):
+    # straight runs along every direction reach the extent on each axis;
+    # the coordinates are summed in int64, as d=2's int32 tier passes the
+    # int16 coordinates of ``_coords_from_codes``
+    rng = np.random.default_rng(89 + d)
+    units = np.zeros((2 * d, d), dtype=np.int64)
+    units[::2], units[1::2] = np.eye(d), -np.eye(d)  # step code 2a is +e_a
+    for n, dtype in _tier_boundaries(d):
+        codes = np.concatenate([
+            np.arange(2 * d, dtype=np.uint8)[:, None].repeat(n, axis=1),
+            rng.integers(0, 2 * d, size=(20, n), dtype=np.uint8)])
+        assert _key_dtype(d, n) == dtype
+        coords = np.zeros((len(codes), n + 1, d), dtype=np.int64)
+        np.cumsum(units[codes], axis=1, out=coords[:, 1:])
+        want = coords @ _packing(d, dtype)[1]
+        got = _keys_from_codes(d, codes, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_draws_at_the_tier_boundaries(d):
+    # d=2's int32 boundary (32,767 steps) is past what dimerization draws
+    sampler = SawSampler(d, SamplerConfig(seed=97))
+    for n, dtype in _tier_boundaries(d):
+        if n > 200:
+            continue
+        for row in sampler.uniform_batch(n, 20):
+            validate(row.tolist(), d)
+        assert _key_dtype(d, n) == dtype
+        codes, keys = sampler._draw_batch(n, 20, dtype)
+        assert keys.dtype == dtype
+        assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_escapes_at_the_tier_boundaries(d):
+    # a head and a tail that make up the extent: straight runs along every
+    # pair of directions, so the walks reach the extent on every axis, and
+    # uniform halves where dimerization draws them
+    sampler = SawSampler(d, SamplerConfig(seed=101))
+    for n, dtype in _tier_boundaries(d):
+        a, b = n // 2, n - n // 2
+        directions = np.arange(2 * d, dtype=np.uint8)
+        heads = directions.repeat(2 * d)[:, None].repeat(a, axis=1)
+        tails = np.tile(directions, 2 * d)[:, None].repeat(b, axis=1)
+        if n <= 200:
+            heads = np.concatenate([heads, sampler.uniform_batch(a, 200)])
+            tails = np.concatenate([tails, sampler.uniform_batch(b, 200)])
+        got = _escapes_batch([_keys_from_codes(d, heads, dtype)],
+                             [_keys_from_codes(d, tails, dtype)])
+        want = [escapes(Path(d, t.tobytes()), Path(d, h.tobytes()))
+                for h, t in zip(heads, tails)]
+        assert got.tolist() == want
+        # sides (+e1)^n and (-e1)^(n-1) +e2 meet only at the origin; one step
+        # past a tier, (n, 0, ..) and (1-n, 1, ..) share a key in the narrower one
+        sides = [bytes(n), bytes([1] * (n - 1) + [2])]
+        validate_two_sided(*(Path(d, side) for side in sides))
+        arms = [np.frombuffer(side, dtype=np.uint8)[None] for side in sides]
+        origin = [np.zeros((1, 1), dtype=dtype)] * 2
+        assert _escapes_batch(origin,
+                              [_keys_from_codes(d, arm, dtype) for arm in arms])[0]
+        narrow = _key_dtype(d, n - 1)
+        if narrow != dtype:
+            ends = [_keys_from_codes(d, arm, narrow)[0, -1] for arm in arms]
+            assert ends[0] == ends[1]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_rows_distinct_ignores_equal_keys_across_rows(rows):
+    # row r holds 4r .. 4r+4, shuffled: its largest key is the next row's
+    # smallest, and no row may be rejected for it; then every other row
+    # repeats a key.  Few rows are compared row-wise, many on the flat buffer
+    rng = np.random.default_rng(rows)
+    keys = (np.arange(rows)[:, None] * 4
+            + rng.permuted(np.tile(np.arange(5), (rows, 1)), axis=1))
+    assert _rows_distinct(keys.astype(np.int16)).all()
+    keys[::2, 0] = keys[::2, 1]
+    want = [len(set(row)) == len(row) for row in keys.tolist()]
+    assert _rows_distinct(keys).tolist() == want
+    assert _rows_distinct(np.zeros((rows, 1), dtype=np.int64)).all()
+    assert _rows_distinct(np.zeros((0, 5), dtype=np.int64)).shape == (0,)
 
 
 def test_two_sided_extending_a_middle_law():
@@ -492,17 +607,18 @@ def test_equal_arms_share_one_draw_per_round(monkeypatch):
     # arms of 15 > base_length steps in d=2; a quarter of the candidates
     # are taken, so rows wait over several rounds
     waits = 0
+    dtype = _key_dtype(2, 15)
     for rows in (1, 40):
         sampler = SawSampler(2, SamplerConfig(seed=rows))
         draw = sampler._draw_batch
         top, rounds, depth = [], [], [0]
 
-        def spy(n, count, **kwargs):
+        def spy(n, count, *args, **kwargs):
             if not depth[0]:  # the dimerization's own calls are not counted
                 top.append((n, count))
             depth[0] += 1
             try:
-                return draw(n, count, **kwargs)
+                return draw(n, count, *args, **kwargs)
             finally:
                 depth[0] -= 1
 
@@ -511,14 +627,14 @@ def test_equal_arms_share_one_draw_per_round(monkeypatch):
             return _first_step_is_zero(pending, tails)
 
         monkeypatch.setattr(sampler, "_draw_batch", spy)
-        codes, keys, _, _ = _first_accepted(sampler, (15, 15), rows, counted)
+        codes, keys, _, _ = _first_accepted(sampler, (15, 15), rows, counted, dtype)
         waits += len(rounds) - 1
         assert len(top) == len(rounds)
         assert all(n == 15 and count % 2 == 0 for n, count in top)
         assert top[0] == (15, 2 * rows)
         assert (codes[0][:, 0] == 0).all()
         for arm_codes, arm_keys in zip(codes, keys):
-            assert np.array_equal(arm_keys, _keys_from_codes(2, arm_codes))
+            assert np.array_equal(arm_keys, _keys_from_codes(2, arm_codes, dtype))
     assert waits  # some round left rows waiting
 
 
@@ -532,7 +648,8 @@ def test_equal_arms_rejections_are_geometric():
     def both(rows, tails):
         return (tails[0][:, 1] == 1) & (tails[1][:, 1] == 1)
 
-    rejections = np.concatenate([_first_accepted(sampler, (15, 15), 1, both)[2]
+    dtype = _key_dtype(2, 15)
+    rejections = np.concatenate([_first_accepted(sampler, (15, 15), 1, both, dtype)[2]
                                  for _ in range(draws)])
     sigma = ((1 - p) / p ** 2 / draws) ** 0.5
     assert abs(rejections.mean() - (1 - p) / p) <= 4 * sigma
