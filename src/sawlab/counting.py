@@ -70,8 +70,8 @@ class CountTable:
     """Exact count cache keyed by (kind, n, condition key).
 
     ``kind`` is one of ``plain``, ``end``, ``prefix``, ``two_sided``.  An
-    optional store (anything with ``get``/``put`` over the same keys) makes
-    the table read-through/write-through.
+    optional store (anything with ``get``/``put_many`` over the same keys)
+    makes the table read-through/write-through.
     """
 
     def __init__(self, dimension: int, store=None):
@@ -94,9 +94,16 @@ class CountTable:
         return None
 
     def put(self, kind: str, n: int, key, value: int) -> None:
-        self._entries[(kind, n, key)] = value
+        self.put_many([(kind, n, key, value)])
+
+    def put_many(self, entries) -> None:
+        """Store (kind, n, key, value) entries, handing a pass to the store
+        in one call."""
+        entries = list(entries)
+        for kind, n, key, value in entries:
+            self._entries[(kind, n, key)] = value
         if self.store is not None:
-            self.store.put(self.dimension, kind, n, key, value)
+            self.store.put_many(self.dimension, entries)
 
     def mark_histogram_complete(self, kind: str, n: int) -> None:
         self._complete_histograms.add((kind, n))
@@ -608,8 +615,7 @@ def count_saws(dimension: int, n: int, *, table: CountTable | None = None,
                                node_budget=node_budget,
                                checkpoint_path=checkpoint_path)
         counts += [2 * dimension * c for c in below[()]]
-    for k, value in enumerate(counts):
-        table.put("plain", k, None, value)
+    table.put_many(("plain", k, None, value) for k, value in enumerate(counts))
     return counts[n]
 
 
@@ -650,8 +656,7 @@ def endpoint_histogram(dimension: int, n: int, *,
                               for axis in range(dimension)])
             for image in (point[perms] * signs).tolist():
                 out[tuple(image)] += value
-    for coords, value in out.items():
-        table.put("end", n, coords, value)
+    table.put_many(("end", n, coords, value) for coords, value in out.items())
     table.mark_histogram_complete("end", n)
     return dict(out)
 
@@ -836,8 +841,8 @@ def prefix_histogram(dimension: int, m: int, k: int, *,
                 images = [bytes([step]) * k for step in range(2 * dimension)]
             for codes in images:
                 out[codes] = below[-1]
-        for codes, value in out.items():
-            table.put("prefix", m, codes, value)
+        table.put_many(("prefix", m, codes, value)
+                       for codes, value in out.items())
     return out
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .counting import CountTable, count_saws, default_table, prefix_histogram
+from .counting import (_SLICE_KEYS, CountTable, count_saws, default_table,
+                       prefix_histogram)
 from .errors import (
     BudgetExceededError,
     NoConvergenceError,
     StartsDisagreeError,
     ZeroTotalMassError,
 )
-from .sampling import _base_arrays, _escapes_batch, _key_dtype
+from .sampling import _base_arrays, _key_dtype
 
 
 @dataclass
@@ -68,8 +69,12 @@ def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
     """Exact escape matrix on SAW_n; trimming removes zero rows/columns
     until stable (removing a column can zero another row).
 
-    Row i is one ``_escapes_batch`` call: walk i as the head of every walk
-    of SAW_n, on packed vertex keys."""
+    Entry (i, j) tests walk i as the head and walk j as the tail on packed
+    vertex keys.  Both are self-avoiding, so only a head vertex a < n and a
+    tail vertex n + b (b >= 1) of equal parity can meet, where key_i[a] -
+    key_i[n] equals key_j[b].  Rows are built in blocks of about
+    ``counting._SLICE_KEYS`` entries, each the OR of one cross compare per
+    such pair (a, b)."""
     count = count_saws(dimension, n)
     if count > max_paths:
         raise BudgetExceededError(max_paths, count)
@@ -77,10 +82,18 @@ def build_escape_matrix(dimension: int, n: int, trim: bool = True, *,
     codes, keys = _base_arrays(dimension, n, _key_dtype(dimension, 2 * n))
     paths = [row.tobytes() for row in codes]
     size = len(paths)
-    rows = np.empty((size, size), dtype=bool)
-    for i in range(size):
-        heads = np.broadcast_to(keys[i], keys.shape)
-        rows[i] = _escapes_batch((heads,), (keys,))
+    pairs = [(a, b) for a in range(n) for b in range(1, n + 1)
+             if (n + b - a) % 2 == 0]
+    tails = keys.T.copy()  # tails[b]: vertex b of every walk, contiguous
+    block = max(1, _SLICE_KEYS // size)
+    rows = np.zeros((size, size), dtype=bool)
+    for start in range(0, size, block):
+        heads = keys[start:start + block]
+        rel = heads[:, :n] - heads[:, n:]  # head vertices seen from its tip
+        hit = rows[start:start + block]
+        for a, b in pairs:
+            hit |= rel[:, a, None] == tails[b]
+        np.logical_not(hit, out=hit)
 
     kept = np.arange(size)
     trimmed = False

@@ -69,15 +69,13 @@ class FileLock:
 
 
 def _canonical_key(key) -> object:
-    """JSON-serializable canonical form of a count-table condition key."""
-    if key is None:
-        return None
-    if isinstance(key, bytes):
-        return list(key)
-    if isinstance(key, tuple):
-        return [_canonical_key(k) for k in key]
-    if isinstance(key, (list, int)):
+    """Canonical form of a count-table condition key: None, an int, or a
+    tuple of these, so bytes, tuples and lists of equal ints give one key.
+    Hashable, and JSON-serializable (tuples dump as lists)."""
+    if key is None or isinstance(key, int):
         return key
+    if isinstance(key, (bytes, tuple, list)):
+        return tuple(_canonical_key(k) for k in key)
     raise TypeError(f"unsupported cache key component: {key!r}")
 
 
@@ -102,7 +100,7 @@ class CountCache:
 
     @staticmethod
     def _memory_key(d: int, kind: str, n: int, key) -> tuple:
-        return (d, kind, n, json.dumps(_canonical_key(key), sort_keys=True))
+        return (d, kind, n, _canonical_key(key))
 
     def _load(self) -> None:
         with open(self.path, encoding="utf-8") as fh:
@@ -128,24 +126,32 @@ class CountCache:
         return self._entries.get(self._memory_key(d, kind, n, key))
 
     def put(self, d: int, kind: str, n: int, key, value: int) -> None:
-        mk = self._memory_key(d, kind, n, key)
-        if self._entries.get(mk) == value:
+        self.put_many(d, [(kind, n, key, value)])
+
+    def put_many(self, d: int, entries) -> None:
+        """Store (kind, n, key, value) entries of dimension ``d``, appending
+        the lines of those not already held in one locked write."""
+        lines = []
+        for kind, n, key, value in entries:
+            mk = self._memory_key(d, kind, n, key)
+            if self._entries.get(mk) == value:
+                continue
+            self._entries[mk] = value
+            payload = {
+                "d": d,
+                "kind": kind,
+                "n": n,
+                "key": _canonical_key(key),
+                "count": str(value),
+            }
+            payload["crc"] = _payload_crc(payload)
+            lines.append(json.dumps(payload, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+        if not lines:
             return
-        self._entries[mk] = value
-        payload = {
-            "d": d,
-            "kind": kind,
-            "n": n,
-            "key": _canonical_key(key),
-            "count": str(value),
-        }
-        payload["crc"] = _payload_crc(
-            {k: v for k, v in payload.items() if k != "crc"}
-        )
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with FileLock(self.path):
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write("".join(lines))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -271,8 +271,10 @@ def check_submultiplicativity(dimension: int, n_max: int,
 
 
 def check_escape_concat_equivalence(dimension: int, length_max: int) -> CheckResult:
-    """escapes(w2, w1) iff concat(w1, w2) succeeds, and iff the packed-key
-    test ``sampling._escapes_batch`` passes, exhaustively."""
+    """escapes(w2, w1) iff concat(w1, w2) succeeds, iff the packed-key test
+    ``sampling._escapes_batch`` passes, and, for walks of one length n, iff
+    entry (w1, w2) of ``build_escape_matrix(dimension, n, trim=False)``
+    is set, exhaustively."""
     by_length = [[Path(dimension, codes) for codes in enumerate_paths(dimension, n)]
                  for n in range(length_max + 1)]
     # a head and a tail make up to 2 * length_max steps
@@ -282,21 +284,27 @@ def check_escape_concat_equivalence(dimension: int, length_max: int) -> CheckRes
                 .reshape(len(walks), n), dtype)
             for n, walks in enumerate(by_length)]
     pairs = bad = 0
-    for heads, head_keys in zip(by_length, keys):
-        for tails, tail_keys in zip(by_length, keys):
+    for m, (heads, head_keys) in enumerate(zip(by_length, keys)):
+        matrix = build_escape_matrix(dimension, m, trim=False)
+        where = {codes: i for i, codes in enumerate(matrix.paths)}
+        for n, (tails, tail_keys) in enumerate(zip(by_length, keys)):
             pairs += len(heads) * len(tails)
             for w1, head in zip(heads, head_keys):
                 fast = _escapes_batch(
                     [np.broadcast_to(head, (len(tails), head.size))],
                     [tail_keys]).tolist()
-                for w2, esc_fast in zip(tails, fast):
+                matrix_row = fast  # the matrix holds same-length pairs only
+                if m == n:
+                    matrix_row = matrix.rows[
+                        where[w1.steps], [where[w2.steps] for w2 in tails]].tolist()
+                for w2, esc_fast, esc_matrix in zip(tails, fast, matrix_row):
                     esc = escapes(w2, w1)
                     try:
                         concat(w1, w2)
                         joined = True
                     except NotSelfAvoidingError:
                         joined = False
-                    if not esc == joined == esc_fast:
+                    if not esc == joined == esc_fast == esc_matrix:
                         bad += 1
     return CheckResult(
         f"escape/concat equivalence d={dimension} lengths<={length_max}",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sawlab import counting, reference
+from sawlab import counting, reference, spectral
 from sawlab.counting import CountTable, count_saws
 from sawlab.errors import BudgetExceededError, ZeroTotalMassError
 from sawlab.lattice import lattice_symmetries
@@ -31,11 +31,18 @@ def test_straight_line_diagonal_entry():
         assert m.rows[i, i]  # a straight head always extends by itself
 
 
-def test_matrix_entries_match_naive_oracle():
-    m = build_escape_matrix(2, 3, trim=False)
-    for i, head in enumerate(m.paths):
-        for j, tail in enumerate(m.paths):
-            assert m.rows[i, j] == reference.naive_escapes(2, tuple(tail), tuple(head))
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 0), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_matrix_rows_match_naive_oracle_in_any_blocks(d, n, monkeypatch):
+    m = build_escape_matrix(d, n, trim=False)
+    expected = np.array([[reference.naive_escapes(d, tuple(tail), tuple(head))
+                          for tail in m.paths] for head in m.paths])
+    assert (m.rows == expected).all()
+    assert m.rows.sum() == count_saws(d, 2 * n)  # every head-tail pair is a walk
+    block = 11  # divides none of these sizes: the last block is short
+    if m.size > block:
+        assert m.size % block
+        monkeypatch.setattr(spectral, "_SLICE_KEYS", block * m.size)
+        assert (build_escape_matrix(d, n, trim=False).rows == expected).all()
 
 
 def test_matrix_budget():

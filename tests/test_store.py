@@ -10,7 +10,9 @@ import time
 import pytest
 
 import sawlab
-from sawlab.counting import CountTable, count_saws, enumerate_paths
+from sawlab import store
+from sawlab.counting import (CountTable, count_saws, endpoint_histogram,
+                             enumerate_paths)
 from sawlab.errors import BadMagicError, CorruptCacheWarning, TruncatedRecordError
 from sawlab.lattice import Path, validate
 from sawlab.sampling import SamplerConfig, SawSampler
@@ -83,6 +85,78 @@ def test_cache_round_trip_through_count_table(tmp_path):
     table2 = CountTable(2, CountCache(path))
     assert table2.get("plain", 8) == value
     assert value == count_saws(2, 8, table=CountTable(2))
+
+
+def test_histogram_pass_is_one_locked_append(tmp_path, monkeypatch):
+    enters = []
+
+    class CountingLock(FileLock):
+        def __enter__(self):
+            enters.append(self.target)
+            return super().__enter__()
+
+    monkeypatch.setattr(store, "FileLock", CountingLock)
+    path = str(tmp_path / "counts.jsonl")
+    hist = endpoint_histogram(3, 6, table=CountTable(3, CountCache(path)))
+    assert enters == [path]
+    with open(path, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == len(hist)
+
+
+class _OneByOne:
+    """A store that hands every entry of a batch to ``CountCache.put``."""
+
+    def __init__(self, cache):
+        self.cache = cache
+
+    def get(self, *args):
+        return self.cache.get(*args)
+
+    def put_many(self, d, entries):
+        for entry in entries:
+            self.cache.put(d, *entry)
+
+
+def test_batched_puts_write_what_single_puts_write(tmp_path):
+    paths = [tmp_path / "batched.jsonl", tmp_path / "single.jsonl"]
+    stores = [CountCache(str(paths[0])), _OneByOne(CountCache(str(paths[1])))]
+    for cache in stores:
+        table = CountTable(2, cache)
+        count_saws(2, 9, table=table)
+        endpoint_histogram(2, 7, table=table)
+        count_saws(2, 9, table=table)  # all held: appends nothing
+    batched, single = (p.read_text(encoding="utf-8").splitlines() for p in paths)
+    assert batched == single
+    assert len(batched) == 10 + len(endpoint_histogram(2, 7))
+
+
+def test_cache_skips_a_batch_torn_mid_line(tmp_path):
+    path = str(tmp_path / "counts.jsonl")
+    CountCache(path).put_many(2, [("plain", 4, None, 100),
+                                  ("end", 3, (2, 1), 2),
+                                  ("prefix", 5, bytes([0, 2]), 44)])
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.truncate(size - 9)  # a writer died inside the batch's last line
+    with pytest.warns(CorruptCacheWarning):
+        again = CountCache(path)
+    assert again.get(2, "plain", 4) == 100
+    assert again.get(2, "end", 3, (2, 1)) == 2
+    assert again.get(2, "prefix", 5, bytes([0, 2])) is None
+    assert len(again) == 2
+
+
+def test_cache_key_forms_agree(tmp_path):
+    path = str(tmp_path / "counts.jsonl")
+    cache = CountCache(path)
+    cache.put(2, "prefix", 3, bytes([0, 2]), 7)
+    cache.put(2, "two_sided", 4, (2, 2, b"", bytes([0])), 11)
+    again = CountCache(path)
+    for c in (cache, again):
+        assert c.get(2, "prefix", 3, (0, 2)) == c.get(2, "prefix", 3, [0, 2]) == 7
+        assert c.get(2, "two_sided", 4, [2, 2, [], [0]]) == 11
+    with pytest.raises(TypeError):
+        cache.get(2, "prefix", 3, 2.5)
 
 
 def test_file_lock_mutual_exclusion(tmp_path):
