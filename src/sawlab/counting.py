@@ -15,8 +15,8 @@ last level is counted, never built, and can be tallied by endpoint or by
 pattern occurrence.  Frontiers past ``_SLICE_KEYS`` keys are expanded
 depth-first in slices, so memory stays bounded.  ``_frontiers`` builds
 levels with their step codes in lexicographic order, for a count's prefix
-split and ``enumerate_paths``, and builds no keys for the last; the
-samplers' base tables take the same step (``_extend``).  Only the
+split, ``enumerate_paths`` and the samplers' one code table per (d, n)
+(``sampling._base_codes``), and builds no keys for the last.  Only the
 early-exit searches (``has_extension``,
 ``patterns.is_proper_internal_pattern``) walk depth-first in Python.
 
@@ -182,40 +182,31 @@ def _grow(rows: np.ndarray, kids: np.ndarray, free: np.ndarray):
     return parent, code, children
 
 
-def _extend(rows: np.ndarray, codes: np.ndarray, moves: np.ndarray,
-            budget: list | None = None, first_turn: bool = False,
-            keys: bool = True):
-    """(keys, step codes) of every free one-step extension of the walks
-    ``rows``/``codes``, in lexicographic order when theirs is, charged to
-    ``budget`` if given; without ``keys``, only the step codes are built
-    and the keys are None.  With ``first_turn``, row 0 is the straight run
-    along +e1 of a first-turn-reduced tree: it goes on or turns to +e2."""
-    kids, free = _free_steps(rows, moves)
-    if first_turn and len(free):
-        free[0, 1] = free[0, 3:] = False
-    if budget is not None:
-        _charge(budget, int(np.count_nonzero(free)))
-    if keys:
-        parent, code, rows = _grow(rows, kids, free)
-    else:
-        (parent, code), rows = np.nonzero(free), None
-    grown = np.empty((len(parent), codes.shape[1] + 1), dtype=np.uint8)
-    grown[:, :-1] = codes[parent]
-    grown[:, -1] = code
-    return rows, grown
-
-
 def _frontiers(moves: np.ndarray, walk: tuple, levels: int,
                budget: list | None = None, first_turn: bool = False):
     """Yield the step codes (rows, j) of the walks j = 0 .. ``levels`` steps
-    past ``walk`` (its keys in order) in lexicographic order (``_extend``);
-    the last level's keys are never built."""
+    past ``walk`` (its keys in order) in lexicographic order, each level the
+    free one-step extensions of the last, charged to ``budget`` if given;
+    the last level's keys are never built.  With ``first_turn``, row 0 is
+    the straight run along +e1 of a first-turn-reduced tree: it goes on or
+    turns to +e2."""
     rows = np.array([walk], dtype=moves.dtype)
     codes = np.zeros((1, 0), dtype=np.uint8)
     yield codes
     for level in range(1, levels + 1):
-        rows, codes = _extend(rows, codes, moves, budget, first_turn,
-                              keys=level < levels)
+        kids, free = _free_steps(rows, moves)
+        if first_turn and len(free):
+            free[0, 1] = free[0, 3:] = False
+        if budget is not None:
+            _charge(budget, int(np.count_nonzero(free)))
+        if level < levels:
+            parent, code, rows = _grow(rows, kids, free)
+        else:
+            parent, code = np.nonzero(free)
+        grown = np.empty((len(parent), level), dtype=np.uint8)
+        grown[:, :-1] = codes[parent]
+        grown[:, -1] = code
+        codes = grown
         yield codes
 
 

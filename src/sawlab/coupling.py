@@ -11,13 +11,13 @@ bounds the total-variation distance of the shifted walks.
 
 One engine runs every coupling: it advances T trials together on packed
 vertex keys, with a walk held as a tuple of arms (one for a one-sided
-walk, negative and positive sides for a two-sided one), and decides
-escape with the samplers' ``_escapes_batch``.  A round of proxy
-candidates is tested against both walks in one call, on the candidates
-stacked twice, and ``_first_accepted`` hands back the taken proxy's
-verdict, which says which walks it escapes, so the proxy is not tested
-again; a block whose proxy escapes both walks draws nothing more.  The
-two sides of a proxy share one draw while they have one length (see
+walk, negative and positive sides for a two-sided one), on the samplers'
+arm path (``_arm_keys``, ``_escapes_batch``, ``_extend_arms``).  A round
+of proxy candidates is tested against both walks in one call, on the
+candidates stacked twice, and ``_first_accepted`` hands back the taken
+proxy's verdict, which says which walks it escapes, so the proxy is not
+tested again; a block whose proxy escapes both walks draws nothing more.
+The two sides of a proxy share one draw while they have one length (see
 ``sampling._first_accepted``).  ``run_one_sided_couplings`` is that
 engine on one arm; ``run_one_sided_coupling`` and
 ``run_two_sided_coupling`` are batches of one.
@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ImpossiblePrefixError
 from .counting import has_extension
 from .lattice import Path, TwoSidedPath
-from .sampling import (SamplerConfig, SawSampler, _check_arms, _escapes_batch,
-                       _first_accepted, _key_dtype, _keys_from_codes)
+from .sampling import (SamplerConfig, SawSampler, _arm_keys, _escapes_batch,
+                       _extend_arms, _first_accepted, _key_dtype)
 
 # a proxy's verdict adds 1 when it escapes walk 0 and 2 when it escapes walk 1
 _WALK_BITS = np.array([[1], [2]], dtype=np.uint8)
@@ -109,6 +109,21 @@ class IterationRecord:
     resamples: int
 
 
+def _arms(walk: Path | TwoSidedPath) -> tuple[bytes, ...]:
+    """A walk's arms as step codes: its negative and positive sides, or
+    the walk itself."""
+    if isinstance(walk, TwoSidedPath):
+        return walk.neg.steps, walk.pos.steps
+    return (walk.steps,)
+
+
+def _records(block_ends, success, resamples) -> list[IterationRecord]:
+    """One trial's ``IterationRecord`` per block from its per-block
+    ``success`` flags and ``resamples`` counts."""
+    return [IterationRecord(l + 1, end, bool(ok), int(count))
+            for l, (end, ok, count) in enumerate(zip(block_ends, success, resamples))]
+
+
 @dataclass
 class CouplingTrace:
     """Per-iteration outcomes plus the final coupled pair."""
@@ -127,24 +142,13 @@ class CouplingTrace:
 
         For a two-sided pair the tails beyond +-m on both sides must agree.
         """
-        if isinstance(self.walk1, TwoSidedPath):
-            neg1, pos1 = self.walk1.neg.steps, self.walk1.pos.steps
-            neg2, pos2 = self.walk2.neg.steps, self.walk2.pos.steps
-            if len(neg1) != len(neg2) or len(pos1) != len(pos2):
-                return None
-            m = 0
-            for side_a, side_b in ((neg1, neg2), (pos1, pos2)):
-                for i in range(len(side_a)):
-                    if side_a[i] != side_b[i]:
-                        m = max(m, i + 1)
-            return m
-        s1, s2 = self.walk1.steps, self.walk2.steps
-        if len(s1) != len(s2):
-            return None
         m = 0
-        for i in range(len(s1)):
-            if s1[i] != s2[i]:
-                m = i + 1
+        for arm1, arm2 in zip(_arms(self.walk1), _arms(self.walk2)):
+            if len(arm1) != len(arm2):
+                return None
+            for i in range(len(arm1)):
+                if arm1[i] != arm2[i]:
+                    m = max(m, i + 1)
         return m
 
     def record_dicts(self) -> list[dict]:
@@ -171,10 +175,9 @@ class CouplingBatch:
 
     def trace(self, i: int) -> CouplingTrace:
         """Trial ``i`` as a ``CouplingTrace``."""
-        records = [IterationRecord(l + 1, end, bool(self.success[i, l]),
-                                   int(self.resamples[i, l]))
-                   for l, end in enumerate(self.block_ends)]
-        return CouplingTrace(self.dimension, self.horizon, records,
+        return CouplingTrace(self.dimension, self.horizon,
+                             _records(self.block_ends, self.success[i],
+                                      self.resamples[i]),
                              Path(self.dimension, self.codes1[i].tobytes()),
                              Path(self.dimension, self.codes2[i].tobytes()))
 
@@ -190,33 +193,27 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     each walk keeps steps h..c of its draw.  Walks are held as packed
     vertex keys, (2, T, L_j + 1) per arm, under the narrowest packing that
     holds the longest arm (``sampling._key_dtype``): the starts are
-    packed from their codes once, and each draw comes with its keys under
-    that packing from ``_first_accepted``, so a translation is one
-    addition and no coordinates are built.  A proxy round sorts once for
-    both walks, and the taken proxy's verdict (1: it escapes walk 0, 2:
-    walk 1, 3: both) picks the walks that redraw; a two-sided start whose
+    packed from their codes once (``_arm_keys``), and each draw comes with
+    its keys under that packing, so a translation is one addition and no
+    coordinates are built.  A proxy round sorts once for both walks, and
+    the taken proxy's verdict (1: it escapes walk 0, 2: walk 1, 3: both)
+    picks the walks that redraw (``_extend_arms``); a two-sided start whose
     sides are not self-avoiding or meet away from the origin raises
     ``NotSelfAvoidingError`` before anything is drawn.
 
-    Returns (blocks, step codes per arm as (2, T, L_j) uint8, success and
-    resamples as (T, blocks) arrays).
+    Returns (block ends, step codes per arm as (2, T, L_j) uint8, success
+    and resamples as (T, blocks) arrays).
     """
     blocks = schedule.blocks(max(lengths))
     # refuses walks keys cannot hold
     dtype = _key_dtype(sampler.dimension, max(lengths))
     codes = [np.empty((2, trials, n), dtype=np.uint8) for n in lengths]
     keys = [np.empty((2, trials, n + 1), dtype=dtype) for n in lengths]
-    for w, arms in enumerate(starts):
-        for j, steps in enumerate(arms):
-            k = len(steps)
-            start = np.frombuffer(steps, dtype=np.uint8)
-            codes[j][w, :, :k] = start
-            keys[j][w, :, :k + 1] = _keys_from_codes(sampler.dimension, start[None],
-                                                     dtype)
-    if len(lengths) > 1:  # a one-arm start is a ``Path``, self-avoiding by contract
-        # both walks' starts have the arm lengths of the first's
-        _check_arms(sampler.dimension, starts,
-                    [arm[:, 0, :len(steps) + 1] for arm, steps in zip(keys, starts[0])])
+    for j, start in enumerate(_arm_keys(sampler.dimension, starts, dtype)):
+        k = start.shape[1] - 1  # both walks' arm j has k steps
+        keys[j][:, :, :k + 1] = start[:, None]
+        for w, arms in enumerate(starts):
+            codes[j][w, :, :k] = np.frombuffer(arms[j], dtype=np.uint8)
     success = np.empty((trials, len(blocks)), dtype=bool)
     resamples = np.empty((trials, len(blocks)), dtype=np.int64)
     for l, (a_prev, a_next) in enumerate(blocks):
@@ -242,16 +239,14 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
         walk, row = np.nonzero((escaped & _WALK_BITS) == 0)  # at most one walk per row
         if not row.size:
             continue
-        own, own_keys, _, _ = _first_accepted(
-            sampler, draw, row.size,
-            lambda rows, tails: _escapes_batch(
-                [h[walk[rows], row[rows]] for h in heads], tails), dtype)
+        own, own_keys, _ = _extend_arms(sampler, [h[walk, row] for h in heads],
+                                        draw, dtype)
         for j, (h, c) in enumerate(cuts):
             codes[j][walk, row, h:c] = own[j][:, :c - h]
             keys[j][walk, row, h + 1:c + 1] = (keys[j][walk, row, h:h + 1]
                                                + own_keys[j][:, 1:c - h + 1])
             success[row, l] &= (own[j][:, :c - h] == proxy[j][row, :c - h]).all(axis=1)
-    return blocks, codes, success, resamples
+    return tuple(end for _, end in blocks), codes, success, resamples
 
 
 def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
@@ -283,11 +278,10 @@ def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
     # No later existence check is needed: a block extends a walk by the
     # start of a draw that escapes it, so after every block each walk is
     # again a prefix of a uniform ``horizon``-step SAW.
-    blocks, (codes,), success, resamples = _couple(
-        sampler, ((prefix1.steps,), (prefix2.steps,)), (horizon,), schedule,
-        trials)
-    return CouplingBatch(dimension, horizon, tuple(b for _, b in blocks),
-                         codes[0], codes[1], success, resamples)
+    block_ends, (codes,), success, resamples = _couple(
+        sampler, (_arms(prefix1), _arms(prefix2)), (horizon,), schedule, trials)
+    return CouplingBatch(dimension, horizon, block_ends, codes[0], codes[1],
+                         success, resamples)
 
 
 def run_one_sided_coupling(dimension: int, prefix1: Path, prefix2: Path,
@@ -322,15 +316,12 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
     if k > min(m, n):
         raise ValueError("middle exceeds the requested side lengths")
     sampler = sampler or SawSampler(dimension, cfg)
-    blocks, (neg, pos), success, resamples = _couple(
-        sampler, ((start1.neg.steps, start1.pos.steps),
-                  (start2.neg.steps, start2.pos.steps)), (m, n), schedule, 1)
+    block_ends, (neg, pos), success, resamples = _couple(
+        sampler, (_arms(start1), _arms(start2)), (m, n), schedule, 1)
     walks = [TwoSidedPath(Path(dimension, neg[w, 0].tobytes()),
                           Path(dimension, pos[w, 0].tobytes())) for w in (0, 1)]
-    records = [IterationRecord(l + 1, end, bool(success[0, l]),
-                               int(resamples[0, l]))
-               for l, (_, end) in enumerate(blocks)]
-    return CouplingTrace(dimension, max(m, n), records, *walks)
+    return CouplingTrace(dimension, max(m, n),
+                         _records(block_ends, success[0], resamples[0]), *walks)
 
 
 @dataclass

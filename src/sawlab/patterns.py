@@ -25,7 +25,7 @@ from .counting import (CountTable, _budget, _count_frontier, _moves,
 from .errors import BudgetExceededError, NotSelfAvoidingError
 from .lattice import Path, TwoSidedPath, _first_turn_symmetries, validate
 from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
-                       _key_dtype, _keys_from_codes, _rows_distinct)
+                       _escapes_batch, _key_dtype, _keys_from_codes)
 
 
 def exact_mean_density(dimension: int, n: int, pattern: Path, *,
@@ -276,13 +276,9 @@ def escape_power_estimate(dimension: int, horizon: int, k: int, trials: int,
         rows = min(chunk_rows, remaining)
         long_codes = sampler.uniform_batch(horizon, rows)
         short_codes = sampler.uniform_batch(k, rows)
-        # both walks are self-avoiding, so they share a vertex besides the
-        # origin iff the long walk's keys and the short one's past the
-        # origin hold a repeat
-        keys = np.concatenate([_keys_from_codes(dimension, long_codes, dtype),
-                               _keys_from_codes(dimension, short_codes, dtype)[:, 1:]],
-                              axis=1)
-        disjoint += int(np.count_nonzero(_rows_distinct(keys)))
+        disjoint += int(np.count_nonzero(_escapes_batch(
+            [_keys_from_codes(dimension, long_codes, dtype),
+             _keys_from_codes(dimension, short_codes, dtype)])))
         remaining -= rows
     c_k = count_saws(dimension, k, table=table)
     return c_k * disjoint / trials

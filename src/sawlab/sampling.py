@@ -7,7 +7,9 @@ each under one fixed radix; a draw works under the narrowest whose base
 covers its extent (``_key_dtype``), at every level, so a d=2 walk of 127
 steps sorts int16 keys and one of 128 steps int32 keys.  Self-avoidance
 does not depend on the packing, so neither does any stream.  Short walks
-are drawn by indexing a cached full enumeration; longer walks by
+are drawn by indexing a cached full enumeration, one lexicographic code
+table per (d, n) (``_base_codes``) whose keys each packing adds by a
+running sum (``_base_arrays``); longer walks by
 dimerization: draw uniform halves recursively and accept iff their
 concatenation is self-avoiding, which keeps the output exactly uniform and
 makes the top-level acceptance rate exactly c_n / (c_a * c_b).  The
@@ -22,19 +24,21 @@ sampler takes this path when the box of radius ``base_length`` fits
 ``_MASK_WORDS`` 64-bit words (d = 2 up to base 10, d = 3 up to base 3;
 never d >= 3 at the default base); the draws, the accept/reject indicators
 and so every stream are the same either way.  A per-draw call is a batch
-of one.  The conditioned draws (escaping a prefix, extending a two-sided
-middle) and the couplings reject such draws with one packed-key escape
-test, ``_escapes_batch``, on walks made of one arm (one-sided) or two (the
-negative and positive sides), under the packing of the walks they build.
-Their rejection rounds run in ``_first_accepted``: the arms of one length
-(two sides with as many steps left) share one draw per round, cut by
-position, which stays exact because how many walks a draw holds depends
-only on accept/reject indicators; and the condition's verdict on each
-taken candidate comes back with it, so a coupling learns which walks its
-proxy escapes from the round's own sort.  A two-sided middle whose sides
-are not self-avoiding or meet away from the origin is refused before
-anything is drawn.  Only the mean-square displacement in
-``patterns.scalar_estimators`` unpacks walks to coordinates.
+of one.
+
+Every conditioned object (a walk escaping a prefix, a two-sided walk
+extending a middle, a coupling's walks) extends the arms of a walk (one,
+or the negative and positive sides) until the whole walk is
+self-avoiding, on one path: ``_arm_keys`` packs the heads,
+``_extend_arms`` draws the extensions of P walks, and ``_escapes_batch``
+tests them.  Rejection rounds run in ``_first_accepted``: the arms of one
+length (two sides with as many steps left) share one draw per round, cut
+by position, which stays exact because how many walks a draw holds
+depends only on accept/reject indicators; and the condition's verdict on
+each taken candidate comes back with it, so a coupling's proxy round
+learns which walks its proxy escapes from the round's own sort.  Only
+the mean-square displacement in ``patterns.scalar_estimators`` unpacks
+walks to coordinates.
 
 Streams come from a counter-based Philox generator; distinct
 ``stream_id`` values (and any extra derivation key parts) give
@@ -49,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import _extend, _moves, has_extension
+from .counting import _frontiers, _moves, has_extension
 from .errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
@@ -93,24 +97,29 @@ def derive_generator(cfg: SamplerConfig, extra_key: tuple[int, ...] = ()) -> np.
     return np.random.Generator(np.random.Philox(seq))
 
 
+# the base code tables built so far, by (dimension, n)
+_BASE_CODES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _base_codes(dimension: int, n: int) -> np.ndarray:
+    """Step codes (rows, n) of SAW_n in lexicographic order, as
+    ``enumerate_paths`` lists them: level n of ``counting._frontiers``.  The
+    one code table of (dimension, n); the levels below come with it and are
+    kept, as a sampler reads several.  Shared, so read-only."""
+    if (dimension, n) not in _BASE_CODES:
+        for j, codes in enumerate(_frontiers(_moves(dimension, 2 * n + 1), (0,), n)):
+            codes.flags.writeable = False
+            _BASE_CODES.setdefault((dimension, j), codes)
+    return _BASE_CODES[dimension, n]
+
+
 @lru_cache(maxsize=128)
-def _base_arrays(dimension: int, n: int, dtype: np.dtype | None = None):
-    """(codes, keys) arrays over all of SAW_n in canonical (lexicographic)
-    order, with keys under the packing of ``dtype`` (``_packing``; by
-    default the narrowest that holds n steps), shared between calls, so
-    read-only: each walk of SAW_{n-1} is extended by step codes 0 .. 2d-1
-    in order (``counting._extend``, the count kernel's step), dropping the
-    extensions whose new tip is already one of the walk's vertices.  The
-    codes do not depend on the packing."""
-    if dtype is None:
-        return _base_arrays(dimension, n, _key_dtype(dimension, n))
-    if n == 0:
-        codes = np.zeros((1, 0), dtype=np.uint8)
-        keys = np.zeros((1, 1), dtype=dtype)
-    else:
-        prev_codes, prev_keys = _base_arrays(dimension, n - 1, dtype)
-        keys, codes = _extend(prev_keys, prev_codes, _packing(dimension, dtype)[2])
-    codes.flags.writeable = False
+def _base_arrays(dimension: int, n: int, dtype: np.dtype):
+    """(codes, keys) arrays over all of SAW_n: the code table
+    ``_base_codes`` and its vertex keys under the packing of ``dtype``
+    (``_keys_from_codes``).  Shared, so read-only."""
+    codes = _base_codes(dimension, n)
+    keys = _keys_from_codes(dimension, codes, dtype)
     keys.flags.writeable = False
     return codes, keys
 
@@ -127,15 +136,14 @@ def _occupancy(dimension: int, n: int, radius: int, before: bool) -> np.ndarray:
     With ``before``, a walk's vertices other than its tip, relative to the
     tip; otherwise its vertices after its start.  The box point x is bit
     sum((x_a + radius) * (2 * radius + 1)**a), so each walk's bit positions
-    are a running sum of per-step moves from the centre, taken in int16 and
-    set column by column.  Shared, so read-only."""
+    are a running sum of per-step moves from the centre (``counting._moves``
+    of base 2 * radius + 1), taken in int16 and set column by column.
+    Shared, so read-only."""
     side = 2 * radius + 1
     size = side ** dimension
-    codes = _base_arrays(dimension, n)[0]
+    codes = _base_codes(dimension, n)
     rows = codes.shape[0]
-    moves = np.array([sign * side ** a for a in range(dimension)
-                      for sign in (1, -1)], dtype=np.int16)
-    pos = moves.take(codes)  # (rows, n) steps in bit positions
+    pos = _moves(dimension, side).take(codes)  # (rows, n) steps in bit positions
     centre = size // 2
     if before:  # the tip minus each earlier vertex: suffix sums of the steps
         pos = pos[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1]
@@ -242,31 +250,47 @@ def _keys_from_codes(dimension: int, codes: np.ndarray,
     return keys
 
 
-def _escapes_batch(heads, tails) -> np.ndarray:
+def _escapes_batch(heads, tails=()) -> np.ndarray:
     """Row-wise escape test on packed vertex keys: arm j has head
     ``heads[j]`` (P, a_j+1) and tail ``tails[j]`` (P, m_j+1), both starting
     at the origin (key 0).  True where the heads (the origin once) and each
     tail translated to its arm's tip hold distinct keys, found by sorting
     and comparing neighbours as ``_draw_batch`` tests its halves.  With one
     arm this is ``lattice.escapes``; with two, ``validate_two_sided`` of the
-    concatenated sides."""
+    concatenated sides; with no tails, the test that the heads meet only at
+    the origin."""
     parts = [heads[0]] + [head[:, 1:] for head in heads[1:]]
     parts += [tail[:, 1:] + head[:, -1:] for head, tail in zip(heads, tails)]
     return _rows_distinct(np.concatenate(parts, axis=1))
 
 
-def _check_arms(dimension: int, walks, keys) -> None:
-    """Refuse walks whose arms do not make one self-avoiding walk: walk p
-    has arms with step codes ``walks[p]`` and packed vertex keys
-    ``keys[j][p]``, all from the origin, and passes when its arms hold
-    distinct keys (the origin once).  One sort decides; the lattice's own
-    checks, run on a failing walk's step codes, raise
-    ``NotSelfAvoidingError`` with its position."""
-    joined = np.concatenate([keys[0]] + [arm[:, 1:] for arm in keys[1:]],
-                            axis=1)
-    for arms, ok in zip(walks, _rows_distinct(joined)):
-        if not ok:  # a side revisits a vertex, or the two sides meet
-            validate_two_sided(*[validate(steps, dimension) for steps in arms])
+def _arm_keys(dimension: int, walks, dtype: np.dtype) -> list[np.ndarray]:
+    """Packed vertex keys (P, a_j+1) per arm j, under the packing of
+    ``dtype``, of P walks from the origin whose arm j has the step codes
+    ``walks[p][j]`` (as long in every walk).  A walk of two arms whose
+    sides are not self-avoiding or meet away from the origin raises
+    ``NotSelfAvoidingError`` (the lattice's checks); one arm is a ``Path``,
+    self-avoiding by contract."""
+    keys = [_keys_from_codes(dimension, np.frombuffer(b"".join(arm), np.uint8)
+                             .reshape(len(arm), len(arm[0])), dtype)
+            for arm in zip(*walks)]
+    if len(keys) > 1:
+        for arms, ok in zip(walks, _escapes_batch(keys)):
+            if not ok:
+                validate_two_sided(*[validate(steps, dimension) for steps in arms])
+    return keys
+
+
+def _extend_arms(sampler: SawSampler, head_keys, lengths: tuple[int, ...],
+                 dtype: np.dtype):
+    """The first i.i.d. uniform extensions by ``lengths`` steps
+    (``_first_accepted``) that keep each of P walks with arm keys
+    ``head_keys[j]`` (P, a_j+1) self-avoiding: (codes per arm, keys per
+    arm, rejections per walk).  ``dtype`` must cover the extended walks."""
+    return _first_accepted(
+        sampler, lengths, len(head_keys[0]),
+        lambda rows, tails: _escapes_batch(
+            [head.take(rows, axis=0) for head in head_keys], tails), dtype)[:3]
 
 
 # below this many rows, ``_rows_distinct`` compares neighbours row-wise
@@ -457,11 +481,14 @@ class SawSampler:
                 f"middle with sides ({middle.neg_length}, {middle.pos_length}) "
                 f"is longer than the requested sides ({m}, {n})"
             )
-        (neg, pos), self.last_two_sided_attempts = self._extensions(
-            (middle.neg.steps, middle.pos.steps),
-            (m - middle.neg_length, n - middle.pos_length))
-        return TwoSidedPath(Path(self.dimension, middle.neg.steps + neg),
-                            Path(self.dimension, middle.pos.steps + pos))
+        dtype = _key_dtype(self.dimension, max(m, n))
+        heads = _arm_keys(self.dimension, ((middle.neg.steps, middle.pos.steps),),
+                          dtype)
+        (neg, pos), _, rejections = _extend_arms(
+            self, heads, (m - middle.neg_length, n - middle.pos_length), dtype)
+        self.last_two_sided_attempts = int(rejections[0]) + 1
+        return TwoSidedPath(Path(self.dimension, middle.neg.steps + neg[0].tobytes()),
+                            Path(self.dimension, middle.pos.steps + pos[0].tobytes()))
 
     def escaping(self, n: int, prefix: Path) -> Path:
         """Uniform draw over n-step walks escaping ``prefix``."""
@@ -471,8 +498,10 @@ class SawSampler:
             raise NoEscaperExistsError(
                 f"no {n}-step walk escapes the given {len(prefix)}-step prefix"
             )
-        (steps,), _ = self._extensions((prefix.steps,), (n,))
-        return Path(self.dimension, steps)
+        dtype = _key_dtype(self.dimension, len(prefix) + n)
+        (steps,), _, _ = _extend_arms(
+            self, _arm_keys(self.dimension, ((prefix.steps,),), dtype), (n,), dtype)
+        return Path(self.dimension, steps[0].tobytes())
 
     def prefix_conditioned(self, n: int, prefix: Path) -> Path:
         """Uniform draw from SAW_n conditioned to start with ``prefix``."""
@@ -486,26 +515,6 @@ class SawSampler:
         except NoEscaperExistsError as exc:
             raise ImpossiblePrefixError(str(exc)) from exc
         return Path(self.dimension, prefix.steps + suffix.steps, prefix.anchor)
-
-    def _extensions(self, heads: tuple[bytes, ...],
-                    lengths: tuple[int, ...]) -> tuple[list[bytes], int]:
-        """One draw per arm, extending the arms with step codes ``heads``
-        by ``lengths`` steps to a self-avoiding walk, as a batch of one of
-        ``_first_accepted``: (extension step codes per arm, attempts)."""
-        dtype = _key_dtype(self.dimension,
-                           max(len(h) + n for h, n in zip(heads, lengths)))
-        head_keys = [_keys_from_codes(self.dimension,
-                                      np.frombuffer(h, dtype=np.uint8)[None], dtype)
-                     for h in heads]
-        if len(heads) > 1:  # a one-arm head is a ``Path``, self-avoiding by contract
-            _check_arms(self.dimension, (heads,), head_keys)
-        codes, _, rejections, _ = _first_accepted(
-            self, lengths, 1,
-            lambda rows, tails: _escapes_batch(
-                head_keys if rows.size == 1
-                else [h.take(rows, axis=0) for h in head_keys],
-                tails), dtype)
-        return [c[0].tobytes() for c in codes], int(rejections[0]) + 1
 
     # -- batch API ---------------------------------------------------------
 

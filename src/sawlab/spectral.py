@@ -9,7 +9,7 @@ Perron eigenvector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .counting import (_SLICE_KEYS, CountTable, count_saws, default_table,
@@ -189,6 +189,8 @@ def perron_fixed_point(matrix: EscapeMatrix, *, tol: float = 1e-12,
         vec = rng.random(size) + 0.1
         start_vectors.append(vec / vec.sum())
 
+    # the operator steps on one float64 copy of the rows, not a cast per step
+    operator = replace(matrix, rows=matrix.rows.astype(np.float64))
     finals = []
     iterations = 0
     residual = float("inf")
@@ -196,7 +198,7 @@ def perron_fixed_point(matrix: EscapeMatrix, *, tol: float = 1e-12,
     for vec in start_vectors:
         measure = MeasureVector(vec)
         for it in range(1, max_iters + 1):
-            new = apply_escape_operator(matrix, measure)
+            new = apply_escape_operator(operator, measure)
             residual = float(np.abs(new.values - measure.values).sum())
             measure = new
             if residual <= tol:
@@ -207,6 +209,7 @@ def perron_fixed_point(matrix: EscapeMatrix, *, tol: float = 1e-12,
         eigenvalue = measure.eigenvalue
         finals.append(measure.values)
 
+    del operator  # free its 8 bytes per entry before the witness's copies
     spread = 0.0
     for other in finals[1:]:
         spread = max(spread, float(np.abs(other - finals[0]).sum()))

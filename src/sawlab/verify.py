@@ -23,7 +23,7 @@ from .lattice import (Path, concat, escapes, lattice_symmetries,
                       pattern_density, validate)
 from .errors import NotSelfAvoidingError
 from .patterns import exact_mean_density_grid
-from .sampling import _escapes_batch, _key_dtype, _keys_from_codes
+from .sampling import _base_arrays, _escapes_batch, _key_dtype
 from .spectral import build_escape_matrix, perron_fixed_point
 
 
@@ -277,12 +277,10 @@ def check_escape_concat_equivalence(dimension: int, length_max: int) -> CheckRes
     is set, exhaustively."""
     by_length = [[Path(dimension, codes) for codes in enumerate_paths(dimension, n)]
                  for n in range(length_max + 1)]
-    # a head and a tail make up to 2 * length_max steps
+    # a head and a tail make up to 2 * length_max steps; the base tables
+    # list SAW_n in the enumeration's order
     dtype = _key_dtype(dimension, 2 * length_max)
-    keys = [_keys_from_codes(
-                dimension, np.frombuffer(b"".join(w.steps for w in walks), np.uint8)
-                .reshape(len(walks), n), dtype)
-            for n, walks in enumerate(by_length)]
+    keys = [_base_arrays(dimension, n, dtype)[1] for n in range(length_max + 1)]
     pairs = bad = 0
     for m, (heads, head_keys) in enumerate(zip(by_length, keys)):
         matrix = build_escape_matrix(dimension, m, trim=False)

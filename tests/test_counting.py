@@ -322,8 +322,8 @@ def test_enumeration_is_the_filtered_oracle(dimension, n_max):
 
 
 def test_enumeration_leaves_the_base_tables_alone():
-    from sawlab.sampling import SamplerConfig, _base_arrays
-    _base_arrays(2, 3)
+    from sawlab.sampling import SamplerConfig, _base_arrays, _key_dtype
+    _base_arrays(2, 3, _key_dtype(2, 3))
     before = _base_arrays.cache_info().currsize
     length = SamplerConfig().resolve_base_length(2) + 2
     assert len(enumerate_paths(2, length)) == A001411[length]

@@ -320,11 +320,12 @@ def test_a_coupling_block_sorts_once_per_round(monkeypatch):
     # taken proxy's verdicts are reused, and a block whose proxy escapes
     # both walks draws no redraw
     import sawlab.coupling as coupling
+    import sawlab.sampling as sampling
 
     sorts, rounds, calls = [], [], []
     escapes, first_accepted = coupling._escapes_batch, coupling._first_accepted
 
-    def sorted_once(heads, tails):
+    def sorted_once(heads, tails=()):
         sorts.append(len(heads[0]))
         return escapes(heads, tails)
 
@@ -338,8 +339,10 @@ def test_a_coupling_block_sorts_once_per_round(monkeypatch):
             return out
         return first_accepted(sampler, lengths, count, one_round, dtype)
 
-    monkeypatch.setattr(coupling, "_escapes_batch", sorted_once)
-    monkeypatch.setattr(coupling, "_first_accepted", counted)
+    # the proxy rounds run in the coupling, its redraws in the sampler
+    for module in (coupling, sampling):
+        monkeypatch.setattr(module, "_escapes_batch", sorted_once)
+        monkeypatch.setattr(module, "_first_accepted", counted)
     mid1 = TwoSidedPath(validate([1], 2), validate([0], 2))
     mid2 = TwoSidedPath(validate([1], 2), validate([2], 2))
     sched = CouplingSchedule.explicit(1, [12])  # one block
@@ -351,7 +354,9 @@ def test_a_coupling_block_sorts_once_per_round(monkeypatch):
                                        SamplerConfig(seed=seed))
         assert calls in ([1], [1, 1])  # the proxy, then at most one redraw
         redraws.add(len(calls))
-        assert len(sorts) == len(rounds)  # no sort outside a round
+        # one sort checks both middles before any round, and no other sort
+        # runs outside a round
+        assert sorts[0] == 2 and len(sorts) == len(rounds) + 1
         for call, size, made in rounds:
             assert made == [2 * size if call == 1 else size]
         if len(calls) == 1:
@@ -394,6 +399,25 @@ def test_two_sided_coupling_outputs(m, n):
             run_two_sided_coupling(d, m, n, *middles, sched,
                                    SamplerConfig(seed=seed, max_rejections=1))
     assert flags == {True, False}  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("m, n", [(16, 16), (2, 5)])
+def test_two_sided_final_equal_from_is_where_both_sides_agree(m, n):
+    d = 2
+    middles = (TwoSidedPath(validate([1], d), validate([0], d)),
+               TwoSidedPath(validate([1], d), validate([2], d)))
+    sched = CouplingSchedule.geometric(1, max(m, n))
+    seen = set()
+    for seed in range(8):
+        trace = run_two_sided_coupling(d, m, n, *middles, sched,
+                                       SamplerConfig(seed=seed))
+        sides = ((trace.walk1.neg.steps, trace.walk2.neg.steps),
+                 (trace.walk1.pos.steps, trace.walk2.pos.steps))
+        want = next(k for k in range(max(m, n) + 1)
+                    if all(a[k:] == b[k:] for a, b in sides))
+        assert trace.final_equal_from() == want
+        seen.add(want)
+    assert len(seen) > 1
 
 
 def test_decoupling_stats_identical_prefixes_zero_failures():

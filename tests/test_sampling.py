@@ -18,6 +18,7 @@ from sawlab.sampling import (
     SamplerConfig,
     SawSampler,
     _base_arrays,
+    _base_codes,
     _coords_from_codes,
     _KEY_DTYPES,
     _escapes_batch,
@@ -274,7 +275,8 @@ def _mask_and_sort_verdicts(d, n1, n2, i1, i2):
     # pair, for halves i1 of SAW_n1 and i2 of SAW_n2 in base-table order
     masks = _junction_avoids(_occupancy(d, n1, n1, True),
                              _occupancy(d, n2, n1, False), i1, i2)
-    (c1, k1), (c2, k2) = _base_arrays(d, n1), _base_arrays(d, n2)
+    dtype = _key_dtype(d, n1 + n2)
+    (c1, k1), (c2, k2) = _base_arrays(d, n1, dtype), _base_arrays(d, n2, dtype)
     _, keys = _joined((c1[i1], k1[i1]), (c2[i2], k2[i2]))
     return masks, _rows_distinct(keys)
 
@@ -283,7 +285,7 @@ def _mask_and_sort_verdicts(d, n1, n2, i1, i2):
 @pytest.mark.parametrize("shorter", [1, 0])
 def test_occupancy_masks_match_the_sort_test_on_all_pairs(d, n1, shorter):
     n2 = n1 - shorter
-    rows1, rows2 = (_base_arrays(d, n)[0].shape[0] for n in (n1, n2))
+    rows1, rows2 = (_base_codes(d, n).shape[0] for n in (n1, n2))
     i1, i2 = np.divmod(np.arange(rows1 * rows2), rows2)
     masks, sort = _mask_and_sort_verdicts(d, n1, n2, i1, i2)
     assert np.array_equal(masks, sort)
@@ -293,8 +295,8 @@ def test_occupancy_masks_match_the_sort_test_on_all_pairs(d, n1, shorter):
 def test_occupancy_masks_match_the_sort_test_on_random_pairs(n1, n2):
     # d=2 at the default base (5 words) and at base 10 (a 441-bit box)
     rng = np.random.default_rng(n1 * 100 + n2)
-    i1 = rng.integers(_base_arrays(2, n1)[0].shape[0], size=100_000)
-    i2 = rng.integers(_base_arrays(2, n2)[0].shape[0], size=100_000)
+    i1 = rng.integers(_base_codes(2, n1).shape[0], size=100_000)
+    i2 = rng.integers(_base_codes(2, n2).shape[0], size=100_000)
     masks, sort = _mask_and_sort_verdicts(2, n1, n2, i1, i2)
     assert np.array_equal(masks, sort)
     assert 0.3 < masks.mean() < 0.7
@@ -310,9 +312,27 @@ def test_occupancy_masks_hold_each_walk_once(d, n, radius):
     words = -(-(2 * radius + 1) ** d // 64)
     for before in (True, False):
         masks = _occupancy(d, n, radius, before)
-        assert masks.shape == (words, _base_arrays(d, n)[0].shape[0])
+        assert masks.shape == (words, _base_codes(d, n).shape[0])
         assert not masks.flags.writeable
         assert (np.bitwise_count(masks).sum(axis=0) == n).all()
+
+
+def test_a_draw_builds_key_tables_of_its_own_dtype_only(monkeypatch):
+    # the occupancy masks need the base codes, not a table of keys
+    import sawlab.sampling as sampling
+
+    built = []
+    base_arrays = sampling._base_arrays
+
+    def recorded(d, n, dtype=None):
+        built.append(np.dtype(dtype))
+        return base_arrays(d, n, dtype)
+
+    monkeypatch.setattr(sampling, "_base_arrays", recorded)
+    base_arrays.cache_clear()
+    _occupancy.cache_clear()
+    SawSampler(2).uniform_batch(128, 100)
+    assert built and set(built) == {np.dtype(np.int32)}
 
 
 @pytest.mark.parametrize("d, base, masked", [
@@ -338,10 +358,12 @@ def test_lowest_levels_use_masks_where_the_box_fits(monkeypatch, d, base, masked
 def test_base_arrays_are_the_enumeration(d):
     base_length = SamplerConfig().resolve_base_length(d)
     for n in range(base_length + 1):
-        codes, keys = _base_arrays(d, n)
+        codes, keys = _base_arrays(d, n, _key_dtype(d, n))
         assert [row.tobytes() for row in codes] == enumerate_paths(d, n)
         assert np.array_equal(keys, _keys_from_codes(d, codes, _key_dtype(d, n)))
         assert not codes.flags.writeable and not keys.flags.writeable
+        # every packing reads the one code table of (d, n)
+        assert _base_arrays(d, n, _KEY_DTYPES[-1])[0] is codes
 
 
 def _first_step_is_zero(rows, tails):

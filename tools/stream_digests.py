@@ -51,7 +51,7 @@ from sawlab import (
     scalar_estimators,
     validate,
 )
-from sawlab.sampling import _base_arrays
+from sawlab.sampling import _base_arrays, _key_dtype
 
 SEEDS = (0, 1, 2)
 _LINES: dict[str, str] = {}  # output -> digest, in the order emitted
@@ -252,7 +252,8 @@ def estimators(seed: int) -> None:
 def base_tables() -> None:
     for d in range(1, 6):
         for n in range(SamplerConfig().resolve_base_length(d) + 1):
-            emit(f"_base_arrays d={d} n={n}", *_base_arrays(d, n))
+            emit(f"_base_arrays d={d} n={n}",
+                 *_base_arrays(d, n, _key_dtype(d, n)))
 
 
 def emit_all() -> None:
