@@ -13,18 +13,29 @@ running sum (``_base_arrays``); longer walks by
 dimerization: draw uniform halves recursively and accept iff their
 concatenation is self-avoiding, which keeps the output exactly uniform and
 makes the top-level acceptance rate exactly c_n / (c_a * c_b).  The
-packing is linear, so a half moves to the other's tip by one addition, and
-a level tests its pairs by sorting their joined keys.  At the lowest
-levels, where both halves index base tables (the first half has n1 <=
-``base_length`` steps), a pair is tested instead by ANDing two cached
-occupancy bitmasks (``_occupancy``) over the box of radius n1: the first
-half's vertices other than its tip, relative to the tip, and the second
-half's vertices after its start.  Only the accepted pairs are joined.  A
-sampler takes this path when the box of radius ``base_length`` fits
-``_MASK_WORDS`` 64-bit words (d = 2 up to base 10, d = 3 up to base 3;
-never d >= 3 at the default base); the draws, the accept/reject indicators
-and so every stream are the same either way.  A per-draw call is a batch
-of one.
+packing is linear, so a half moves to the other's tip by one addition.  A
+level tests its pairs in one of three ways, which give the same
+accept/reject indicators, so the draws and every stream are the same
+whichever runs:
+
+- occupancy masks, at the lowest levels, where both halves index base
+  tables (the first half has n1 <= ``base_length`` steps) and the box of
+  radius ``base_length`` fits ``_MASK_WORDS`` 64-bit words (d = 2 up to
+  base 10, d = 3 up to base 3; never d >= 3 at the default base): a pair
+  is accepted iff two cached bitmasks (``_occupancy``) over the box of
+  radius n1 share no bit, the first half's vertices other than its tip,
+  relative to the tip, and the second half's vertices after its start;
+- a cross compare (``_halves_avoid``), at the other levels where the first
+  half has at most ``_CROSS_HALF`` steps and the round at least
+  ``_CROSS_ROWS`` pairs per such step: one compare of two key columns per
+  vertex a steps before the junction and b after it with a + b even;
+- otherwise, long halves or small rounds (a per-draw call is a batch of
+  one), sorting each pair's joined keys (``_rows_distinct``).
+
+The first two join only the accepted pairs, transposed
+(``_joined_keys``), and their keys come out column-major, which the cross
+compare above them reads without a copy.  ``tools/pair_tests.py`` times
+the compare against the sort, which is where the two constants come from.
 
 Every conditioned object (a walk escaping a prefix, a two-sided walk
 extending a middle, a coupling's walks) extends the arms of a walk (one,
@@ -180,6 +191,30 @@ def _junction_avoids(before: np.ndarray, after: np.ndarray,
     return hit == 0
 
 
+def _halves_avoid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """True where row r of ``second`` (packed keys of walks from the
+    origin) moved to the tip of row r of ``first`` extends it to a
+    self-avoiding walk.  Both are self-avoiding, so only a vertex a >= 1
+    steps before the first walk's tip and one b >= 1 steps after it can
+    meet, where first[r, n1 - a] - first[r, n1] equals second[r, b], and
+    only when a + b is even.  Each such (a, b) is one compare of two
+    contiguous columns of the transposed keys: per a, the b of its parity
+    are compared at once into one bool buffer, reused for every a, and
+    ORed into one hit vector."""
+    rows, width = first.shape
+    n1, n2 = width - 1, second.shape[1] - 1
+    rel = np.empty((n1, rows), dtype=first.dtype)  # rel[n1 - a]: a steps back
+    np.subtract(first.T[:n1], first.T[n1], out=rel)
+    after = np.ascontiguousarray(second.T)  # after[b]
+    hit = np.zeros(rows, dtype=bool)
+    same = np.empty(((n2 + 1) // 2, rows), dtype=bool)
+    for a in range(1, n1 + 1):
+        cols = after[2 - a % 2::2]  # b = 1, 3, .. for odd a; 2, 4, .. for even
+        np.equal(cols, rel[n1 - a], out=same[:len(cols)])
+        hit |= same[:len(cols)].any(axis=0)
+    return ~hit
+
+
 def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
     """Vertex coordinates (rows, n+1, d) as int16 from step codes."""
     rows, n = codes.shape
@@ -255,7 +290,7 @@ def _escapes_batch(heads, tails=()) -> np.ndarray:
     ``heads[j]`` (P, a_j+1) and tail ``tails[j]`` (P, m_j+1), both starting
     at the origin (key 0).  True where the heads (the origin once) and each
     tail translated to its arm's tip hold distinct keys, found by sorting
-    and comparing neighbours as ``_draw_batch`` tests its halves.  With one
+    and comparing neighbours as ``_draw_batch``'s sort test does.  With one
     arm this is ``lattice.escapes``; with two, ``validate_two_sided`` of the
     concatenated sides; with no tails, the test that the heads meet only at
     the origin."""
@@ -293,6 +328,17 @@ def _extend_arms(sampler: SawSampler, head_keys, lengths: tuple[int, ...],
             [head.take(rows, axis=0) for head in head_keys], tails), dtype)[:3]
 
 
+# a level that draws its halves tests its pairs by ``_halves_avoid`` where
+# the first half has n1 <= _CROSS_HALF steps and the round at least
+# _CROSS_ROWS * n1 pairs, and by sorting their joined keys otherwise: in
+# ``tools/pair_tests.py`` (numpy 2.4, 2-core Xeon) the compare won from
+# 56-200 pairs per step of n1 = 3..40 (most at 62-125), in d = 2 and 5
+# and every key dtype, and at n1 = 50 lost in all but one round the
+# round cap allows
+_CROSS_HALF = 40
+_CROSS_ROWS = 100
+
+
 # below this many rows, ``_rows_distinct`` compares neighbours row-wise
 _FEW_ROWS = 16
 
@@ -324,6 +370,31 @@ def _joined(first, second):
     keys[:, :n1 + 1] = k1
     np.add(k2[:, 1:], k1[:, -1:], out=keys[:, n1 + 1:])
     return np.concatenate([c1, c2], axis=1), keys
+
+
+def _joined_keys(first: np.ndarray, second: np.ndarray,
+                 i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """Packed keys of walk ``i1[r]`` of ``first`` with walk ``i2[r]`` of
+    ``second`` appended, per r, as ``_joined`` makes them.  They are built
+    transposed, one contiguous row per vertex, so the first walk's tip is
+    added to the second's vertices by one add over every walk rather than
+    one add per walk, and returned as the transpose's view (column-major):
+    numpy reads either layout alike, and ``_halves_avoid`` reads this one
+    without a copy."""
+    n1 = first.shape[1] - 1
+    keys = np.empty((n1 + second.shape[1], len(i1)), dtype=first.dtype)
+    keys[:n1 + 1] = _taken_columns(first, i1)
+    np.add(_taken_columns(second, i2)[1:], keys[n1], out=keys[n1 + 1:])
+    return keys.T
+
+
+def _taken_columns(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``keys[rows].T``, gathered in the layout ``keys`` has: ``take`` on
+    an array that is not contiguous copies all of it first, which a base
+    table drawn from by one walk cannot afford."""
+    if keys.flags.c_contiguous:
+        return keys.take(rows, axis=0).T
+    return keys.T.take(rows, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -565,8 +636,8 @@ class SawSampler:
         n2 = n - n1
         masked = self._masked and n1 <= self.base_length
         if masked:  # both halves index base tables: test pairs by masks
-            (c1, k1), (c2, k2) = (_base_arrays(self.dimension, n1, dtype),
-                                  _base_arrays(self.dimension, n2, dtype))
+            tables = (_base_arrays(self.dimension, n1, dtype),
+                      _base_arrays(self.dimension, n2, dtype))
             before = _occupancy(self.dimension, n1, n1, True)
             after = _occupancy(self.dimension, n2, n1, False)
         # this sampler's accepted and attempted pairs at this level so far
@@ -587,16 +658,24 @@ class SawSampler:
             else:
                 chunk = min(need, 256) + 8
             # a round holds at most 500,000 vertex keys, of the draw's
-            # dtype; the halves and the sorted keys live only inside these
-            # calls, and the top level, which keeps no keys, sorts them in
-            # place: 20,000 walks of 200 steps in d=5 (int64 keys) peak at
-            # about 62 MB of process memory, and as many of 128 steps in
-            # d=2 (int32 keys) at about 56 MB
+            # dtype; the sorted keys live only inside these calls, the top
+            # level, which keeps no keys, sorts them in place, and the
+            # drawn halves are let go before the next round: 20,000 walks
+            # of 200 steps in d=5 (int64 keys) peak at about 57 MB of
+            # process memory, and as many of 128 steps in d=2 (int32 keys)
+            # at about 52 MB
             chunk = min(chunk, max(1, 500_000 // (n + 1)))
+            crossed = (not masked and n1 <= _CROSS_HALF
+                       and chunk >= _CROSS_ROWS * n1)
             if masked:
-                i1 = self._base_rows(c1, chunk)
-                i2 = self._base_rows(c2, chunk)
+                first, second = tables
+                i1 = self._base_rows(first[0], chunk)
+                i2 = self._base_rows(second[0], chunk)
                 ok = _junction_avoids(before, after, i1, i2)
+            elif crossed:  # the draws' rows pair up in order
+                first, second = (self._draw_batch(n1, chunk, dtype),
+                                 self._draw_batch(n2, chunk, dtype))
+                ok = _halves_avoid(first[1], second[1])
             else:
                 codes, keys = _joined(self._draw_batch(n1, chunk, dtype),
                                       self._draw_batch(n2, chunk, dtype))
@@ -608,24 +687,22 @@ class SawSampler:
             level[1] += chunk
             if accepted:
                 keep = accepted if spare else min(accepted, need)
-                if masked:
-                    kept = np.flatnonzero(ok)[:keep]
-                    j1, j2 = i1.take(kept), i2.take(kept)
-                    if top:
-                        codes = np.concatenate(
-                            [c1.take(j1, axis=0), c2.take(j2, axis=0)], axis=1)
-                    else:
-                        codes, keys = _joined(
-                            (c1.take(j1, axis=0), k1.take(j1, axis=0)),
-                            (c2.take(j2, axis=0), k2.take(j2, axis=0)))
-                    out_codes.append(codes)
+                kept = np.flatnonzero(ok)[:keep]
+                if masked or crossed:  # join the accepted pairs
+                    j1, j2 = (i1.take(kept), i2.take(kept)) if masked else (kept, kept)
+                    codes = np.concatenate([first[0].take(j1, axis=0),
+                                            second[0].take(j2, axis=0)], axis=1)
                     if not top:
-                        out_keys.append(keys)
+                        keys = _joined_keys(first[1], second[1], j1, j2)
                 else:
-                    out_codes.append(codes[ok][:keep])
+                    codes = codes.take(kept, axis=0)
                     if not top:
-                        out_keys.append(keys[ok][:keep])
+                        keys = keys.take(kept, axis=0)
+                out_codes.append(codes)
+                if not top:
+                    out_keys.append(keys)
                 got += keep
+            first = second = None  # drawn halves go before the next round's draws
         if top:
             self.last_batch_stats.attempts += attempts
             self.last_batch_stats.accepted += accepted_raw

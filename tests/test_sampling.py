@@ -23,7 +23,9 @@ from sawlab.sampling import (
     _KEY_DTYPES,
     _escapes_batch,
     _first_accepted,
+    _halves_avoid,
     _joined,
+    _joined_keys,
     _junction_avoids,
     _key_dtype,
     _keys_from_codes,
@@ -354,6 +356,91 @@ def test_lowest_levels_use_masks_where_the_box_fits(monkeypatch, d, base, masked
         validate(row.tolist(), d)
 
 
+def _cross_and_sort_verdicts(d, c1, c2, dtype):
+    # the cross-compare verdict and the sort of the joined keys, pair by
+    # pair, for first halves c1 and second halves c2 (step codes, row by
+    # row); the compare reads either key layout alike (checked on the first
+    # 5,000 pairs), and the accepted pairs' transposed join equals the
+    # joined keys
+    k1, k2 = _keys_from_codes(d, c1, dtype), _keys_from_codes(d, c2, dtype)
+    _, keys = _joined((c1, k1), (c2, k2))
+    cross = _halves_avoid(k1, k2)
+    kept = np.flatnonzero(cross)
+    joined = _joined_keys(k1, k2, kept, kept)
+    assert joined.dtype == dtype and np.array_equal(joined, keys[kept])
+    f1, f2 = np.asfortranarray(k1[:5000]), np.asfortranarray(k2[:5000])
+    assert np.array_equal(_halves_avoid(f1, f2), cross[:5000])
+    few = kept[kept < 5000]
+    assert np.array_equal(_joined_keys(f1, f2, few, few), keys[few])
+    return cross, _rows_distinct(keys)
+
+
+@pytest.mark.parametrize("d, n1", [(1, n) for n in range(1, 5)]
+                         + [(2, n) for n in range(1, 6)]
+                         + [(3, n) for n in range(1, 5)]
+                         + [(4, n) for n in range(1, 4)] + [(5, n) for n in range(1, 4)])
+@pytest.mark.parametrize("shorter", [1, 0])
+def test_cross_compare_matches_the_sort_test_on_all_pairs(d, n1, shorter):
+    # every pair of walks of SAW_n1 and SAW_n2, n2 = n1 or n1 - 1 (n2 = 0
+    # at n1 = 1), under the narrowest packing of the joined walk
+    n2 = n1 - shorter
+    c1, c2 = _base_codes(d, n1), _base_codes(d, n2)
+    i1, i2 = np.divmod(np.arange(len(c1) * len(c2)), len(c2))
+    cross, sort = _cross_and_sort_verdicts(d, c1[i1], c2[i2], _key_dtype(d, n1 + n2))
+    assert np.array_equal(cross, sort)
+    assert sort.all() == (n1 + n2 < 2)  # a reversal needs two steps
+
+
+@pytest.mark.parametrize("d, base, rows, crossed", [
+    (5, None, 5000, True), (5, None, 40, False), (5, None, 1, False),
+    (2, None, 5000, False), (2, 4, 5000, True),
+])
+def test_levels_cross_compare_short_halves_in_large_rounds(monkeypatch, d, base,
+                                                           rows, crossed):
+    # d=5 n=12 (6 + 6 over 3 + 3) compares from 100 * n1 pairs a round; a
+    # round of 40 pairs or fewer sorts, and a masked level (d=2 at the
+    # default base, 8 + 8) takes no compare
+    calls = []
+    monkeypatch.setattr("sawlab.sampling._halves_avoid",
+                        lambda first, second: calls.append(first.shape)
+                        or _halves_avoid(first, second))
+    sampler = SawSampler(d, SamplerConfig(seed=5, base_length=base))
+    n = 12 if d == 5 else 16
+    dtype = _key_dtype(d, n)
+    codes, keys = sampler._draw_batch(n, rows, dtype)
+    assert bool(calls) == crossed
+    assert all(r >= 100 * (w - 1) for r, w in calls)
+    if crossed:
+        assert (n + 1) // 2 in [w - 1 for _, w in calls]
+    assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
+    for row in codes[:5]:
+        validate(row.tolist(), d)
+
+
+@pytest.mark.parametrize("d, n, count, base", [
+    (5, 200, 1500, None), (5, 50, 3000, None), (2, 128, 1500, None),
+    (2, 64, 2000, 4), (3, 40, 500, None), (5, 30, 1, 1),
+])
+def test_pair_test_routing_keeps_every_stream(monkeypatch, d, n, count, base):
+    # compare never, compare wherever a level draws its halves (down to
+    # rounds of one pair), and the sweep's rule: the same draws
+    import sawlab.sampling as sampling
+
+    def run(half, rows):
+        monkeypatch.setattr(sampling, "_CROSS_HALF", half)
+        monkeypatch.setattr(sampling, "_CROSS_ROWS", rows)
+        sampler = SawSampler(d, SamplerConfig(seed=13, base_length=base))
+        codes = sampler.uniform_batch(n, count)
+        spare = sampler._draw_batch(n // 2, count, _key_dtype(d, n), spare=True)
+        stats = sampler.last_batch_stats
+        return (codes.tobytes(), stats.attempts, stats.accepted,
+                sorted(sampler._level_counts.items()),
+                spare[0].tobytes(), np.ascontiguousarray(spare[1]).tobytes())
+
+    rule = (sampling._CROSS_HALF, sampling._CROSS_ROWS)
+    assert run(0, 0) == run(10 ** 6, 0) == run(*rule)
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 def test_base_arrays_are_the_enumeration(d):
     base_length = SamplerConfig().resolve_base_length(d)
@@ -515,6 +602,29 @@ def test_draws_at_the_tier_boundaries(d):
         codes, keys = sampler._draw_batch(n, 20, dtype)
         assert keys.dtype == dtype
         assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_cross_compare_matches_the_sort_test_at_the_tier_boundaries(d):
+    # 100,000 pairs of dimerized halves per level of each boundary extent
+    # (second halves: other rows' walks, cut to n2 steps), after straight
+    # runs along every pair of directions, which reach the extent
+    sampler = SawSampler(d, SamplerConfig(seed=103))
+    directions = np.arange(2 * d, dtype=np.uint8)
+    halves = {}
+    for n, dtype in _tier_boundaries(d):
+        if n > 200:
+            continue
+        n1, n2 = (n + 1) // 2, n // 2
+        if n1 not in halves:
+            halves[n1] = sampler.uniform_batch(n1, 100_000)
+        runs = directions.repeat(2 * d)[:, None].repeat(n1, axis=1)
+        c1 = np.concatenate([runs, halves[n1]])
+        c2 = np.concatenate([np.tile(directions, 2 * d)[:, None].repeat(n1, axis=1),
+                             np.roll(halves[n1], 1, axis=0)])[:, :n2]
+        cross, sort = _cross_and_sort_verdicts(d, c1, c2, dtype)
+        assert np.array_equal(cross, sort)
+        assert 0.2 < sort.mean() < 0.95
 
 
 @pytest.mark.parametrize("d", [2, 4, 5])

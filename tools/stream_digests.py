@@ -93,8 +93,10 @@ def uniform_batches(seed: int) -> None:
 
 def bottom_levels(seed: int) -> None:
     # lowest dimerization levels tested by occupancy masks (d=2 with a
-    # 441-bit box, d=3 with base 3) and by sorting joined keys (d=3 at the
-    # default base, whose box of radius 5 is too wide for masks)
+    # 441-bit box, d=3 with base 3) and, at d=3's default base, whose box
+    # of radius 5 is too wide for masks, by the cross compare of the
+    # halves' keys in large rounds (from 100 pairs per step of the first
+    # half) and by sorting joined keys in small ones
     for d, n, count, base in ((2, 80, 500, 10), (3, 40, 500, 3),
                               (3, 40, 500, None)):
         sampler = SawSampler(d, SamplerConfig(seed=seed, base_length=base))
