@@ -9,6 +9,7 @@ the cache path.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .counting import (CountTable, asymptotic_table, count_ending_at,
@@ -22,7 +23,6 @@ from .sampling import SamplerConfig, SawSampler
 from .spectral import build_escape_matrix, compare_to_marginal, perron_fixed_point
 from .store import (ArtifactWriter, CorpusWriter, CountCache, RunConfig,
                     load_config, resolve_cache_path)
-from .verify import run_verify
 
 _SAMPLE_CHUNK = 1024  # walks per batch in `sample`, so memory stays O(chunk * n)
 
@@ -56,6 +56,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="count cache path (JSON lines)")
 
 
+@functools.cache  # one tree per process: main may run many commands in one
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_common_flags(common, suppress=True)
@@ -332,6 +333,8 @@ def _cmd_pattern(args, cfg, table, artifacts) -> int:
 
 
 def _cmd_verify(args, cfg, table, artifacts) -> int:
+    from .verify import run_verify  # the oracles load only for this command
+
     results = run_verify(args.d, args.n_max, table=table)
     for r in results:
         print(r.line())

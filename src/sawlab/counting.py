@@ -47,7 +47,6 @@ import json
 import os
 import warnings
 from collections import defaultdict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -519,9 +518,14 @@ def _run_engine(moves: np.ndarray, walk: tuple, depth: int,
                     _save_checkpoint(checkpoint_path, signature, done)
         return used
 
-    pool = (ProcessPoolExecutor(max_workers=workers)
-            if workers > 1 and len(done) < len(tasks) else None)
-    running: dict[Future, list[int]] = {}
+    pool = None
+    if workers > 1 and len(done) < len(tasks):
+        # imported here: the process pool pulls in multiprocessing, which a
+        # serial count never needs
+        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                        wait)
+        pool = ProcessPoolExecutor(max_workers=workers)
+    running: dict = {}  # future -> its batch
     try:
         while True:
             # each batch gets the nodes left when it starts, and at most one

@@ -9,7 +9,6 @@ timestamps in a metadata sidecar.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import datetime
 import fcntl
@@ -110,6 +109,8 @@ class CountCache:
                     continue
                 try:
                     record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise ValueError("not a JSON object")
                     crc = record.pop("crc")
                     if crc != _payload_crc(record):
                         raise ValueError("checksum mismatch")
@@ -366,6 +367,8 @@ _INT_FIELDS = {"dimension", "seed", "stream_id", "workers", "node_budget",
 
 
 def load_config(path: str) -> RunConfig:
+    import configparser  # only --config reads one
+
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -386,6 +389,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str) -> None:
+    import configparser
+
     parser = configparser.ConfigParser()
     for section, names in _CONFIG_SECTIONS.items():
         parser.add_section(section)

@@ -497,15 +497,18 @@ def test_prefix_histogram_shares_one_budget():
 
 
 def test_prefix_histogram_opens_one_pool(monkeypatch):
+    # the engine imports the pool where it opens one, so patch its home
+    import concurrent.futures
+
     pools = []
 
-    class CountingPool(counting.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
     serial = prefix_histogram(2, 9, 3, table=CountTable(2))
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert prefix_histogram(2, 9, 3, table=CountTable(2), workers=2) == serial
     assert len(pools) == 1
 

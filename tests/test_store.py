@@ -77,6 +77,23 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert again.get(2, "plain", 6) is None  # bad checksum line skipped
 
 
+@pytest.mark.parametrize("scalar", ["5", '"x"', "null", "true", "[1, 2]"])
+def test_cache_skips_lines_that_are_not_objects(tmp_path, scalar):
+    path = tmp_path / "counts.jsonl"
+    cache = CountCache(str(path))
+    cache.put(2, "plain", 4, None, 100)
+    cache.put(2, "plain", 5, None, 284)
+    first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = scalar + "\n"
+    path.write_text(bad + first + bad + second + bad, encoding="utf-8")
+    with pytest.warns(CorruptCacheWarning) as caught:
+        again = CountCache(str(path))
+    assert len(caught) == 3
+    assert again.get(2, "plain", 4) == 100
+    assert again.get(2, "plain", 5) == 284
+    assert len(again) == 2
+
+
 def test_cache_round_trip_through_count_table(tmp_path):
     path = str(tmp_path / "counts.jsonl")
     table = CountTable(2, CountCache(path))
