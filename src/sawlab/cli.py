@@ -258,6 +258,8 @@ def _level_meta(level_counts) -> list[dict]:
 
 
 def _cmd_sample(args, cfg, table, artifacts) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be non-negative")
     sampler = SawSampler(args.d, _sampler_config(cfg))
     path = artifacts.reserve(f"corpus-d{args.d}-n{args.n}", ".sawc")
     with CorpusWriter(path) as writer:

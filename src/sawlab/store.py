@@ -346,7 +346,7 @@ class RunConfig:
     cache_path: str | None = None
 
     def __post_init__(self):
-        for name in ("workers", "max_rejections", "max_matrix_paths"):
+        for name in ("dimension", "workers", "max_rejections", "max_matrix_paths"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
@@ -371,7 +371,10 @@ def load_config(path: str) -> RunConfig:
 
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"bad config file {path}: {exc}") from exc
     values = {}
     for section, names in _CONFIG_SECTIONS.items():
         if not parser.has_section(section):

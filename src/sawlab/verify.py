@@ -9,6 +9,7 @@ reference oracles, a second enumeration strategy, or a closed form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,8 +20,8 @@ from . import reference
 from .counting import (CountTable, count_extensions, count_saws,
                        count_two_sided, default_table, endpoint_histogram,
                        enumerate_paths, prefix_histogram)
-from .lattice import (Path, concat, escapes, lattice_symmetries,
-                      pattern_density, validate)
+from .lattice import (Path, concat, direction_vectors, escapes,
+                      lattice_symmetries, pattern_density, validate)
 from .errors import NotSelfAvoidingError
 from .patterns import exact_mean_density_grid
 from .sampling import _base_arrays, _escapes_batch, _key_dtype
@@ -117,99 +118,82 @@ def check_prefix_sum(dimension: int, n_max: int,
     )
 
 
-def check_prefix_identity(dimension: int, n_max: int, prefix_max: int,
-                          table: CountTable) -> CheckResult:
-    """c_n(zeta) equals the escaper count from a separate suffix search."""
-    bad = 0
-    checked = 0
-    for k in range(1, min(prefix_max, n_max) + 1):
-        for codes in enumerate_paths(dimension, k):
-            zeta = Path(dimension, codes)
-            by_prefix = count_extensions(dimension, n_max, zeta, table=table)
-            escapers = sum(
-                1 for _ in enumerate_paths(dimension, n_max, prefix=zeta)
-            )
-            checked += 1
-            if by_prefix != escapers:
-                bad += 1
-    return CheckResult(
-        f"prefix counts equal escaper counts d={dimension} n={n_max} k<={prefix_max}",
-        bad == 0,
-        f"{checked} prefixes checked",
-    )
-
-
-def _forced_prefix_suffix_sets(dimension: int, m_max: int,
-                               zeta: Path) -> dict[int, set[bytes]]:
-    """Direct route: walk SAW_m from the origin with the first k steps
-    forced to the prefix, collecting shifted suffixes per length.
+def _walks_from(dimension: int, m_max: int, first: int) -> dict[int, list[bytes]]:
+    """Every m-step walk whose first code is ``first``, for m = 1..m_max,
+    each list in lexicographic order.
 
     Deliberately tuple-based and origin-rooted, independent of the packed
-    escaper search it is compared against.
+    searches it is compared against.  The DFS tries codes in increasing
+    order and files each walk when it reaches it, so the walks that start
+    with a prefix are one contiguous block of each list.
     """
-    from .lattice import direction_vectors
-
     deltas = direction_vectors(dimension)
-    k = len(zeta)
-    forced = zeta.steps
-    out: dict[int, set[bytes]] = {m: set() for m in range(k, m_max + 1)}
-    stack: list[int] = []
+    out: dict[int, list[bytes]] = {m: [] for m in range(1, m_max + 1)}
+    codes = bytearray([first])
 
-    def rec(pos, depth, seen):
-        if depth >= k:
-            out[depth].add(bytes(stack[k:]))
-        if depth == m_max:
+    def rec(pos, seen):
+        out[len(codes)].append(bytes(codes))
+        if len(codes) == m_max:
             return
-        codes = (forced[depth],) if depth < k else range(2 * dimension)
-        for code in codes:
-            nxt = tuple(a + b for a, b in zip(pos, deltas[code]))
+        for code, delta in enumerate(deltas):
+            nxt = tuple(a + b for a, b in zip(pos, delta))
             if nxt in seen:
                 continue
             seen.add(nxt)
-            stack.append(code)
-            rec(nxt, depth + 1, seen)
-            stack.pop()
+            codes.append(code)
+            rec(nxt, seen)
+            codes.pop()
             seen.discard(nxt)
 
-    start = (0,) * dimension
-    rec(start, 0, {start})
+    tip = deltas[first]
+    rec(tip, {(0,) * dimension, tip})
     return out
 
 
 def check_dmp_two_ways(dimension: int, m_max: int, prefix_max: int,
                        table: CountTable, *,
                        validate_cap: int = 20000) -> CheckResult:
-    """Conditional suffix law two ways, as exact rationals.
+    """Conditional suffix law two ways, and c_m(zeta) as the escaper count.
 
-    Both routes give uniform laws, so the laws coincide iff the suffix
-    supports coincide and the atom masses 1/count agree as fractions.
-    Route one forces the prefix from the origin; route two enumerates
-    escapers from the prefix tip with the prefix pre-blocked.  Small
-    supports are additionally re-validated step by step.
+    Route one forces the prefix from the origin (the walks of
+    ``_walks_from`` that start with zeta); route two enumerates escapers
+    from the prefix tip with the prefix pre-blocked (``enumerate_paths``),
+    and must give the same walks in the same order.  Both laws are uniform,
+    so they coincide iff the supports do and the atom masses agree as
+    exact rationals; ``count_extensions`` must equal the support's size at
+    every (zeta, m).  Small supports are additionally re-validated step by
+    step.
     """
-    mism = []
+    k_max = min(prefix_max, m_max)
+    bad = []
     n_checked = 0
-    for k in range(1, min(prefix_max, m_max) + 1):
-        for codes in enumerate_paths(dimension, k):
-            zeta = Path(dimension, codes)
-            direct = _forced_prefix_suffix_sets(dimension, m_max, zeta)
-            for m in range(k, m_max + 1):
-                escaper = {full[k:] for full in
-                           enumerate_paths(dimension, m, prefix=zeta)}
-                n_checked += 1
-                if direct[m] != escaper:
-                    mism.append((k, zeta.steps, m))
-                    continue
-                if escaper and Fraction(1, len(direct[m])) != Fraction(1, len(escaper)):
-                    mism.append((k, zeta.steps, m))
-                    continue
-                if len(escaper) <= validate_cap:
-                    for suffix in escaper:
-                        validate(codes + suffix, dimension)
+    for first in range(2 * dimension if k_max > 0 else 0):
+        walks = _walks_from(dimension, m_max, first)
+        for k in range(1, k_max + 1):
+            for codes in enumerate_paths(dimension, k,
+                                         prefix=Path(dimension, bytes([first]))):
+                zeta = Path(dimension, codes)
+                for m in range(k, m_max + 1):
+                    n_checked += 1
+                    lo = bisect_left(walks[m], codes)
+                    hi = bisect_left(walks[m], codes + bytes([2 * dimension]), lo)
+                    block = walks[m][lo:hi]
+                    escaper = enumerate_paths(dimension, m, prefix=zeta)
+                    count = count_extensions(dimension, m, zeta, table=table)
+                    if escaper != block:
+                        bad.append(f"support at {tuple(codes)} m={m}")
+                    elif count != len(block):
+                        bad.append(f"count {count} != {len(block)} at {tuple(codes)} m={m}")
+                    elif block and Fraction(1, count) != Fraction(1, len(escaper)):
+                        bad.append(f"mass at {tuple(codes)} m={m}")
+                    elif len(escaper) <= validate_cap:
+                        for full in escaper:
+                            validate(full, dimension)
     return CheckResult(
-        f"conditional suffix law two ways d={dimension} m<={m_max} k<={prefix_max}",
-        not mism,
-        f"{n_checked} (prefix, length) pairs" if not mism else str(mism[:3]),
+        f"conditional suffix law and prefix counts two ways d={dimension} "
+        f"m<={m_max} k<={prefix_max}",
+        not bad,
+        f"{n_checked} (prefix, m) pairs" + (": " + "; ".join(bad[:3]) if bad else ""),
     )
 
 
@@ -385,7 +369,6 @@ def run_verify(dimension: int, n_max: int, *,
         check_counts_vs_naive(dimension, n_max, table),
         check_endpoint_sum(dimension, min(n_max, 6), table),
         check_prefix_sum(dimension, min(n_max, 6), table),
-        check_prefix_identity(dimension, min(n_max, 6), prefix_max, table),
         check_dmp_two_ways(dimension, min(n_max, 6), prefix_max, table),
         check_two_sided_bijection(dimension, min(n_max, 6), table),
         check_nonintersection(dimension, n_max, table),

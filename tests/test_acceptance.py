@@ -14,7 +14,6 @@ from scipy import stats
 
 from sawlab import reference
 from sawlab.counting import (
-    count_extensions,
     count_saws,
     default_table,
     enumerate_paths,
@@ -32,7 +31,7 @@ from sawlab.patterns import (
 )
 from sawlab.sampling import SamplerConfig, SawSampler
 from sawlab.spectral import build_escape_matrix, perron_fixed_point
-from sawlab.verify import _forced_prefix_suffix_sets
+from sawlab.verify import check_dmp_two_ways
 
 SEED = 20240615
 
@@ -72,29 +71,11 @@ def test_criterion_01_exact_small_counts(d5_table):
 def test_criterion_02_03_finite_dmp_and_prefix_identity(d5_table):
     """Two-way conditional suffix law (criterion 2) and the prefix-count
     identity (criterion 3) over d=5, m <= 7, every prefix with k <= 3."""
-    d, m_max = 5, 7
-    mismatches = []
-    checked = 0
-    for k in (1, 2, 3):
-        for codes in enumerate_paths(d, k):
-            zeta = Path(d, codes)
-            direct = _forced_prefix_suffix_sets(d, m_max, zeta)
-            for m in range(k, m_max + 1):
-                escaper = {full[k:] for full in
-                           enumerate_paths(d, m, prefix=zeta)}
-                checked += 1
-                if direct[m] != escaper:
-                    mismatches.append(("support", k, codes, m))
-                    continue
-                count = len(escaper)
-                if count and Fraction(1, count) != Fraction(1, len(direct[m])):
-                    mismatches.append(("mass", k, codes, m))
-                if count_extensions(d, m, zeta, table=d5_table) != count:
-                    mismatches.append(("prefix-count", k, codes, m))
-    report("02 finite domain Markov property", not mismatches,
-           f"{checked} (prefix, m) pairs, suffix laws identical as exact "
-           f"rationals" if not mismatches else str(mismatches[:3]))
-    report("03 prefix identity", not mismatches,
+    result = check_dmp_two_ways(5, 7, 3, d5_table, validate_cap=0)
+    report("02 finite domain Markov property",
+           result.passed and result.detail.startswith("4660 (prefix, m) pairs"),
+           f"{result.detail}, suffix laws identical as exact rationals")
+    report("03 prefix identity", result.passed,
            "c_m(prefix) equals escaper count on the same grid")
 
 

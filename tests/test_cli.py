@@ -202,6 +202,40 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     assert code == 0 and out.strip() == "10"  # -d flag overrides the file
 
 
+@pytest.mark.parametrize("text", [
+    "dimension = 2\n",
+    "[run]\nseed = 1\n[run]\nseed = 2\n",
+], ids=["no_section_header", "section_twice"])
+def test_bad_config_file_exit_1(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    code, _, err = run(capsys, "count", "--config", str(cfg_path), "-d", "2", "-n", "3")
+    assert code == 1 and err.startswith("error:") and str(cfg_path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "-n", "3"),
+    ("twopoint", "--point", "1", "-N", "3", "--mu", "2"),
+    ("table", "--n-max", "3"),
+    ("fixedpoint", "-n", "2"),
+    ("sample", "-n", "3"),
+    ("couple", "--prefix1", "0", "--prefix2", "1", "-N", "4"),
+    ("pattern", "--pattern", "0", "--mc-lengths", "4"),
+    ("verify", "-n", "2"),
+], ids=lambda argv: argv[0])
+def test_dimension_below_one_exit_1(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "-d", "0", "--outdir", str(tmp_path))
+    assert code == 1 and "dimension must be positive" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sample_refuses_negative_trials(tmp_path, capsys):
+    code, out, err = run(capsys, "sample", "-d", "2", "-n", "3", "--trials", "-5",
+                         "--outdir", str(tmp_path))
+    assert code == 1 and "--trials" in err and not out
+    assert not list(tmp_path.iterdir())
+
+
 def test_cache_flag_persists_counts(tmp_path, capsys):
     cache = str(tmp_path / "cache.jsonl")
     code, out, _ = run(capsys, "--cache", cache, "count", "-d", "2", "-n", "7")

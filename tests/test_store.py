@@ -341,6 +341,8 @@ def test_run_config_validation():
         RunConfig(workers=0)
     with pytest.raises(ValueError):
         RunConfig(node_budget=-5)
+    with pytest.raises(ValueError, match="dimension"):
+        RunConfig(dimension=0)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
