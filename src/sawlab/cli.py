@@ -261,6 +261,9 @@ def _cmd_sample(args, cfg, table, artifacts) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")
     sampler = SawSampler(args.d, _sampler_config(cfg))
+    # draws nothing, but refuses a length it cannot draw before the corpus
+    # file is reserved
+    sampler.uniform_batch(args.n, 0)
     path = artifacts.reserve(f"corpus-d{args.d}-n{args.n}", ".sawc")
     with CorpusWriter(path) as writer:
         for start in range(0, args.trials, _SAMPLE_CHUNK):

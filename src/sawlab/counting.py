@@ -846,6 +846,8 @@ def truncated_two_point(dimension: int, point: Coords | LatticePoint,
                         table: CountTable | None = None,
                         node_budget: int | None = None) -> float:
     """Partial two-point sum: sum of c_n(x) * mu_hat^-n for n <= max_length."""
+    if max_length < 0:
+        raise ValueError("length must be nonnegative")
     if mu_hat <= 0:
         raise ValueError("mu_hat must be positive")
     coords = point.coords if isinstance(point, LatticePoint) else tuple(point)
@@ -881,6 +883,8 @@ def asymptotic_table(dimension: int, n_max: int, *,
     """Growth-rate summaries: counts, successive ratios, n-th roots, the
     amplitude proxy c_n / ratio^n, and the non-intersection ratios
     c_{2m} / c_m^2 for 2m <= n_max."""
+    if n_max < 0:
+        raise ValueError("length must be nonnegative")
     table = table or default_table(dimension)
     # from the top down: the first count caches all the shorter ones
     counts = [count_saws(dimension, n, table=table, workers=workers,

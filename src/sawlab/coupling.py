@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ImpossiblePrefixError
 from .counting import has_extension
 from .lattice import Path, TwoSidedPath
-from .sampling import (SamplerConfig, SawSampler, _arm_keys, _escapes_batch,
-                       _extend_arms, _first_accepted, _key_dtype)
+from .sampling import (SamplerConfig, SawSampler, _arm_keys, _codes_from_keys,
+                       _escapes_batch, _extend_arms, _first_accepted, _key_dtype)
 
 # a proxy's verdict adds 1 when it escapes walk 0 and 2 when it escapes walk 1
 _WALK_BITS = np.array([[1], [2]], dtype=np.uint8)
@@ -191,15 +191,16 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     h = min(a_{l-1}, L_j) and c = min(a_l, L_j): draws have L_j - h steps
     on arm j (an arm whose length is used up gets a length-0 draw) and
     each walk keeps steps h..c of its draw.  Walks are held as packed
-    vertex keys, (2, T, L_j + 1) per arm, under the narrowest packing that
-    holds the longest arm (``sampling._key_dtype``): the starts are
-    packed from their codes once (``_arm_keys``), and each draw comes with
-    its keys under that packing, so a translation is one addition and no
-    coordinates are built.  A proxy round sorts once for both walks, and
-    the taken proxy's verdict (1: it escapes walk 0, 2: walk 1, 3: both)
-    picks the walks that redraw (``_extend_arms``); a two-sided start whose
-    sides are not self-avoiding or meet away from the origin raises
-    ``NotSelfAvoidingError`` before anything is drawn.
+    vertex keys only, (2, T, L_j + 1) per arm, under the narrowest packing
+    that holds the longest arm (``sampling._key_dtype``): the starts are
+    packed from their codes once (``_arm_keys``), each draw is keys under
+    that packing, so a translation is one addition, and the final walks
+    are decoded to step codes once.  A proxy round sorts once for both
+    walks, and the taken proxy's verdict (1: it escapes walk 0, 2: walk 1,
+    3: both) picks the walks that redraw (``_extend_arms``); a block
+    succeeds for a trial whose redraw kept the proxy's keys.  A two-sided
+    start whose sides are not self-avoiding or meet away from the origin
+    raises ``NotSelfAvoidingError`` before anything is drawn.
 
     Returns (block ends, step codes per arm as (2, T, L_j) uint8, success
     and resamples as (T, blocks) arrays).
@@ -207,13 +208,10 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     blocks = schedule.blocks(max(lengths))
     # refuses walks keys cannot hold
     dtype = _key_dtype(sampler.dimension, max(lengths))
-    codes = [np.empty((2, trials, n), dtype=np.uint8) for n in lengths]
     keys = [np.empty((2, trials, n + 1), dtype=dtype) for n in lengths]
     for j, start in enumerate(_arm_keys(sampler.dimension, starts, dtype)):
-        k = start.shape[1] - 1  # both walks' arm j has k steps
-        keys[j][:, :, :k + 1] = start[:, None]
-        for w, arms in enumerate(starts):
-            codes[j][w, :, :k] = np.frombuffer(arms[j], dtype=np.uint8)
+        # (2, a + 1): both walks' arm j has a steps
+        keys[j][:, :, :start.shape[1]] = start[:, None]
     success = np.empty((trials, len(blocks)), dtype=bool)
     resamples = np.empty((trials, len(blocks)), dtype=np.int64)
     for l, (a_prev, a_next) in enumerate(blocks):
@@ -229,24 +227,23 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
             return ok[:size] | ok[size:] << 1  # bit w: the candidate escapes walk w
 
         draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
-        proxy, proxy_keys, resamples[:, l], escaped = _first_accepted(
+        proxy, resamples[:, l], escaped = _first_accepted(
             sampler, draw, trials, escapes_either, dtype)
         for j, (h, c) in enumerate(cuts):
-            codes[j][:, :, h:c] = proxy[j][:, :c - h]
-            np.add(keys[j][:, :, h:h + 1], proxy_keys[j][:, 1:c - h + 1],
+            np.add(keys[j][:, :, h:h + 1], proxy[j][:, 1:c - h + 1],
                    out=keys[j][:, :, h + 1:c + 1])
         success[:, l] = True
         walk, row = np.nonzero((escaped & _WALK_BITS) == 0)  # at most one walk per row
         if not row.size:
             continue
-        own, own_keys, _ = _extend_arms(sampler, [h[walk, row] for h in heads],
-                                        draw, dtype)
+        own, _ = _extend_arms(sampler, [h[walk, row] for h in heads], draw, dtype)
         for j, (h, c) in enumerate(cuts):
-            codes[j][walk, row, h:c] = own[j][:, :c - h]
-            keys[j][walk, row, h + 1:c + 1] = (keys[j][walk, row, h:h + 1]
-                                               + own_keys[j][:, 1:c - h + 1])
-            success[row, l] &= (own[j][:, :c - h] == proxy[j][row, :c - h]).all(axis=1)
-    return tuple(end for _, end in blocks), codes, success, resamples
+            kept = own[j][:, 1:c - h + 1]
+            keys[j][walk, row, h + 1:c + 1] = keys[j][walk, row, h:h + 1] + kept
+            success[row, l] &= (kept == proxy[j][row, 1:c - h + 1]).all(axis=1)
+    return (tuple(end for _, end in blocks),
+            [_codes_from_keys(sampler.dimension, arm) for arm in keys],
+            success, resamples)
 
 
 def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,

@@ -24,8 +24,8 @@ from .counting import (CountTable, _budget, _count_frontier, _moves,
                        default_table)
 from .errors import BudgetExceededError, NotSelfAvoidingError
 from .lattice import Path, TwoSidedPath, _first_turn_symmetries, validate
-from .sampling import (SamplerConfig, SawSampler, _coords_from_codes,
-                       _escapes_batch, _key_dtype, _keys_from_codes)
+from .sampling import (SamplerConfig, SawSampler, _coords_from_keys,
+                       _escapes_batch, _key_dtype)
 
 
 def exact_mean_density(dimension: int, n: int, pattern: Path, *,
@@ -222,18 +222,16 @@ def scalar_estimators(dimension: int, horizon: int, trials: int,
         raise ValueError("horizon and trials must be positive")
     table = table or default_table(dimension)
     sampler = SawSampler(dimension, cfg)
-    target = np.zeros(dimension, dtype=np.int16)
-    target[0] = -1
+    dtype = _key_dtype(dimension, horizon)  # refuses walks keys cannot hold
     avoided = 0
     msd_sum = 0.0
     remaining = trials
     while remaining > 0:
         rows = min(chunk_rows, remaining)
-        codes = sampler.uniform_batch(horizon, rows)
-        coords = _coords_from_codes(dimension, codes)
-        visited = (coords == target).all(axis=2).any(axis=1)
-        avoided += int(rows - visited.sum())
-        ends = coords[:, -1, :].astype(np.int64)
+        keys = sampler._draw_batch(horizon, rows, dtype)
+        # -e1 has the key -1 in every packing
+        avoided += rows - int(np.count_nonzero((keys == -1).any(axis=1)))
+        ends = _coords_from_keys(dimension, keys[:, -1])
         msd_sum += float((ends * ends).sum())
         remaining -= rows
 
@@ -274,11 +272,9 @@ def escape_power_estimate(dimension: int, horizon: int, k: int, trials: int,
     remaining = trials
     while remaining > 0:
         rows = min(chunk_rows, remaining)
-        long_codes = sampler.uniform_batch(horizon, rows)
-        short_codes = sampler.uniform_batch(k, rows)
         disjoint += int(np.count_nonzero(_escapes_batch(
-            [_keys_from_codes(dimension, long_codes, dtype),
-             _keys_from_codes(dimension, short_codes, dtype)])))
+            [sampler._draw_batch(horizon, rows, dtype),
+             sampler._draw_batch(k, rows, dtype)])))
         remaining -= rows
     c_k = count_saws(dimension, k, table=table)
     return c_k * disjoint / trials

@@ -1,7 +1,7 @@
 """Exact uniform sampling of self-avoiding walks.
 
 One vectorized engine, ``SawSampler._draw_batch``, makes every draw and
-returns each walk as step codes and as packed vertex keys.  A dimension has
+carries packed vertex keys only, at every level.  A dimension has
 three packings (``_packing``), one per key dtype (int16, int32, int64),
 each under one fixed radix; a draw works under the narrowest whose base
 covers its extent (``_key_dtype``), at every level, so a d=2 walk of 127
@@ -30,12 +30,13 @@ whichever runs:
   ``_CROSS_ROWS`` pairs per such step: one compare of two key columns per
   vertex a steps before the junction and b after it with a + b even;
 - otherwise, long halves or small rounds (a per-draw call is a batch of
-  one), sorting each pair's joined keys (``_rows_distinct``).
+  one), joining every pair into one scratch buffer and sorting that in
+  place (``_pairs_distinct``).
 
-The first two join only the accepted pairs, transposed
-(``_joined_keys``), and their keys come out column-major, which the cross
-compare above them reads without a copy.  ``tools/pair_tests.py`` times
-the compare against the sort, which is where the two constants come from.
+All three then join the accepted pairs from the intact halves, transposed
+(``_joined_keys``): column-major keys, which the compare above them reads
+without a copy.  ``tools/pair_tests.py`` times the compare against the sort, which
+is where the two constants come from.
 
 Every conditioned object (a walk escaping a prefix, a two-sided walk
 extending a middle, a coupling's walks) extends the arms of a walk (one,
@@ -47,9 +48,11 @@ length (two sides with as many steps left) share one draw per round, cut
 by position, which stays exact because how many walks a draw holds
 depends only on accept/reject indicators; and the condition's verdict on
 each taken candidate comes back with it, so a coupling's proxy round
-learns which walks its proxy escapes from the round's own sort.  Only
-the mean-square displacement in ``patterns.scalar_estimators`` unpacks
-walks to coordinates.
+learns which walks its proxy escapes from the round's own sort.
+
+Step codes are decoded once, where a walk leaves the engine (in
+``uniform_batch``, the per-draw calls and the couplings' final walks), by
+an exact table lookup on a hash of each key step (``_codes_from_keys``).
 
 Streams come from a counter-based Philox generator; distinct
 ``stream_id`` values (and any extra derivation key parts) give
@@ -215,21 +218,6 @@ def _halves_avoid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return ~hit
 
 
-def _coords_from_codes(dimension: int, codes: np.ndarray) -> np.ndarray:
-    """Vertex coordinates (rows, n+1, d) as int16 from step codes."""
-    rows, n = codes.shape
-    coords = np.zeros((rows, n + 1, dimension), dtype=np.int16)
-    if n == 0:
-        return coords
-    axes = codes >> 1
-    signs = 1 - 2 * (codes & 1).astype(np.int16)
-    for axis in range(dimension):
-        steps = np.where(axes == axis, signs, 0).astype(np.int16)
-        np.cumsum(steps, axis=1, out=steps)
-        coords[:, 1:, axis] = steps
-    return coords
-
-
 # the key dtypes of the draws' packings, narrowest first
 _KEY_DTYPES = tuple(np.dtype(t) for t in (np.int16, np.int32, np.int64))
 
@@ -285,6 +273,54 @@ def _keys_from_codes(dimension: int, codes: np.ndarray,
     return keys
 
 
+@lru_cache(maxsize=None)
+def _decoder(dimension: int, dtype: np.dtype):
+    """(multiplier, shift, table) under the packing of ``dtype``: a move m
+    as an unsigned w-bit word hashes to (m * multiplier mod 2**w) >> shift,
+    and table[hash] is its step code.  The fewest bits, then the first odd
+    multiple of the golden ratio, under which the 2d moves hash apart.
+    (Low bits alone collide: d=2's int32 base 65535 is -1 mod 2**16.)"""
+    moves = _packing(dimension, dtype)[2]
+    word = np.dtype(f"u{dtype.itemsize}")
+    bits = 8 * dtype.itemsize
+    for k in range((2 * dimension - 1).bit_length(), 17):
+        for i in range(256):
+            multiplier = word.type(0x9E3779B97F4A7C15 * (2 * i + 1) % (1 << bits))
+            hashed = (moves.view(word) * multiplier) >> (bits - k)
+            if len(set(hashed.tolist())) == moves.size:  # np.unique imports numpy.ma
+                table = np.zeros(1 << k, dtype=np.uint8)
+                table[hashed] = np.arange(moves.size)
+                table.flags.writeable = False
+                return multiplier, bits - k, table
+    raise ValueError(f"no decode hash for the {dtype} keys of dimension {dimension}")
+
+
+def _codes_from_keys(dimension: int, keys: np.ndarray) -> np.ndarray:
+    """Step codes (..., n) of walks with packed vertex keys (..., n+1):
+    the inverse of ``_keys_from_codes``, through ``_decoder``'s hash."""
+    if keys.shape[-1] < 2:  # no step; int16 past d = 10 has no decoder
+        return np.zeros(keys.shape[:-1] + (0,), dtype=np.uint8)
+    multiplier, shift, table = _decoder(dimension, keys.dtype)
+    steps = np.subtract(keys[..., 1:], keys[..., :-1]).view(multiplier.dtype)
+    steps *= multiplier
+    steps >>= shift
+    return table.take(steps)
+
+
+def _coords_from_keys(dimension: int, keys: np.ndarray) -> np.ndarray:
+    """Coordinates (..., d) as int64 of packed ``keys``: their balanced
+    digits in the base of their dtype's packing."""
+    base = _packing(dimension, keys.dtype)[0]
+    rest = keys.astype(np.int64)
+    coords = np.empty(keys.shape + (dimension,), dtype=np.int64)
+    for axis in range(dimension):
+        digit = (rest + base // 2) % base - base // 2
+        coords[..., axis] = digit
+        rest -= digit
+        rest //= base
+    return coords
+
+
 def _escapes_batch(heads, tails=()) -> np.ndarray:
     """Row-wise escape test on packed vertex keys: arm j has head
     ``heads[j]`` (P, a_j+1) and tail ``tails[j]`` (P, m_j+1), both starting
@@ -320,12 +356,12 @@ def _extend_arms(sampler: SawSampler, head_keys, lengths: tuple[int, ...],
                  dtype: np.dtype):
     """The first i.i.d. uniform extensions by ``lengths`` steps
     (``_first_accepted``) that keep each of P walks with arm keys
-    ``head_keys[j]`` (P, a_j+1) self-avoiding: (codes per arm, keys per
-    arm, rejections per walk).  ``dtype`` must cover the extended walks."""
+    ``head_keys[j]`` (P, a_j+1) self-avoiding: (keys per arm, rejections
+    per walk).  ``dtype`` must cover the extended walks."""
     return _first_accepted(
         sampler, lengths, len(head_keys[0]),
         lambda rows, tails: _escapes_batch(
-            [head.take(rows, axis=0) for head in head_keys], tails), dtype)[:3]
+            [head.take(rows, axis=0) for head in head_keys], tails), dtype)[:2]
 
 
 # a level that draws its halves tests its pairs by ``_halves_avoid`` where
@@ -360,27 +396,24 @@ def _rows_distinct(keys: np.ndarray) -> np.ndarray:
     return ~np.logical_or.reduceat(repeat, np.arange(0, rows * width, width))
 
 
-def _joined(first, second):
-    """Each walk of ``second`` appended to its row's walk of ``first``,
-    both given as (codes, keys).  The packing is linear, so the appended
-    walk's keys are its own plus the key of the first walk's tip."""
-    (c1, k1), (c2, k2) = first, second
-    n1 = c1.shape[1]
-    keys = np.empty((c1.shape[0], n1 + c2.shape[1] + 1), dtype=k1.dtype)
-    keys[:, :n1 + 1] = k1
-    np.add(k2[:, 1:], k1[:, -1:], out=keys[:, n1 + 1:])
-    return np.concatenate([c1, c2], axis=1), keys
+def _pairs_distinct(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``_halves_avoid`` by sorting: every pair joined into one scratch
+    buffer, which ``_rows_distinct`` sorts in place."""
+    n1 = first.shape[1] - 1
+    joined = np.empty((len(first), n1 + second.shape[1]), dtype=first.dtype)
+    joined[:, :n1 + 1] = first
+    np.add(second[:, 1:], first[:, -1:], out=joined[:, n1 + 1:])
+    return _rows_distinct(joined)
 
 
 def _joined_keys(first: np.ndarray, second: np.ndarray,
                  i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     """Packed keys of walk ``i1[r]`` of ``first`` with walk ``i2[r]`` of
-    ``second`` appended, per r, as ``_joined`` makes them.  They are built
-    transposed, one contiguous row per vertex, so the first walk's tip is
-    added to the second's vertices by one add over every walk rather than
-    one add per walk, and returned as the transpose's view (column-major):
-    numpy reads either layout alike, and ``_halves_avoid`` reads this one
-    without a copy."""
+    ``second`` appended (its keys plus the first walk's tip key), per r.
+    They are built transposed, one contiguous row per vertex, so the tip is
+    added by one add over every walk rather than one add per walk, and
+    returned as the transpose's view (column-major): numpy reads either
+    layout alike, and ``_halves_avoid`` reads this one without a copy."""
     n1 = first.shape[1] - 1
     keys = np.empty((n1 + second.shape[1], len(i1)), dtype=first.dtype)
     keys[:n1 + 1] = _taken_columns(first, i1)
@@ -412,8 +445,8 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
                     count: int, accept, dtype: np.dtype):
     """For each of ``count`` rows, the first of i.i.d. candidates (one
     uniform walk per arm, of the given ``lengths``) that
-    ``accept(rows, keys)`` takes: (codes per arm, vertex keys per arm,
-    rejections, verdicts), where a row's rejections are the candidates it
+    ``accept(rows, keys)`` takes: (vertex keys per arm, rejections,
+    verdicts), where a row's rejections are the candidates it
     rejected before the taken one and its verdict is what ``accept`` said
     of the taken one.  Every key is under the packing of ``dtype``, which
     must cover the walks the caller builds from the arms.
@@ -443,7 +476,6 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
     candidate a row accepts follows exactly the conditioned law, as with
     one candidate per round and one draw per arm."""
     groups, slots = _arm_groups(lengths)
-    codes = [np.empty((count, n), dtype=np.uint8) for n in lengths]
     keys = [np.empty((count, n + 1), dtype=dtype) for n in lengths]
     rejections = np.zeros(count, dtype=np.int64)
     verdicts = np.empty(count, dtype=np.uint8)
@@ -456,17 +488,16 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
         size = rows * per
         drawn = [sampler._draw_batch(n, k * size, dtype, spare=True)
                  for n, k in groups]
-        held = min([len(c) // k for (c, _), (_, k) in zip(drawn, groups)])
+        held = min([len(walks) // k for walks, (_, k) in zip(drawn, groups)])
         if held != size:  # spare walks: use every full run the draws hold
             per = min(held // rows, budget - used)
             size = rows * per
-        drawn_codes = [drawn[g][0][i * size:(i + 1) * size] for g, i in slots]
-        drawn_keys = [drawn[g][1][i * size:(i + 1) * size] for g, i in slots]
+        drawn_keys = [drawn[g][i * size:(i + 1) * size] for g, i in slots]
         verdict = accept(pending if per == 1 else pending.repeat(per), drawn_keys)
         if per == 1:
             if not used and np.count_nonzero(verdict) == rows:
                 # every row took its first candidate: the draws are the result
-                return drawn_codes, drawn_keys, rejections, verdict.view(np.uint8)
+                return drawn_keys, rejections, verdict.view(np.uint8)
             pick = hit = verdict.astype(bool)
             first = 0
         else:
@@ -476,14 +507,12 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
             hit = ok.ravel().take(pick)
             if not used and np.count_nonzero(hit) == rows:
                 # every row took a candidate of its first run: return the picks
-                return ([arm_codes.take(pick, axis=0) for arm_codes in drawn_codes],
-                        [arm_keys.take(pick, axis=0) for arm_keys in drawn_keys],
+                return ([arm_keys.take(pick, axis=0) for arm_keys in drawn_keys],
                         first, verdict.view(np.uint8).take(pick))
             first, pick = first[hit], pick[hit]
         taken = pending[hit]
         if taken.size:
             for j in range(len(lengths)):
-                codes[j][taken] = drawn_codes[j][pick]
                 keys[j][taken] = drawn_keys[j][pick]
             verdicts[taken] = verdict[pick]
         rejections[taken] = used + first
@@ -495,7 +524,7 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
             # a round holds at most ~4e6 vertex keys
             cap = 4_000_000 // (pending.size * (sum(lengths) + len(lengths)))
             per = min(2 * per, budget - used, max(1, cap))
-    return codes, keys, rejections, verdicts
+    return keys, rejections, verdicts
 
 
 @dataclass
@@ -536,8 +565,7 @@ class SawSampler:
         if n < 0:
             raise ValueError("length must be nonnegative")
         dtype = _key_dtype(self.dimension, n)  # refuses walks keys cannot hold
-        codes, _ = self._draw_batch(n, 1, dtype)
-        return Path(self.dimension, codes[0].tobytes())
+        return self._path(self._draw_batch(n, 1, dtype))
 
     def two_sided(self, m: int, n: int,
                   middle: TwoSidedPath | None = None) -> TwoSidedPath:
@@ -555,11 +583,11 @@ class SawSampler:
         dtype = _key_dtype(self.dimension, max(m, n))
         heads = _arm_keys(self.dimension, ((middle.neg.steps, middle.pos.steps),),
                           dtype)
-        (neg, pos), _, rejections = _extend_arms(
+        (neg, pos), rejections = _extend_arms(
             self, heads, (m - middle.neg_length, n - middle.pos_length), dtype)
         self.last_two_sided_attempts = int(rejections[0]) + 1
-        return TwoSidedPath(Path(self.dimension, middle.neg.steps + neg[0].tobytes()),
-                            Path(self.dimension, middle.pos.steps + pos[0].tobytes()))
+        return TwoSidedPath(self._path(neg, middle.neg.steps),
+                            self._path(pos, middle.pos.steps))
 
     def escaping(self, n: int, prefix: Path) -> Path:
         """Uniform draw over n-step walks escaping ``prefix``."""
@@ -570,9 +598,14 @@ class SawSampler:
                 f"no {n}-step walk escapes the given {len(prefix)}-step prefix"
             )
         dtype = _key_dtype(self.dimension, len(prefix) + n)
-        (steps,), _, _ = _extend_arms(
+        (keys,), _ = _extend_arms(
             self, _arm_keys(self.dimension, ((prefix.steps,),), dtype), (n,), dtype)
-        return Path(self.dimension, steps[0].tobytes())
+        return self._path(keys)
+
+    def _path(self, keys: np.ndarray, head: bytes = b"") -> Path:
+        """``head``'s steps, then those of the walk with keys ``keys[0]``."""
+        return Path(self.dimension,
+                    head + _codes_from_keys(self.dimension, keys[:1])[0].tobytes())
 
     def prefix_conditioned(self, n: int, prefix: Path) -> Path:
         """Uniform draw from SAW_n conditioned to start with ``prefix``."""
@@ -592,8 +625,9 @@ class SawSampler:
     def uniform_batch(self, n: int, count: int) -> np.ndarray:
         """``count`` exactly-uniform draws as a (count, n) uint8 code matrix.
 
-        The top-level attempt/accept counts land in ``last_batch_stats``;
-        per-draw calls leave them alone.
+        The top-level attempt/accept counts land in ``last_batch_stats``:
+        this call's share of ``_level_counts[n]``, or ``count`` at a
+        base-table length.  Per-draw calls leave them alone.
         """
         if count < 0 or n < 0:
             raise ValueError("length and count must be nonnegative")
@@ -603,16 +637,20 @@ class SawSampler:
         dtype = _key_dtype(self.dimension, n)  # refuses walks keys cannot hold
         if count == 0:
             return np.zeros((0, n), dtype=np.uint8)  # nothing drawn
-        codes, _ = self._draw_batch(n, count, dtype, top=True)
-        return codes
+        accepted, attempts = self._level_counts.get(n, (0, 0))
+        keys = self._draw_batch(n, count, dtype)
+        if n <= self.base_length:
+            self.last_batch_stats = BatchStats(count, count)
+        else:
+            level = self._level_counts[n]
+            self.last_batch_stats = BatchStats(level[1] - attempts, level[0] - accepted)
+        return _codes_from_keys(self.dimension, keys)
 
     def _draw_batch(self, n: int, count: int, dtype: np.dtype,
-                    top: bool = False, spare: bool = False):
-        """``count`` uniform draws from SAW_n: step codes (count, n) and
-        packed vertex keys (count, n+1) under the packing of ``dtype``, which
-        must cover n steps (``_key_dtype``), or None for the keys at
-        the top level, whose caller reads codes only.  Every level of the
-        draw works under the top level's packing.  With ``spare``, a draw by
+                    spare: bool = False) -> np.ndarray:
+        """``count`` uniform draws from SAW_n as packed vertex keys (count,
+        n+1) under the packing of ``dtype``, which must cover n steps
+        (``_key_dtype``), at every level.  With ``spare``, a draw by
         dimerization returns every walk its last round accepted, so at
         least ``count``; each is uniform and independent of the others,
         and how many there are depends only on accept/reject indicators.
@@ -626,12 +664,7 @@ class SawSampler:
         more than ``_LEVEL_REJECTIONS`` pairs per walk asked for."""
         if n <= self.base_length:
             codes, keys = _base_arrays(self.dimension, n, dtype)
-            idx = self._base_rows(codes, count)
-            if top:
-                self.last_batch_stats.attempts += count
-                self.last_batch_stats.accepted += count
-            return (codes.take(idx, axis=0),
-                    None if top else keys.take(idx, axis=0))
+            return keys.take(self._base_rows(codes, count), axis=0)
         n1 = (n + 1) // 2
         n2 = n - n1
         masked = self._masked and n1 <= self.base_length
@@ -642,8 +675,7 @@ class SawSampler:
             after = _occupancy(self.dimension, n2, n1, False)
         # this sampler's accepted and attempted pairs at this level so far
         level = self._level_counts.setdefault(n, [0, 0])
-        out_codes = []
-        out_keys = []
+        out = []
         got = 0
         attempts = 0
         accepted_raw = 0
@@ -657,58 +689,37 @@ class SawSampler:
                 chunk = math.ceil((need + 2 * math.sqrt(need * (1 - p))) / p) + 8
             else:
                 chunk = min(need, 256) + 8
-            # a round holds at most 500,000 vertex keys, of the draw's
-            # dtype; the sorted keys live only inside these calls, the top
-            # level, which keeps no keys, sorts them in place, and the
-            # drawn halves are let go before the next round: 20,000 walks
-            # of 200 steps in d=5 (int64 keys) peak at about 57 MB of
-            # process memory, and as many of 128 steps in d=2 (int32 keys)
-            # at about 52 MB
+            # a round holds at most 500,000 vertex keys; the drawn halves
+            # go before the next round's draws.  The walks' keys are kept
+            # and joined at the end: 20,000 walks of 200 steps in d=5
+            # (int64) peak at about 134 MB of process memory, and of 128
+            # steps in d=2 (int32) at about 91 MB
             chunk = min(chunk, max(1, 500_000 // (n + 1)))
-            crossed = (not masked and n1 <= _CROSS_HALF
-                       and chunk >= _CROSS_ROWS * n1)
             if masked:
-                first, second = tables
-                i1 = self._base_rows(first[0], chunk)
-                i2 = self._base_rows(second[0], chunk)
+                (codes1, first), (codes2, second) = tables
+                i1 = self._base_rows(codes1, chunk)
+                i2 = self._base_rows(codes2, chunk)
                 ok = _junction_avoids(before, after, i1, i2)
-            elif crossed:  # the draws' rows pair up in order
+            else:  # the draws' rows pair up in order
                 first, second = (self._draw_batch(n1, chunk, dtype),
                                  self._draw_batch(n2, chunk, dtype))
-                ok = _halves_avoid(first[1], second[1])
-            else:
-                codes, keys = _joined(self._draw_batch(n1, chunk, dtype),
-                                      self._draw_batch(n2, chunk, dtype))
-                ok = _rows_distinct(keys if top else keys.copy())
+                if n1 <= _CROSS_HALF and chunk >= _CROSS_ROWS * n1:
+                    ok = _halves_avoid(first, second)
+                else:
+                    ok = _pairs_distinct(first, second)
             accepted = int(np.count_nonzero(ok))
             attempts += chunk
             accepted_raw += accepted
             level[0] += accepted
             level[1] += chunk
-            if accepted:
+            if accepted:  # join the accepted pairs from the intact halves
                 keep = accepted if spare else min(accepted, need)
                 kept = np.flatnonzero(ok)[:keep]
-                if masked or crossed:  # join the accepted pairs
-                    j1, j2 = (i1.take(kept), i2.take(kept)) if masked else (kept, kept)
-                    codes = np.concatenate([first[0].take(j1, axis=0),
-                                            second[0].take(j2, axis=0)], axis=1)
-                    if not top:
-                        keys = _joined_keys(first[1], second[1], j1, j2)
-                else:
-                    codes = codes.take(kept, axis=0)
-                    if not top:
-                        keys = keys.take(kept, axis=0)
-                out_codes.append(codes)
-                if not top:
-                    out_keys.append(keys)
+                j1, j2 = (i1.take(kept), i2.take(kept)) if masked else (kept, kept)
+                out.append(_joined_keys(first, second, j1, j2))
                 got += keep
             first = second = None  # drawn halves go before the next round's draws
-        if top:
-            self.last_batch_stats.attempts += attempts
-            self.last_batch_stats.accepted += accepted_raw
-        if len(out_codes) == 1:
-            return out_codes[0], None if top else out_keys[0]
-        return np.concatenate(out_codes), None if top else np.concatenate(out_keys)
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def _base_rows(self, table: np.ndarray, count: int):
         """``count`` uniform row indices into the base table ``table``, the

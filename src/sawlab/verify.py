@@ -360,6 +360,8 @@ def check_pattern_means(dimension: int, n_max: int,
 def run_verify(dimension: int, n_max: int, *,
                table: CountTable | None = None) -> list[CheckResult]:
     """The full exact-identity suite at the given scale."""
+    if n_max < 1:
+        raise ValueError(f"the largest length must be at least 1, not {n_max}")
     table = table or default_table(dimension)
     prefix_max = min(3, n_max)
     fp_lengths = [n for n in range(1, min(n_max, 5) + 1)

@@ -236,6 +236,24 @@ def test_sample_refuses_negative_trials(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sample", "-d", "2", "-n", "-3", "--trials", "2"), "must be nonnegative"),
+    (("sample", "-d", "2", "-n", str(2 ** 40), "--trials", "2"), "do not fit"),
+    (("table", "-d", "2", "--n-max", "-2"), "length must be nonnegative"),
+    (("twopoint", "-d", "2", "--point", "1,1", "-N", "-3", "--mu", "2"),
+     "length must be nonnegative"),
+    (("verify", "-d", "2", "-n", "0"), "at least 1, not 0"),
+    (("verify", "-d", "2", "-n", "-1"), "at least 1, not -1"),
+], ids=["sample-negative", "sample-past-keys", "table", "twopoint", "verify-0",
+        "verify-negative"])
+def test_lengths_out_of_range_exit_1(tmp_path, capsys, argv, message):
+    # refused before any artifact is reserved or written
+    code, out, err = run(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 1 and not out
+    assert err.startswith("error:") and message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cache_flag_persists_counts(tmp_path, capsys):
     cache = str(tmp_path / "cache.jsonl")
     code, out, _ = run(capsys, "--cache", cache, "count", "-d", "2", "-n", "7")

@@ -21,8 +21,8 @@ from sawlab.errors import (ImpossiblePrefixError, NotSelfAvoidingError,
                            RejectionBudgetExceededError)
 from sawlab.lattice import (Path, TwoSidedPath, concat, escapes, validate,
                             validate_two_sided)
-from sawlab.sampling import (SamplerConfig, SawSampler, _coords_from_codes,
-                             _escapes_batch, _key_dtype, _packing)
+from sawlab.sampling import (SamplerConfig, SawSampler, _escapes_batch, _key_dtype,
+                             _packing)
 
 
 def test_schedule_geometric_rule():
@@ -102,15 +102,15 @@ def _extends_two_sided(d, neg_head, pos_head, neg_tail, pos_tail):
     pytest.param(2, 2, 3, 4, id="2-two-sided"),
     pytest.param(5, 2, 7, 9, id="5-two-sided"),
 ])
-def test_batched_escape_matches_oracle(d, arms, head_len, tail_len):
+def test_batched_escape_matches_oracle(coords_from_codes, d, arms, head_len, tail_len):
     sampler = SawSampler(d, SamplerConfig(seed=31 + d))
     pairs = 400
     radix = _packing(d, _key_dtype(d, head_len + tail_len))[1]
     heads = [sampler.uniform_batch(head_len, pairs) for _ in range(arms)]
     tails = [sampler.uniform_batch(tail_len, pairs) for _ in range(arms)]
     got = _escapes_batch(
-        [_coords_from_codes(d, h).astype(np.int64) @ radix for h in heads],
-        [_coords_from_codes(d, t).astype(np.int64) @ radix for t in tails])
+        [coords_from_codes(d, h) @ radix for h in heads],
+        [coords_from_codes(d, t) @ radix for t in tails])
     if arms == 1:
         want = [escapes(Path(d, t.tobytes()), Path(d, h.tobytes()))
                 for h, t in zip(heads[0], tails[0])]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sawlab import reference
@@ -18,7 +19,7 @@ from sawlab.patterns import (
     scalar_estimators,
     two_sided_prefix_prob,
 )
-from sawlab.sampling import SamplerConfig, SawSampler, _coords_from_codes
+from sawlab.sampling import SamplerConfig, SawSampler
 
 TRAP = validate([3, 0, 0, 2, 2, 1, 3], 2)
 
@@ -204,7 +205,7 @@ def test_escape_power_estimate_second_order():
     assert abs(power - est.mu_ratio ** 2) / est.mu_ratio ** 2 < 0.05
 
 
-def test_escape_power_disjoint_count_matches_broadcast():
+def test_escape_power_disjoint_count_matches_broadcast(coords_from_codes):
     """The sorted-key test counts the same disjoint pairs as comparing
     every vertex pair of the two walks' coordinates."""
     d, horizon, k, trials, chunk_rows = 2, 25, 4, 700, 256
@@ -214,12 +215,32 @@ def test_escape_power_disjoint_count_matches_broadcast():
     disjoint = 0
     for start in range(0, trials, chunk_rows):
         rows = min(chunk_rows, trials - start)
-        long = _coords_from_codes(d, sampler.uniform_batch(horizon, rows))
-        short = _coords_from_codes(d, sampler.uniform_batch(k, rows))
+        long = coords_from_codes(d, sampler.uniform_batch(horizon, rows))
+        short = coords_from_codes(d, sampler.uniform_batch(k, rows))
         same = (long[:, 1:, None, :] == short[:, None, 1:, :]).all(axis=3)
         disjoint += int(rows - same.any(axis=(1, 2)).sum())
     assert 0 < disjoint < trials  # both outcomes occur
     assert power == count_saws(d, k) * disjoint / trials
+
+
+@pytest.mark.parametrize("d, horizon", [(2, 30), (5, 50)])
+def test_scalar_estimators_match_coordinates(coords_from_codes, d, horizon):
+    """The -e1 visits and endpoints read off the packed keys (int16 keys in
+    d=2, int64 in d=5) are those of the walks' coordinates."""
+    trials, chunk_rows = 700, 256
+    est = scalar_estimators(d, horizon, trials, SamplerConfig(seed=73),
+                            chunk_rows=chunk_rows, mu_ratio_length=4)
+    sampler = SawSampler(d, SamplerConfig(seed=73))
+    minus_e1 = -np.eye(d, dtype=np.int64)[0]
+    avoided = square = 0
+    for start in range(0, trials, chunk_rows):
+        coords = coords_from_codes(
+            d, sampler.uniform_batch(horizon, min(chunk_rows, trials - start)))
+        avoided += int((~(coords == minus_e1).all(axis=2).any(axis=1)).sum())
+        square += int((coords[:, -1] ** 2).sum())
+    assert 0 < avoided < trials  # both outcomes occur
+    assert est.avoid_fraction == avoided / trials
+    assert est.msd_over_n == square / trials / horizon
 
 
 def test_density_report_round_trip():

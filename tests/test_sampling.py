@@ -19,18 +19,19 @@ from sawlab.sampling import (
     SawSampler,
     _base_arrays,
     _base_codes,
-    _coords_from_codes,
+    _codes_from_keys,
+    _decoder,
     _KEY_DTYPES,
     _escapes_batch,
     _first_accepted,
     _halves_avoid,
-    _joined,
     _joined_keys,
     _junction_avoids,
     _key_dtype,
     _keys_from_codes,
     _occupancy,
     _packing,
+    _pairs_distinct,
     _rows_distinct,
     sample_prefix_conditioned,
     sample_uniform,
@@ -230,12 +231,12 @@ def test_base_index_draw_equals_one_row_draw():
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_keys_from_codes_is_the_coordinate_packing(d):
+def test_keys_from_codes_is_the_coordinate_packing(coords_from_codes, d):
     rng = np.random.default_rng(61 + d)
     for n in (0, 1, 7, 40):
         codes = rng.integers(0, 2 * d, size=(50, n), dtype=np.uint8)
         dtype = _key_dtype(d, n)  # the narrowest packing holding n steps
-        want = _coords_from_codes(d, codes).astype(np.int64) @ _packing(d, dtype)[1]
+        want = coords_from_codes(d, codes) @ _packing(d, dtype)[1]
         got = _keys_from_codes(d, codes, dtype)
         assert got.dtype == dtype and np.array_equal(got, want)
 
@@ -245,13 +246,45 @@ def test_keys_from_codes_is_the_coordinate_packing(d):
     (5, 4, 400), (5, 5, 400), (5, 31, 400), (5, 2, 1), (5, 31, 1),
 ])
 def test_draw_batch_keys_match_its_codes(d, n, count):
-    # base-table draws (n <= base_length), dimerized ones and batches of one
+    # base-table draws (n <= base_length), dimerized ones and batches of one:
+    # the keys are those of self-avoiding walks
     sampler = SawSampler(d, SamplerConfig(seed=67))
     dtype = _key_dtype(d, n)
     for _ in range(3):
-        codes, keys = sampler._draw_batch(n, count, dtype)
-        assert codes.shape == (count, n) and keys.shape == (count, n + 1)
-        assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
+        keys = sampler._draw_batch(n, count, dtype)
+        assert keys.shape == (count, n + 1) and keys.dtype == dtype
+        _assert_walks(d, keys)
+
+
+def _assert_walks(d, keys):
+    # the decoded codes are self-avoiding walks, and their keys are ``keys``
+    codes = _codes_from_keys(d, keys)
+    assert codes.shape == (len(keys), keys.shape[1] - 1)
+    assert np.array_equal(_keys_from_codes(d, codes, keys.dtype), keys)
+    for row in codes:
+        validate(row.tolist(), d)
+    return codes
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_codes_from_keys_inverts_keys_from_codes(d):
+    # every packing of d = 1..8: random base-table walks that fit its
+    # extent, and a straight run along every +-e_a that ends at the extent
+    # limit (a run is at most 300 steps, moved out to end there)
+    rng = np.random.default_rng(107 + d)
+    for dtype in _KEY_DTYPES:
+        assert _decoder(d, dtype)[2].size <= 2 ** 9
+        base, _, moves = _packing(d, dtype)
+        top = (base - 1) // 2
+        table = _base_codes(d, min(top, 3))
+        codes = table[rng.integers(len(table), size=200)]
+        assert np.array_equal(_codes_from_keys(d, _keys_from_codes(d, codes, dtype)),
+                              codes)
+        run = min(top, 300)
+        codes = np.arange(2 * d, dtype=np.uint8)[:, None].repeat(run, axis=1)
+        keys = _keys_from_codes(d, codes, dtype) + ((top - run) * moves)[:, None]
+        assert (keys[:, -1] == top * moves).all()
+        assert np.array_equal(_codes_from_keys(d, keys), codes)
 
 
 @pytest.mark.parametrize("d, n, count", [
@@ -263,13 +296,11 @@ def test_spare_draws_are_walks_with_their_keys(d, n, count):
     sampler = SawSampler(d, SamplerConfig(seed=71))
     dtype = _key_dtype(d, n)
     for _ in range(3):
-        codes, keys = sampler._draw_batch(n, count, dtype, spare=True)
+        keys = sampler._draw_batch(n, count, dtype, spare=True)
         if n <= sampler.base_length:
-            assert codes.shape[0] == count
-        assert codes.shape[0] >= count and codes.shape[1] == n
-        assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
-        for row in codes:
-            validate(row.tolist(), d)
+            assert len(keys) == count
+        assert len(keys) >= count and keys.shape[1] == n + 1
+        _assert_walks(d, keys)
 
 
 def _mask_and_sort_verdicts(d, n1, n2, i1, i2):
@@ -278,9 +309,8 @@ def _mask_and_sort_verdicts(d, n1, n2, i1, i2):
     masks = _junction_avoids(_occupancy(d, n1, n1, True),
                              _occupancy(d, n2, n1, False), i1, i2)
     dtype = _key_dtype(d, n1 + n2)
-    (c1, k1), (c2, k2) = _base_arrays(d, n1, dtype), _base_arrays(d, n2, dtype)
-    _, keys = _joined((c1[i1], k1[i1]), (c2[i2], k2[i2]))
-    return masks, _rows_distinct(keys)
+    k1, k2 = _base_arrays(d, n1, dtype)[1], _base_arrays(d, n2, dtype)[1]
+    return masks, _pairs_distinct(k1[i1], k2[i2])
 
 
 @pytest.mark.parametrize("d, n1", [(2, n) for n in range(1, 6)] + [(3, 1), (3, 2)])
@@ -348,22 +378,23 @@ def test_lowest_levels_use_masks_where_the_box_fits(monkeypatch, d, base, masked
                         lambda *args: calls.append(1) or _junction_avoids(*args))
     sampler = SawSampler(d, SamplerConfig(seed=3, base_length=base))
     n = 2 * sampler.base_length
-    dtype = _key_dtype(d, n)
-    codes, keys = sampler._draw_batch(n, 20, dtype)
+    keys = sampler._draw_batch(n, 20, _key_dtype(d, n))
     assert bool(calls) == masked
-    assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
-    for row in codes[:5]:
-        validate(row.tolist(), d)
+    _assert_walks(d, keys)
 
 
 def _cross_and_sort_verdicts(d, c1, c2, dtype):
     # the cross-compare verdict and the sort of the joined keys, pair by
     # pair, for first halves c1 and second halves c2 (step codes, row by
     # row); the compare reads either key layout alike (checked on the first
-    # 5,000 pairs), and the accepted pairs' transposed join equals the
-    # joined keys
+    # 5,000 pairs), the sort leaves the halves intact, and the accepted
+    # pairs' transposed join equals the keys of the joined codes
     k1, k2 = _keys_from_codes(d, c1, dtype), _keys_from_codes(d, c2, dtype)
-    _, keys = _joined((c1, k1), (c2, k2))
+    keys = _keys_from_codes(d, np.concatenate([c1, c2], axis=1), dtype)
+    sort = _pairs_distinct(k1, k2)
+    assert np.array_equal(sort, _rows_distinct(keys.copy()))
+    assert np.array_equal(k1, _keys_from_codes(d, c1, dtype))
+    assert np.array_equal(k2, _keys_from_codes(d, c2, dtype))
     cross = _halves_avoid(k1, k2)
     kept = np.flatnonzero(cross)
     joined = _joined_keys(k1, k2, kept, kept)
@@ -372,7 +403,7 @@ def _cross_and_sort_verdicts(d, c1, c2, dtype):
     assert np.array_equal(_halves_avoid(f1, f2), cross[:5000])
     few = kept[kept < 5000]
     assert np.array_equal(_joined_keys(f1, f2, few, few), keys[few])
-    return cross, _rows_distinct(keys)
+    return cross, sort
 
 
 @pytest.mark.parametrize("d, n1", [(1, n) for n in range(1, 5)]
@@ -406,15 +437,12 @@ def test_levels_cross_compare_short_halves_in_large_rounds(monkeypatch, d, base,
                         or _halves_avoid(first, second))
     sampler = SawSampler(d, SamplerConfig(seed=5, base_length=base))
     n = 12 if d == 5 else 16
-    dtype = _key_dtype(d, n)
-    codes, keys = sampler._draw_batch(n, rows, dtype)
+    keys = sampler._draw_batch(n, rows, _key_dtype(d, n))
     assert bool(calls) == crossed
     assert all(r >= 100 * (w - 1) for r, w in calls)
     if crossed:
         assert (n + 1) // 2 in [w - 1 for _, w in calls]
-    assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
-    for row in codes[:5]:
-        validate(row.tolist(), d)
+    _assert_walks(d, keys)
 
 
 @pytest.mark.parametrize("d, n, count, base", [
@@ -434,8 +462,7 @@ def test_pair_test_routing_keeps_every_stream(monkeypatch, d, n, count, base):
         spare = sampler._draw_batch(n // 2, count, _key_dtype(d, n), spare=True)
         stats = sampler.last_batch_stats
         return (codes.tobytes(), stats.attempts, stats.accepted,
-                sorted(sampler._level_counts.items()),
-                spare[0].tobytes(), np.ascontiguousarray(spare[1]).tobytes())
+                sorted(sampler._level_counts.items()), spare.tobytes())
 
     rule = (sampling._CROSS_HALF, sampling._CROSS_ROWS)
     assert run(0, 0) == run(10 ** 6, 0) == run(*rule)
@@ -485,7 +512,7 @@ def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
         given[:] = 0
         sampler = SawSampler(d, SamplerConfig(seed=seed, max_rejections=budget))
         try:
-            _, _, rejections, _ = _first_accepted(
+            _, rejections, _ = _first_accepted(
                 sampler, lengths, rows, counted(_first_step_is_zero), dtype)
             assert (rejections < budget).all()
         except RejectionBudgetExceededError as exc:
@@ -499,7 +526,7 @@ def test_dimerization_levels_ignore_the_rejection_budget():
     # which a budget of one per walk must not count
     for seed in range(400):
         sampler = SawSampler(2, SamplerConfig(seed=seed, max_rejections=1))
-        _, _, rejections, _ = _first_accepted(
+        _, rejections, _ = _first_accepted(
             sampler, (20, 3), 60, lambda p, t: np.ones(p.size, dtype=bool),
             _key_dtype(2, 20))
         assert not rejections.any()
@@ -515,19 +542,18 @@ def test_first_accepted_law_with_candidate_runs(d):
     draws = 4000
     dtype = _key_dtype(d, max(lengths))  # every arm's packing
     sampler = SawSampler(d, SamplerConfig(seed=73))
-    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero, dtype)[:3]
+    batch = _first_accepted(sampler, lengths, draws, _first_step_is_zero, dtype)[:2]
     ones = [_first_accepted(sampler, lengths, 1, _first_step_is_zero, dtype)
             for _ in range(draws)]
     ones = ([np.concatenate([one[0][j] for one in ones]) for j in (0, 1)],
-            [np.concatenate([one[1][j] for one in ones]) for j in (0, 1)],
-            np.concatenate([one[2] for one in ones]))
+            np.concatenate([one[1] for one in ones]))
     sigma = ((1 - p) / p ** 2 / draws) ** 0.5
-    for codes, keys, rejections in (batch, ones):
+    for keys, rejections in (batch, ones):
         assert abs(rejections.mean() - (1 - p) / p) <= 4 * sigma
-        assert (codes[0][:, 0] == 0).all()
-        for arm_codes, arm_keys in zip(codes, keys):
-            assert arm_keys.dtype == dtype
-            assert np.array_equal(arm_keys, _keys_from_codes(d, arm_codes, dtype))
+        for arm_keys, n in zip(keys, lengths):
+            assert arm_keys.shape == (draws, n + 1) and arm_keys.dtype == dtype
+        assert (_assert_walks(d, keys[0])[:, 0] == 0).all()
+        _assert_walks(d, keys[1])
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -570,21 +596,15 @@ def _tier_boundaries(d):
 
 
 @pytest.mark.parametrize("d", [2, 4, 5])
-def test_keys_from_codes_at_the_tier_boundaries(d):
-    # straight runs along every direction reach the extent on each axis;
-    # the coordinates are summed in int64, as d=2's int32 tier passes the
-    # int16 coordinates of ``_coords_from_codes``
+def test_keys_from_codes_at_the_tier_boundaries(coords_from_codes, d):
+    # straight runs along every direction reach the extent on each axis
     rng = np.random.default_rng(89 + d)
-    units = np.zeros((2 * d, d), dtype=np.int64)
-    units[::2], units[1::2] = np.eye(d), -np.eye(d)  # step code 2a is +e_a
     for n, dtype in _tier_boundaries(d):
         codes = np.concatenate([
             np.arange(2 * d, dtype=np.uint8)[:, None].repeat(n, axis=1),
             rng.integers(0, 2 * d, size=(20, n), dtype=np.uint8)])
         assert _key_dtype(d, n) == dtype
-        coords = np.zeros((len(codes), n + 1, d), dtype=np.int64)
-        np.cumsum(units[codes], axis=1, out=coords[:, 1:])
-        want = coords @ _packing(d, dtype)[1]
+        want = coords_from_codes(d, codes) @ _packing(d, dtype)[1]
         got = _keys_from_codes(d, codes, dtype)
         assert got.dtype == dtype and np.array_equal(got, want)
 
@@ -599,9 +619,9 @@ def test_draws_at_the_tier_boundaries(d):
         for row in sampler.uniform_batch(n, 20):
             validate(row.tolist(), d)
         assert _key_dtype(d, n) == dtype
-        codes, keys = sampler._draw_batch(n, 20, dtype)
+        keys = sampler._draw_batch(n, 20, dtype)
         assert keys.dtype == dtype
-        assert np.array_equal(keys, _keys_from_codes(d, codes, dtype))
+        _assert_walks(d, keys)
 
 
 @pytest.mark.parametrize("d", [2, 4, 5])
@@ -759,14 +779,13 @@ def test_equal_arms_share_one_draw_per_round(monkeypatch):
             return _first_step_is_zero(pending, tails)
 
         monkeypatch.setattr(sampler, "_draw_batch", spy)
-        codes, keys, _, _ = _first_accepted(sampler, (15, 15), rows, counted, dtype)
+        keys, _, _ = _first_accepted(sampler, (15, 15), rows, counted, dtype)
         waits += len(rounds) - 1
         assert len(top) == len(rounds)
         assert all(n == 15 and count % 2 == 0 for n, count in top)
         assert top[0] == (15, 2 * rows)
-        assert (codes[0][:, 0] == 0).all()
-        for arm_codes, arm_keys in zip(codes, keys):
-            assert np.array_equal(arm_keys, _keys_from_codes(2, arm_codes, dtype))
+        assert (_assert_walks(2, keys[0])[:, 0] == 0).all()
+        _assert_walks(2, keys[1])
     assert waits  # some round left rows waiting
 
 
@@ -781,7 +800,7 @@ def test_equal_arms_rejections_are_geometric():
         return (tails[0][:, 1] == 1) & (tails[1][:, 1] == 1)
 
     dtype = _key_dtype(2, 15)
-    rejections = np.concatenate([_first_accepted(sampler, (15, 15), 1, both, dtype)[2]
+    rejections = np.concatenate([_first_accepted(sampler, (15, 15), 1, both, dtype)[1]
                                  for _ in range(draws)])
     sigma = ((1 - p) / p ** 2 / draws) ** 0.5
     assert abs(rejections.mean() - (1 - p) / p) <= 4 * sigma

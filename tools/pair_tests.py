@@ -5,11 +5,11 @@ of ``sampling._halves_avoid``, per (half length, round rows, key dtype).
 
 A level of n = 2 * n1 steps draws rounds of ``rows`` pairs of n1-step
 halves.  Each test is timed as ``SawSampler._draw_batch`` runs it in a
-round below the top level, from the drawn halves to the accepted walks'
-codes and keys:
+round, from the drawn halves' keys to the accepted walks' keys:
 
-    sort   join every pair (``_joined``), sort a copy of each row and
-           compare neighbours (``_rows_distinct``), take the accepted rows;
+    sort   join every pair into one scratch buffer, sort it in place and
+           compare neighbours (``_pairs_distinct``), then join the
+           accepted pairs from the intact halves (``_joined_keys``);
     cross  ``_halves_avoid`` on the halves' keys, then join the accepted
            pairs (``_joined_keys``).
 
@@ -34,8 +34,8 @@ import time
 import numpy as np
 
 from sawlab import SamplerConfig, SawSampler
-from sawlab.sampling import (_KEY_DTYPES, _halves_avoid, _joined, _joined_keys,
-                             _packing, _rows_distinct)
+from sawlab.sampling import (_KEY_DTYPES, _halves_avoid, _joined_keys, _packing,
+                             _pairs_distinct)
 
 DIMENSIONS = (2, 5)
 HALVES = (3, 6, 9, 13, 16, 20, 25, 32, 40, 50)
@@ -44,17 +44,15 @@ ROUND_KEYS = 500_000  # the engine's cap on a round's vertex keys
 REPEAT_S = 0.05  # time spent repeating each test, at least three runs
 
 
-def _sorted(first, second):
-    codes, keys = _joined(first, second)
-    kept = np.flatnonzero(_rows_distinct(keys.copy()))
-    return codes.take(kept, axis=0), keys.take(kept, axis=0)
+def _accepted(test):
+    def run(first, second):
+        kept = np.flatnonzero(test(first, second))
+        return _joined_keys(first, second, kept, kept)
+    return run
 
 
-def _crossed(first, second):
-    (c1, k1), (c2, k2) = first, second
-    kept = np.flatnonzero(_halves_avoid(k1, k2))
-    return (np.concatenate([c1.take(kept, axis=0), c2.take(kept, axis=0)], axis=1),
-            _joined_keys(k1, k2, kept, kept))
+_sorted = _accepted(_pairs_distinct)
+_crossed = _accepted(_halves_avoid)
 
 
 def _best_us(test, first, second) -> float:
@@ -88,7 +86,7 @@ def main() -> None:
                         continue
                     first = sampler._draw_batch(n1, rows, dtype)
                     second = sampler._draw_batch(n1, rows, dtype)
-                    accept = len(_crossed(first, second)[0]) / rows
+                    accept = len(_crossed(first, second)) / rows
                     sort = _best_us(_sorted, first, second)
                     cross = _best_us(_crossed, first, second)
                     ratios.append((rows, sort / cross))
