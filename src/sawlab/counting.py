@@ -732,6 +732,24 @@ def _has_extension(dimension: int, extra_steps: int, steps: bytes) -> bool:
     return False
 
 
+@lru_cache(maxsize=4096)
+def _sides_extend(dimension: int, m: int, n: int, neg: bytes, pos: bytes) -> bool:
+    """False when a side of the two-sided middle with step codes ``neg``
+    and ``pos`` cannot reach its length (m or n) even alone, with the whole
+    middle in its way: then no two-sided walk of sides (m, n) extends the
+    middle.  Each side is tested as the end of the walk that runs through
+    the middle from the other side's tip.  A middle that is no such walk
+    (sides not self-avoiding, or meeting away from the origin) passes, for
+    the lattice's checks to refuse."""
+    through = bytes(c ^ 1 for c in reversed(neg)) + pos  # ends at pos's tip
+    moves = _moves(dimension, 2 * len(through) + 1).tolist()
+    if len(set(_walk_keys(moves, through))) <= len(through):
+        return True
+    back = bytes(c ^ 1 for c in reversed(pos)) + neg  # ends at neg's tip
+    return all(extra <= 0 or _has_extension(dimension, extra, steps)
+               for extra, steps in ((n - len(pos), through), (m - len(neg), back)))
+
+
 def count_two_sided(dimension: int, m: int, n: int,
                     xi: TwoSidedPath | None = None, *,
                     table: CountTable | None = None, workers: int = 1,

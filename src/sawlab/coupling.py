@@ -1,23 +1,24 @@
-"""Iterative couplings of conditioned walks via shared proxy draws.
+"""Iterative couplings of conditioned walks via one shared candidate stream.
 
-At each iteration a single proxy walk (or pair of side walks in the
-two-sided variant) is offered to both conditioned walks.  If it escapes
-both prefixes, both extend by the same block; if it escapes exactly one,
-the other extends by an independent conditioned draw; if neither, the
-proxy is resampled in place.  Per the finite domain Markov property each
-output's marginal is exactly the conditioned uniform law, so the pair is
-a genuine coupling and the per-iteration disagreement frequency upper
-bounds the total-variation distance of the shifted walks.
+At each iteration both conditioned walks read one stream of i.i.d.
+candidate blocks (a walk, or a pair of side walks in the two-sided
+variant), and each takes the first candidate that escapes it.  The first
+candidate either takes is the shared proxy: if it escapes both, both
+extend by the same block; a walk it misses takes the first later
+candidate that escapes it, which is independent of the proxy, as a
+redraw would be.  Per the finite domain Markov property each output's
+marginal is exactly the conditioned uniform law, so the pair is a genuine
+coupling and the per-iteration disagreement frequency upper bounds the
+total-variation distance of the shifted walks.
 
 One engine runs every coupling: it advances T trials together on packed
 vertex keys, with a walk held as a tuple of arms (one for a one-sided
 walk, negative and positive sides for a two-sided one), on the samplers'
-arm path (``_arm_keys``, ``_escapes_batch``, ``_extend_arms``).  A round
-of proxy candidates is tested against both walks in one call, on the
-candidates stacked twice, and ``_first_accepted`` hands back the taken
-proxy's verdict, which says which walks it escapes, so the proxy is not
-tested again; a block whose proxy escapes both walks draws nothing more.
-The two sides of a proxy share one draw while they have one length (see
+arm path (``_arm_keys``, ``_escapes_batch``).  A block is one
+``_first_accepted`` call for both walks: each round tests its candidates
+against both walks in one call, on the candidates stacked twice, and a
+row waits until both walks have taken a candidate.  The two sides of a
+candidate share one draw while they have one length (see
 ``sampling._first_accepted``).  ``run_one_sided_couplings`` is that
 engine on one arm; ``run_one_sided_coupling`` and
 ``run_two_sided_coupling`` are batches of one.
@@ -31,13 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossiblePrefixError
-from .counting import has_extension
+from .counting import _sides_extend, has_extension
 from .lattice import Path, TwoSidedPath
 from .sampling import (SamplerConfig, SawSampler, _arm_keys, _codes_from_keys,
-                       _escapes_batch, _extend_arms, _first_accepted, _key_dtype)
-
-# a proxy's verdict adds 1 when it escapes walk 0 and 2 when it escapes walk 1
-_WALK_BITS = np.array([[1], [2]], dtype=np.uint8)
+                       _escapes_batch, _first_accepted, _key_dtype)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,11 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
     that holds the longest arm (``sampling._key_dtype``): the starts are
     packed from their codes once (``_arm_keys``), each draw is keys under
     that packing, so a translation is one addition, and the final walks
-    are decoded to step codes once.  A proxy round sorts once for both
-    walks, and the taken proxy's verdict (1: it escapes walk 0, 2: walk 1,
-    3: both) picks the walks that redraw (``_extend_arms``); a block
-    succeeds for a trial whose redraw kept the proxy's keys.  A two-sided
+    are decoded to step codes once.  A block reads one candidate stream
+    (``_first_accepted`` with two walks), each round sorting once for both
+    walks; each walk keeps the first candidate that escapes it, the block
+    succeeds for a trial whose walks kept equal steps, and its resamples
+    are the candidates before the first that either walk took.  A two-sided
     start whose sides are not self-avoiding or meet away from the origin
     raises ``NotSelfAvoidingError`` before anything is drawn.
 
@@ -227,20 +226,14 @@ def _couple(sampler: SawSampler, starts, lengths: tuple[int, ...],
             return ok[:size] | ok[size:] << 1  # bit w: the candidate escapes walk w
 
         draw = tuple(n - h for n, (h, _) in zip(lengths, cuts))
-        proxy, resamples[:, l], escaped = _first_accepted(
-            sampler, draw, trials, escapes_either, dtype)
-        for j, (h, c) in enumerate(cuts):
-            np.add(keys[j][:, :, h:h + 1], proxy[j][:, 1:c - h + 1],
-                   out=keys[j][:, :, h + 1:c + 1])
+        taken, index = _first_accepted(sampler, draw, trials, escapes_either,
+                                       dtype, walks=2)
         success[:, l] = True
-        walk, row = np.nonzero((escaped & _WALK_BITS) == 0)  # at most one walk per row
-        if not row.size:
-            continue
-        own, _ = _extend_arms(sampler, [h[walk, row] for h in heads], draw, dtype)
         for j, (h, c) in enumerate(cuts):
-            kept = own[j][:, 1:c - h + 1]
-            keys[j][walk, row, h + 1:c + 1] = keys[j][walk, row, h:h + 1] + kept
-            success[row, l] &= (kept == proxy[j][row, 1:c - h + 1]).all(axis=1)
+            kept = taken[j][:, :, 1:c - h + 1]  # (2, T, c - h)
+            np.add(keys[j][:, :, h:h + 1], kept, out=keys[j][:, :, h + 1:c + 1])
+            success[:, l] &= (kept[0] == kept[1]).all(axis=1)
+        resamples[:, l] = index.min(axis=0)
     return (tuple(end for _, end in blocks),
             [_codes_from_keys(sampler.dimension, arm) for arm in keys],
             success, resamples)
@@ -253,12 +246,11 @@ def run_one_sided_couplings(dimension: int, prefix1: Path, prefix2: Path,
     """Run ``trials`` couplings of two walks of length ``horizon``
     conditioned on equal-length prefixes, all on one sampler stream.
 
-    Each block draws one proxy of length ``horizon - a_{l-1}`` per trial
-    and redraws it until it escapes at least one walk; a walk it does not
-    escape takes the first independent draw that escapes it.  Each row
-    takes the first i.i.d. uniform draw that meets its condition, so every
-    accepted block is the start of a uniform conditioned suffix and each
-    trial's output marginals are exact.
+    Each block draws i.i.d. candidates of length ``horizon - a_{l-1}``
+    per trial, and each walk takes the first that escapes it: the first
+    i.i.d. uniform draw that meets its condition, so every accepted block
+    is the start of a uniform conditioned suffix and each trial's output
+    marginals are exact.
     """
     if len(prefix1) != len(prefix2):
         raise ValueError("prefixes must have equal length")
@@ -302,7 +294,9 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
 
     A side whose budget is exhausted contributes a length-0 draw.  A
     middle whose sides are not self-avoiding or meet away from the origin
-    raises ``NotSelfAvoidingError`` before anything is drawn.
+    raises ``NotSelfAvoidingError``, and one with a side that cannot reach
+    its length even alone past the whole middle ``ImpossiblePrefixError``,
+    before anything is drawn.
     """
     k = start1.neg_length
     if {start1.neg_length, start1.pos_length, start2.neg_length,
@@ -312,6 +306,11 @@ def run_two_sided_coupling(dimension: int, m: int, n: int,
         raise ValueError("schedule must start at the middle half-length")
     if k > min(m, n):
         raise ValueError("middle exceeds the requested side lengths")
+    for start in (start1, start2):
+        if not _sides_extend(dimension, m, n, start.neg.steps, start.pos.steps):
+            raise ImpossiblePrefixError(
+                f"middle cannot be extended to sides ({m}, {n})"
+            )
     sampler = sampler or SawSampler(dimension, cfg)
     block_ends, (neg, pos), success, resamples = _couple(
         sampler, (_arms(start1), _arms(start2)), (m, n), schedule, 1)

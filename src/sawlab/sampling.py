@@ -46,9 +46,9 @@ self-avoiding, on one path: ``_arm_keys`` packs the heads,
 tests them.  Rejection rounds run in ``_first_accepted``: the arms of one
 length (two sides with as many steps left) share one draw per round, cut
 by position, which stays exact because how many walks a draw holds
-depends only on accept/reject indicators; and the condition's verdict on
-each taken candidate comes back with it, so a coupling's proxy round
-learns which walks its proxy escapes from the round's own sort.
+depends only on accept/reject indicators; and several walks can read one
+candidate stream, each taking the first candidate whose verdict has its
+bit, so a coupling block tests both its walks in one sort per round.
 
 Step codes are decoded once, where a walk leaves the engine (in
 ``uniform_batch``, the per-draw calls and the couplings' final walks), by
@@ -67,7 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import _frontiers, _moves, has_extension
+from .counting import _frontiers, _moves, _sides_extend, has_extension
 from .errors import (
     ImpossiblePrefixError,
     NoEscaperExistsError,
@@ -86,9 +86,11 @@ class SamplerConfig:
     """Seeding and budget knobs for the samplers.
 
     ``max_rejections`` bounds the candidates a conditioned draw (escaping
-    a prefix, a two-sided walk, a coupling's resample) may reject per walk;
-    the dimerization levels under every draw have their own fixed guard,
-    ``_LEVEL_REJECTIONS``, so a small budget fails only on the condition.
+    a prefix, a two-sided walk) may reject per walk, and a coupling block's
+    candidates per row across both walks, so ``max_rejections=1`` raises
+    unless a block's first candidate escapes both; the dimerization levels
+    under every draw have their own fixed guard, ``_LEVEL_REJECTIONS``, so
+    a small budget fails only on the condition.
     """
 
     seed: int = 0
@@ -361,7 +363,7 @@ def _extend_arms(sampler: SawSampler, head_keys, lengths: tuple[int, ...],
     return _first_accepted(
         sampler, lengths, len(head_keys[0]),
         lambda rows, tails: _escapes_batch(
-            [head.take(rows, axis=0) for head in head_keys], tails), dtype)[:2]
+            [head.take(rows, axis=0) for head in head_keys], tails), dtype)
 
 
 # a level that draws its halves tests its pairs by ``_halves_avoid`` where
@@ -441,26 +443,37 @@ def _arm_groups(lengths: tuple[int, ...]):
                   for j, n in enumerate(lengths)))
 
 
+# a first run for more than one walk gives each row the candidates a round
+# of this many vertex keys holds: in ``tools/pair_tests.py --first-run``
+# (numpy 2.4, 2-core Xeon) a two-sided d=2 coupling of sides (16, 16), a
+# batch of one, ran 1.3-1.4x faster than with runs of one at 256 to 512
+# keys, alike within the spread of two sweeps, and slower from 768 on;
+# this is the fewest of them, and 600 trials in d=5 still start at one
+_FIRST_RUN_KEYS = 256
+
+
 def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
-                    count: int, accept, dtype: np.dtype):
-    """For each of ``count`` rows, the first of i.i.d. candidates (one
-    uniform walk per arm, of the given ``lengths``) that
-    ``accept(rows, keys)`` takes: (vertex keys per arm, rejections,
-    verdicts), where a row's rejections are the candidates it
-    rejected before the taken one and its verdict is what ``accept`` said
-    of the taken one.  Every key is under the packing of ``dtype``, which
+                    count: int, accept, dtype: np.dtype, walks: int = 1):
+    """For each of ``count`` rows and each of ``walks`` walks, the first of
+    i.i.d. candidates (one uniform walk per arm, of the given ``lengths``)
+    that ``accept(rows, keys)`` takes for that walk: (vertex keys per arm
+    as (walks, count, n+1), candidate indexes as (walks, count)), where a
+    walk's index counts its row's candidates before the one it took.  With
+    one walk (the default) the walk axis is dropped, and the index is the
+    row's rejections.  Every key is under the packing of ``dtype``, which
     must cover the walks the caller builds from the arms.
 
-    Each round gives every waiting row a run of ``per`` candidates, and
-    ``accept`` gets the row of each candidate (so a row repeats ``per``
-    times) and, per arm, the candidates' packed vertex keys.  It returns
-    one verdict per candidate, as bool or uint8: zero rejects, anything
-    else takes, and the taken verdicts come back as uint8, so a caller can
-    learn more of a taken candidate than that it was taken (the couplings
-    learn which walks it escapes) without testing it again.  ``per``
-    starts at 1 and doubles each round, below a row's budget (a row that
-    rejects ``max_rejections`` candidates raises) and a cap on the round's
-    size.
+    Each round gives every waiting row (one with a walk still waiting) a
+    run of ``per`` candidates, and ``accept`` gets the row of each
+    candidate (so a row repeats ``per`` times) and, per arm, the
+    candidates' packed vertex keys.  It returns one verdict per candidate:
+    with one walk a bool, true where the walk takes it, and with more a
+    uint8 whose bit w is set where walk w takes it.  ``per`` doubles each
+    round, below a row's budget (a row given ``max_rejections`` candidates
+    with a walk still waiting raises) and a cap on the round's size.  It
+    starts at 1 for one walk; for more, since a row waits for each of
+    them, at the candidates a round of ``_FIRST_RUN_KEYS`` vertex keys
+    gives each row, and at least 1.
 
     The k arms of one length share one draw of k * rows * per walks (more
     with the spare walks its last dimerization round accepted), and arm i
@@ -473,58 +486,80 @@ def _first_accepted(sampler: SawSampler, lengths: tuple[int, ...],
     draw holds, and so which positions feed which arm and row, depends only
     on earlier rounds and on accept/reject indicators inside
     ``_draw_batch``, never on the values of the walks; so the first
-    candidate a row accepts follows exactly the conditioned law, as with
-    one candidate per round and one draw per arm."""
+    candidate a walk takes follows exactly its conditioned law, as with one
+    candidate per round and one draw per arm.  Of two walks, the first
+    candidate either takes is uniform on the candidates either accepts, and
+    the first later one the other takes is independent of it, as a draw on
+    a stream of its own would be: i.i.d. candidates after a stopping time
+    do not depend on it."""
     groups, slots = _arm_groups(lengths)
-    keys = [np.empty((count, n + 1), dtype=dtype) for n in lengths]
-    rejections = np.zeros(count, dtype=np.int64)
-    verdicts = np.empty(count, dtype=np.uint8)
+    width = sum(lengths) + len(lengths)  # vertex keys per candidate
     budget = max(1, sampler.cfg.max_rejections)
     pending = np.arange(count)
-    used = 0  # candidates each pending row has been given, all rejected
-    per = 1
+    used = 0  # candidates each pending row has been given
+    per = 1 if walks == 1 else min(budget, max(1, _FIRST_RUN_KEYS // (count * width)))
     while pending.size:
         rows = pending.size
         size = rows * per
         drawn = [sampler._draw_batch(n, k * size, dtype, spare=True)
                  for n, k in groups]
-        held = min([len(walks) // k for walks, (_, k) in zip(drawn, groups)])
+        held = min([len(batch) // k for batch, (_, k) in zip(drawn, groups)])
         if held != size:  # spare walks: use every full run the draws hold
             per = min(held // rows, budget - used)
             size = rows * per
         drawn_keys = [drawn[g][i * size:(i + 1) * size] for g, i in slots]
         verdict = accept(pending if per == 1 else pending.repeat(per), drawn_keys)
-        if per == 1:
-            if not used and np.count_nonzero(verdict) == rows:
-                # every row took its first candidate: the draws are the result
-                return drawn_keys, rejections, verdict.view(np.uint8)
-            pick = hit = verdict.astype(bool)
-            first = 0
-        else:
-            ok = verdict.astype(bool).reshape(rows, per)
-            first = ok.argmax(axis=1)  # a row's first taken candidate, if any
-            pick = first + np.arange(0, size, per)
-            hit = ok.ravel().take(pick)
-            if not used and np.count_nonzero(hit) == rows:
-                # every row took a candidate of its first run: return the picks
+        if walks == 1 and per == 1 and not used and np.count_nonzero(verdict) == rows:
+            # every row took its first candidate: the draws are the result
+            return drawn_keys, np.zeros(count, dtype=np.int64)
+        ok = verdict.reshape(rows, per)
+        if used and walks > 1:
+            ok = ok & waits[pending, None]
+        runs = []  # per walk: each row's first take in its run, its place, if any
+        for w in range(walks):
+            took = ok if walks == 1 else (ok & 1 << w) != 0
+            if walks == 1 and per == 1:  # a bool mask picks the takes
+                hit = took.ravel()
+                runs.append((0, hit, hit))
+            else:
+                first = took.argmax(axis=1)
+                pick = first + np.arange(0, size, per)
+                runs.append((first, pick, took.ravel().take(pick)))
+        if not used:
+            if (walks > 1 or per > 1) and all(
+                    np.count_nonzero(hit) == rows for _, _, hit in runs):
+                # every walk took a candidate of its row's first run: the picks
+                if walks == 1:
+                    first, pick, _ = runs[0]
+                    return [arm_keys.take(pick, axis=0) for arm_keys in drawn_keys], first
+                pick = np.stack([pick for _, pick, _ in runs])
                 return ([arm_keys.take(pick, axis=0) for arm_keys in drawn_keys],
-                        first, verdict.view(np.uint8).take(pick))
-            first, pick = first[hit], pick[hit]
-        taken = pending[hit]
-        if taken.size:
-            for j in range(len(lengths)):
-                keys[j][taken] = drawn_keys[j][pick]
-            verdicts[taken] = verdict[pick]
-        rejections[taken] = used + first
-        pending = pending[~hit]
+                        np.stack([first for first, _, _ in runs]))
+            keys = [np.empty((walks, count, n + 1), dtype=dtype) for n in lengths]
+            index = np.empty((walks, count), dtype=np.int64)
+            if walks > 1:
+                waits = np.full(count, (1 << walks) - 1, dtype=np.uint8)  # bit w: walk w waits
+        for w, (first, pick, hit) in enumerate(runs):
+            taken = pending[hit]
+            if taken.size:
+                if pick is not hit:  # places, not a mask: keep the takes
+                    first, pick = first[hit], pick[hit]
+                for arm_keys, drawn_arm in zip(keys, drawn_keys):
+                    arm_keys[w][taken] = drawn_arm[pick]
+                index[w][taken] = used + first
+                if walks > 1:
+                    waits[taken] ^= 1 << w
+        pending = pending[~hit] if walks == 1 else pending[waits[pending] != 0]
         used += per
         if pending.size:
             if used >= budget:
                 raise RejectionBudgetExceededError(used)
             # a round holds at most ~4e6 vertex keys
-            cap = 4_000_000 // (pending.size * (sum(lengths) + len(lengths)))
+            cap = 4_000_000 // (pending.size * width)
             per = min(2 * per, budget - used, max(1, cap))
-    return keys, rejections, verdicts
+    if walks == 1:
+        return [arm_keys[0] for arm_keys in keys], index[0]
+    return keys, index
 
 
 @dataclass
@@ -573,12 +608,19 @@ class SawSampler:
         (empty by default): independent uniform side extensions, negative
         first, rejected until the sides meet only at the origin.  A middle
         whose sides are not self-avoiding or meet away from the origin
-        raises ``NotSelfAvoidingError`` before anything is drawn."""
+        raises ``NotSelfAvoidingError``, and one with a side that cannot
+        reach its length even alone past the whole middle
+        ``NoEscaperExistsError``, before anything is drawn."""
         middle = middle or empty_two_sided(self.dimension)
         if middle.neg_length > m or middle.pos_length > n:
             raise ValueError(
                 f"middle with sides ({middle.neg_length}, {middle.pos_length}) "
                 f"is longer than the requested sides ({m}, {n})"
+            )
+        if not _sides_extend(self.dimension, m, n, middle.neg.steps,
+                             middle.pos.steps):
+            raise NoEscaperExistsError(
+                f"no two-sided walk with sides ({m}, {n}) extends the given middle"
             )
         dtype = _key_dtype(self.dimension, max(m, n))
         heads = _arm_keys(self.dimension, ((middle.neg.steps, middle.pos.steps),),
@@ -697,8 +739,12 @@ class SawSampler:
             chunk = min(chunk, max(1, 500_000 // (n + 1)))
             if masked:
                 (codes1, first), (codes2, second) = tables
-                i1 = self._base_rows(codes1, chunk)
-                i2 = self._base_rows(codes2, chunk)
+                if n1 == n2:  # one draw: Philox's bounded draws do not
+                    # depend on how they are split among calls
+                    i1, i2 = self._base_rows(codes1, 2 * chunk).reshape(2, chunk)
+                else:
+                    i1 = self._base_rows(codes1, chunk)
+                    i2 = self._base_rows(codes2, chunk)
                 ok = _junction_avoids(before, after, i1, i2)
             else:  # the draws' rows pair up in order
                 first, second = (self._draw_batch(n1, chunk, dtype),

@@ -207,6 +207,78 @@ def test_marginal_preservation_small_case():
     assert statistic <= stats.chi2.isf(1e-3, len(support) - 1)
 
 
+def _block_pair_law(escape0, escape1):
+    """The exact law of one block's pair of extensions, from E0 and E1, the
+    extensions that escape walk 0 and walk 1: the first candidate either
+    takes is uniform on U = E0 | E1; a walk it does not escape takes the
+    first later candidate that escapes it, uniform on its escapers and
+    independent of the first."""
+    both, union = escape0 & escape1, escape0 | escape1
+    law = {}
+    for xi in both:
+        law[xi, xi] = Fraction(1, len(union))
+    for xi0 in escape0 - escape1:  # walk 1 waits
+        for xi1 in escape1:
+            law[xi0, xi1] = law.get((xi0, xi1), 0) + Fraction(
+                1, len(union) * len(escape1))
+    for xi1 in escape1 - escape0:  # walk 0 waits
+        for xi0 in escape0:
+            law[xi0, xi1] = law.get((xi0, xi1), 0) + Fraction(
+                1, len(union) * len(escape0))
+    assert sum(law.values()) == 1
+    return law
+
+
+def _assert_pair_law(pairs, law):
+    # every pair is in the support and their counts fit the law
+    cells = {pair: i for i, pair in enumerate(law)}
+    counts = np.zeros(len(cells))
+    for pair in pairs:
+        assert pair in cells, f"{pair} is outside the law's support"
+        counts[cells[pair]] += 1
+    expected = len(pairs) * np.array([float(p) for p in law.values()])
+    assert expected.min() >= 5
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert statistic <= stats.chi2.isf(1e-3, len(cells) - 1)
+
+
+def test_one_block_joint_law_matches_enumeration():
+    # one block of 3 steps past the prefixes (+e1, +e2) and (+e1, -e2):
+    # 40,000 trials in one batch, whose rows take several rounds
+    d, k, horizon, trials = 2, 2, 5, 40_000
+    prefixes = validate([0, 2], d), validate([0, 3], d)
+    escape0, escape1 = (
+        {xi for xi in enumerate_paths(d, horizon - k) if escapes(Path(d, xi), z)}
+        for z in prefixes)
+    batch = run_one_sided_couplings(d, *prefixes, CouplingSchedule.explicit(k, [horizon]),
+                                    horizon, trials, SamplerConfig(seed=404))
+    pairs = list(zip((row.tobytes() for row in batch.codes1[:, k:]),
+                     (row.tobytes() for row in batch.codes2[:, k:])))
+    _assert_pair_law(pairs, _block_pair_law(escape0, escape1))
+
+
+def test_two_sided_one_block_joint_law_matches_enumeration():
+    # one block of one step a side past the middles (-e1 | +e1) and
+    # (-e1 | +e2): batches of one on one stream, each first run holding
+    # several candidates
+    d, trials = 2, 2_000
+    middles = (TwoSidedPath(validate([1], d), validate([0], d)),
+               TwoSidedPath(validate([1], d), validate([2], d)))
+    steps = enumerate_paths(d, 1)
+    escape0, escape1 = (
+        {(neg, pos) for neg in steps for pos in steps
+         if _extends_two_sided(d, mid.neg.steps, mid.pos.steps, neg, pos)}
+        for mid in middles)
+    sched = CouplingSchedule.explicit(1, [2])
+    sampler = SawSampler(d, SamplerConfig(seed=405))
+    pairs = []
+    for _ in range(trials):
+        trace = run_two_sided_coupling(d, 2, 2, *middles, sched, sampler=sampler)
+        pairs.append(tuple((walk.neg.steps[1:], walk.pos.steps[1:])
+                           for walk in (trace.walk1, trace.walk2)))
+    _assert_pair_law(pairs, _block_pair_law(escape0, escape1))
+
+
 def test_two_sided_identical_middles_always_couple():
     d = 5
     mid = TwoSidedPath(validate([1], d), validate([0], d))
@@ -315,53 +387,73 @@ def test_two_sided_coupling_refuses_an_invalid_middle_at_once(neg, pos):
         assert time.perf_counter() - start < 0.1
 
 
-def test_a_coupling_block_sorts_once_per_round(monkeypatch):
-    # the proxy's rounds test both walks in one sort of stacked rows, the
-    # taken proxy's verdicts are reused, and a block whose proxy escapes
-    # both walks draws no redraw
+def test_two_sided_coupling_refuses_an_unextendable_middle_at_once():
+    # the positive side walls its own tip in, so no walk extends the
+    # middle; rejecting candidates would take the whole budget to learn it
+    trapped = TwoSidedPath(validate([1] * 7, 2), validate([0, 2, 2, 1, 1, 3, 0], 2))
+    free = TwoSidedPath(validate([1] * 7, 2), validate([0] * 7, 2))
+    for m in (10, 127):
+        sched = CouplingSchedule.geometric(7, m)
+        for start1, start2 in ((free, trapped), (trapped, free)):
+            start = time.perf_counter()
+            with pytest.raises(ImpossiblePrefixError):
+                run_two_sided_coupling(2, m, m, start1, start2, sched,
+                                       SamplerConfig(seed=5))
+            assert time.perf_counter() - start < 0.1
+
+
+def test_a_coupling_block_is_one_candidate_stream(monkeypatch):
+    # a block is one _first_accepted call for both walks, each of its
+    # rounds tests its candidates against both walks in one sort of stacked
+    # rows, and no walk redraws on a call of its own
     import sawlab.coupling as coupling
     import sawlab.sampling as sampling
 
-    sorts, rounds, calls = [], [], []
+    assert not hasattr(coupling, "_extend_arms")
+    sorts, calls, redraws = [], [], []
     escapes, first_accepted = coupling._escapes_batch, coupling._first_accepted
 
     def sorted_once(heads, tails=()):
         sorts.append(len(heads[0]))
         return escapes(heads, tails)
 
-    def counted(sampler, lengths, count, accept, dtype):
-        calls.append(count)
+    def counted(sampler, lengths, count, accept, dtype, walks=1):
+        rounds = []
+        calls.append((walks, rounds))
 
         def one_round(rows, tails):
             before = len(sorts)
             out = accept(rows, tails)
-            rounds.append((len(calls), rows.size, sorts[before:]))
+            rounds.append((rows.size, sorts[before:]))
             return out
-        return first_accepted(sampler, lengths, count, one_round, dtype)
+        return first_accepted(sampler, lengths, count, one_round, dtype, walks)
 
-    # the proxy rounds run in the coupling, its redraws in the sampler
     for module in (coupling, sampling):
         monkeypatch.setattr(module, "_escapes_batch", sorted_once)
-        monkeypatch.setattr(module, "_first_accepted", counted)
+    monkeypatch.setattr(coupling, "_first_accepted", counted)
+    monkeypatch.setattr(sampling, "_extend_arms",
+                        lambda *args: redraws.append(args))
     mid1 = TwoSidedPath(validate([1], 2), validate([0], 2))
     mid2 = TwoSidedPath(validate([1], 2), validate([2], 2))
-    sched = CouplingSchedule.explicit(1, [12])  # one block
-    redraws = set()
+    sched = CouplingSchedule.geometric(1, 40)
+    settled_in = set()
     for seed in range(30):
-        for log in (sorts, rounds, calls):
-            log.clear()
-        trace = run_two_sided_coupling(2, 12, 12, mid1, mid2, sched,
-                                       SamplerConfig(seed=seed))
-        assert calls in ([1], [1, 1])  # the proxy, then at most one redraw
-        redraws.add(len(calls))
-        # one sort checks both middles before any round, and no other sort
-        # runs outside a round
-        assert sorts[0] == 2 and len(sorts) == len(rounds) + 1
-        for call, size, made in rounds:
-            assert made == [2 * size if call == 1 else size]
-        if len(calls) == 1:
-            assert trace.all_successful()
-    assert redraws == {1, 2}
+        sorts.clear()
+        calls.clear()
+        run_two_sided_coupling(2, 40, 40, mid1, mid2, sched,
+                               SamplerConfig(seed=seed))
+        assert len(calls) == len(sched.blocks(40))
+        # one sort checks both middles before any round, and every other
+        # sort is a round's, on its candidates stacked once per walk
+        assert sorts[0] == 2
+        assert len(sorts) == 1 + sum(len(rounds) for _, rounds in calls)
+        for walks, rounds in calls:
+            assert walks == 2
+            for size, made in rounds:
+                assert made == [2 * size]
+            settled_in.add(len(rounds))
+    assert not redraws
+    assert 1 in settled_in and max(settled_in) > 1
 
 
 @pytest.mark.parametrize("m, n", [(16, 16), (2, 5)])

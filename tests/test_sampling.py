@@ -145,7 +145,8 @@ def test_round_sizing_keeps_the_batch_law(monkeypatch, count, batches, rounds):
             counts[index[row.tobytes()]] += 1
         attempts += sampler.last_batch_stats.attempts
         accepted += sampler.last_batch_stats.accepted
-    sizes = [drawn[::2] for drawn in chunks]  # a round draws two halves of 3
+    # a round draws the row indexes of both halves of 3 in one call
+    sizes = [[size // 2 for size in drawn] for drawn in chunks]
     assert [rnd[0] for rnd in sizes] == [min(count, 256) + 8] * batches
     rounds_run = np.array([len(rnd) for rnd in sizes])
     if rounds == "pilot":
@@ -512,7 +513,7 @@ def test_candidate_runs_respect_the_rejection_budget(budget, d, lengths):
         given[:] = 0
         sampler = SawSampler(d, SamplerConfig(seed=seed, max_rejections=budget))
         try:
-            _, rejections, _ = _first_accepted(
+            _, rejections = _first_accepted(
                 sampler, lengths, rows, counted(_first_step_is_zero), dtype)
             assert (rejections < budget).all()
         except RejectionBudgetExceededError as exc:
@@ -526,7 +527,7 @@ def test_dimerization_levels_ignore_the_rejection_budget():
     # which a budget of one per walk must not count
     for seed in range(400):
         sampler = SawSampler(2, SamplerConfig(seed=seed, max_rejections=1))
-        _, rejections, _ = _first_accepted(
+        _, rejections = _first_accepted(
             sampler, (20, 3), 60, lambda p, t: np.ones(p.size, dtype=bool),
             _key_dtype(2, 20))
         assert not rejections.any()
@@ -779,7 +780,7 @@ def test_equal_arms_share_one_draw_per_round(monkeypatch):
             return _first_step_is_zero(pending, tails)
 
         monkeypatch.setattr(sampler, "_draw_batch", spy)
-        keys, _, _ = _first_accepted(sampler, (15, 15), rows, counted, dtype)
+        keys, _ = _first_accepted(sampler, (15, 15), rows, counted, dtype)
         waits += len(rounds) - 1
         assert len(top) == len(rounds)
         assert all(n == 15 and count % 2 == 0 for n, count in top)
@@ -807,6 +808,24 @@ def test_equal_arms_rejections_are_geometric():
     # the first candidate is taken with probability p, wherever it came from
     first = np.count_nonzero(rejections == 0) / draws
     assert abs(first - p) <= 4 * (p * (1 - p) / draws) ** 0.5
+
+
+@pytest.mark.parametrize("neg, pos", [
+    pytest.param([1] * 7, [0, 2, 2, 1, 1, 3, 0], id="walled-by-itself"),
+    pytest.param([1, 2, 2, 0], [0, 2, 1], id="walled-by-the-other-side"),
+])
+def test_two_sided_refuses_an_unextendable_middle_at_once(neg, pos):
+    # the positive side's tip has no free neighbour, so no walk extends the
+    # middle; rejecting candidates would take the whole budget to learn it
+    sampler = SawSampler(2, SamplerConfig(seed=5))
+    middle = TwoSidedPath(validate(neg, 2), validate(pos, 2))
+    for m in (10, 127):
+        start = time.perf_counter()
+        with pytest.raises(NoEscaperExistsError):
+            sampler.two_sided(m, m, middle)
+        assert time.perf_counter() - start < 0.1
+    # a side that has its length already needs no room
+    assert sampler.two_sided(10, len(pos), middle).pos == middle.pos
 
 
 def test_two_sided_middle_longer_than_side_raises():

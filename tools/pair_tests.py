@@ -25,15 +25,41 @@ constants are read off this table, so after a numpy upgrade run it again
 and move them.  The sweep takes about a minute:
 
     PYTHONPATH=src python3 tools/pair_tests.py
+
+With ``--first-run`` it sweeps instead the first run of a coupling block,
+the candidates ``sampling._first_accepted`` gives each row in its first
+round when two walks wait on it: as many as ``_FIRST_RUN_KEYS`` vertex
+keys hold, and at least one.  Each floor of keys is timed on two shapes,
+one whole coupling each, alternating floors within a repeat:
+
+    api    ``run_two_sided_coupling`` in d=2 with sides (16, 16) from the
+           middles (-e1 | +e1) and (-e1 | +e2) on a geometric schedule, a
+           batch of one on a fresh stream per trial (blocks of 15, 14, 12
+           and 8 steps a side);
+    d5     ``run_one_sided_couplings`` in d=5 with prefixes (+e1) and
+           (+e2), horizon 24 and 600 trials, on a geometric schedule.
+
+The table gives each shape's first run per block, its median and best
+time per coupling in microseconds over the repeats, and the candidate
+rounds of one run, counted in a pass of its own.  ``_FIRST_RUN_KEYS`` is
+read off it: the fewest keys at which the api shape runs as fast as at any
+floor swept, within the spread of a few sweeps, while d5 still starts at
+one candidate.  It takes under a minute:
+
+    PYTHONPATH=src python3 tools/pair_tests.py --first-run
 """
 
 from __future__ import annotations
 
+import argparse
+import statistics
 import time
 
 import numpy as np
 
-from sawlab import SamplerConfig, SawSampler
+from sawlab import (CouplingSchedule, SamplerConfig, SawSampler, TwoSidedPath,
+                    run_one_sided_couplings, run_two_sided_coupling, validate)
+from sawlab import coupling, sampling
 from sawlab.sampling import (_KEY_DTYPES, _halves_avoid, _joined_keys, _packing,
                              _pairs_distinct)
 
@@ -69,8 +95,7 @@ def _best_us(test, first, second) -> float:
     return best * 1e6
 
 
-def main() -> None:
-    print(f"numpy {np.__version__}")
+def pair_sweep() -> None:
     print(f"{'d':>2} {'n1':>3} {'dtype':>5} {'rows':>6} {'accept':>6} "
           f"{'sort_us':>9} {'cross_us':>9} {'sort/cross':>10}")
     wins = {}
@@ -100,6 +125,85 @@ def main() -> None:
     for (d, n1, dtype), rows in wins.items():
         print(f"{d:>2} {n1:>3} {dtype:>5} "
               + (f"{rows:>6} {rows / n1:>6.0f}" if rows else f"{'-':>6}"))
+
+
+FLOORS = (0, 128, 256, 384, 512, 768, 1024, 1536, 2048, 4096)
+FIRST_RUN_REPEATS = 15
+API_TRIALS = 150
+
+
+def _api() -> None:
+    middles = (TwoSidedPath(validate([1], 2), validate([0], 2)),
+               TwoSidedPath(validate([1], 2), validate([2], 2)))
+    schedule = CouplingSchedule.geometric(1, 16)
+    cfg = SamplerConfig(seed=1)
+    for trial in range(API_TRIALS):
+        run_two_sided_coupling(2, 16, 16, *middles, schedule,
+                               sampler=SawSampler(2, cfg, extra_key=(trial,)))
+
+
+def _d5() -> None:
+    run_one_sided_couplings(5, validate([0], 5), validate([2], 5),
+                            CouplingSchedule.geometric(1, 24), 24, 600,
+                            SamplerConfig(seed=1))
+
+
+# shape: (run, couplings per run, (rows, vertex keys per candidate) per block)
+SHAPES = {
+    "api": (_api, API_TRIALS, [(1, 2 * (16 - a) + 2) for a in (1, 2, 4, 8)]),
+    "d5": (_d5, 600, [(600, 24 - a + 1) for a in (1, 2, 4, 8, 16)]),
+}
+
+
+def _rounds(run) -> int:
+    """Candidate rounds of the coupling blocks in one call of ``run``: each
+    round tests its candidates against both walks in one escape test."""
+    escapes, count = coupling._escapes_batch, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return escapes(*args)
+
+    coupling._escapes_batch = counted
+    try:
+        run()
+    finally:
+        coupling._escapes_batch = escapes
+    return count[0]
+
+
+def first_run_sweep() -> None:
+    print(f"{'shape':>5} {'floor':>5} {'first runs':>16} {'median_us':>9} "
+          f"{'best_us':>8} {'rounds':>6}")
+    default = sampling._FIRST_RUN_KEYS
+    try:
+        for name, (run, couplings, blocks) in SHAPES.items():
+            run()  # warm the base tables and level counts
+            times = {floor: [] for floor in FLOORS}
+            for _ in range(FIRST_RUN_REPEATS):
+                for floor in FLOORS:
+                    sampling._FIRST_RUN_KEYS = floor
+                    start = time.perf_counter()
+                    run()
+                    times[floor].append((time.perf_counter() - start) / couplings * 1e6)
+            for floor in FLOORS:
+                sampling._FIRST_RUN_KEYS = floor
+                runs = ",".join(str(max(1, floor // (rows * width)))
+                                for rows, width in blocks)
+                print(f"{name:>5} {floor:>5} {runs:>16} "
+                      f"{statistics.median(times[floor]):>9.1f} "
+                      f"{min(times[floor]):>8.1f} {_rounds(run):>6}", flush=True)
+    finally:
+        sampling._FIRST_RUN_KEYS = default
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--first-run", action="store_true",
+                        help="sweep a coupling block's first run instead")
+    args = parser.parse_args()
+    print(f"numpy {np.__version__}")
+    first_run_sweep() if args.first_run else pair_sweep()
 
 
 if __name__ == "__main__":
