@@ -26,20 +26,17 @@ _EXPORTS_BY_MODULE = {
         "run_one_sided_couplings", "run_two_sided_coupling", "wilson_interval",
     ),
     "lattice": (
-        "LatticePoint", "Path", "SignedPermutation", "TwoSidedPath", "concat",
-        "escapes", "lattice_symmetries", "pattern_density", "shift", "validate",
+        "Path", "SignedPermutation", "TwoSidedPath", "concat", "escapes",
+        "lattice_symmetries", "pattern_density", "shift", "validate",
         "validate_two_sided",
     ),
     "patterns": (
         "DensityReport", "ProperPatternResult", "ScalarEstimates",
-        "build_density_report", "escape_power_estimate", "exact_mean_density",
+        "build_density_report", "escape_power_estimate",
         "exact_mean_density_grid", "is_proper_internal_pattern",
         "mc_density_stats", "scalar_estimators", "two_sided_prefix_prob",
     ),
-    "sampling": (
-        "SamplerConfig", "SawSampler", "sample_escaping",
-        "sample_prefix_conditioned", "sample_two_sided", "sample_uniform",
-    ),
+    "sampling": ("SamplerConfig", "SawSampler"),
     "spectral": (
         "EscapeMatrix", "FixedPointResult", "MeasureVector",
         "apply_escape_operator", "build_escape_matrix", "compare_to_marginal",
@@ -47,7 +44,7 @@ _EXPORTS_BY_MODULE = {
     ),
     "store": (
         "ArtifactWriter", "CorpusReader", "CorpusWriter", "CountCache",
-        "RunConfig", "load_config", "save_config",
+        "RunConfig", "load_config",
     ),
     "verify": ("CheckResult", "run_verify"),
 }

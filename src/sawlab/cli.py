@@ -138,6 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _runtime(args) -> tuple[RunConfig, CountTable, ArtifactWriter]:
+    if args.d <= 0:  # every command takes -d
+        raise ValueError("dimension must be positive")
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
     if args.seed is not None:
@@ -152,14 +154,12 @@ def _runtime(args) -> tuple[RunConfig, CountTable, ArtifactWriter]:
         overrides["outdir"] = args.outdir
     if args.cache is not None:
         overrides["cache_path"] = args.cache
-    if getattr(args, "d", None) is not None:
-        overrides["dimension"] = args.d
     if getattr(args, "base_length", None) is not None:
         overrides["base_length"] = args.base_length
     cfg = cfg.replace(**overrides)
     cache_path = resolve_cache_path(cfg.cache_path)
     store = CountCache(cache_path) if cache_path else None
-    table = CountTable(cfg.dimension, store)
+    table = CountTable(args.d, store)
     return cfg, table, ArtifactWriter(cfg.outdir)
 
 
@@ -230,7 +230,8 @@ def _cmd_fixedpoint(args, cfg, table, artifacts) -> int:
     report = result.report_dict()
     if args.marginal_horizon:
         comparison = compare_to_marginal(result, args.marginal_horizon,
-                                         table=table, workers=cfg.workers)
+                                         table=table, workers=cfg.workers,
+                                         node_budget=cfg.node_budget)
         report["marginal_horizon"] = args.marginal_horizon
         report["marginal_tv"] = comparison.tv_distance
     path = artifacts.write_json(f"fixedpoint-d{args.d}-n{args.n}", report)
@@ -323,7 +324,8 @@ def _cmd_pattern(args, cfg, table, artifacts) -> int:
     reference = tuple(args.reference_sides) if args.reference_sides else None
     report = build_density_report(args.d, pattern, exact_lengths, mc_lengths,
                                   args.trials, _sampler_config(cfg),
-                                  reference_sides=reference, table=table)
+                                  reference_sides=reference, table=table,
+                                  node_budget=cfg.node_budget)
     # per Monte Carlo length, its sampler's dimerization counts
     meta = {"dimerization_levels": {str(row.n): _level_meta(row.mc.level_counts)
                                     for row in report.rows if row.mc}}

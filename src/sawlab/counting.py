@@ -55,9 +55,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BudgetExceededError, CheckpointIgnoredWarning
-from .lattice import (Coords, LatticePoint, Path, TwoSidedPath,
-                      _first_turn_symmetries, direction_vectors,
-                      empty_two_sided)
+from .lattice import (Coords, Path, TwoSidedPath, _first_turn_symmetries,
+                      direction_vectors, empty_two_sided, validate,
+                      validate_two_sided)
 
 _UNLIMITED = 1 << 62
 _SPLIT_DEPTH = 3  # prefix length at which a count is cut into tasks
@@ -70,14 +70,15 @@ class CountTable:
 
     ``kind`` is one of ``plain``, ``end``, ``prefix``, ``two_sided``.  An
     optional store (anything with ``get``/``put_many`` over the same keys)
-    makes the table read-through/write-through.
+    makes the table read-through/write-through.  A key holds only what was
+    put under it, so what a table holds decides whether a pass runs, never
+    what a result is.
     """
 
     def __init__(self, dimension: int, store=None):
         self.dimension = dimension
         self.store = store
         self._entries: dict[tuple, int] = {}
-        self._complete_histograms: set[tuple[str, int]] = set()
 
     def get(self, kind: str, n: int, key=None) -> int | None:
         k = (kind, n, key)
@@ -88,8 +89,6 @@ class CountTable:
             if value is not None:
                 self._entries[k] = value
                 return value
-        if kind == "end" and ("end", n) in self._complete_histograms:
-            return 0
         return None
 
     def put(self, kind: str, n: int, key, value: int) -> None:
@@ -103,18 +102,6 @@ class CountTable:
             self._entries[(kind, n, key)] = value
         if self.store is not None:
             self.store.put_many(self.dimension, entries)
-
-    def mark_histogram_complete(self, kind: str, n: int) -> None:
-        self._complete_histograms.add((kind, n))
-
-    def plain_counts(self) -> dict[int, int]:
-        return {
-            n: v for (kind, n, _), v in self._entries.items() if kind == "plain"
-        }
-
-    def largest_plain(self) -> int | None:
-        plain = self.plain_counts()
-        return max(plain) if plain else None
 
 
 _default_tables: dict[int, CountTable] = {}
@@ -652,15 +639,21 @@ def endpoint_histogram(dimension: int, n: int, *,
             for image in (point[perms] * signs).tolist():
                 out[tuple(image)] += value
     table.put_many(("end", n, coords, value) for coords, value in out.items())
-    table.mark_histogram_complete("end", n)
     return dict(out)
 
 
-def count_ending_at(dimension: int, n: int, point: Coords | LatticePoint, *,
+def count_ending_at(dimension: int, n: int, point: Coords, *,
                     table: CountTable | None = None,
                     node_budget: int | None = None) -> int:
-    """Exact number of n-step walks ending at ``point``."""
-    coords = point.coords if isinstance(point, LatticePoint) else tuple(point)
+    """Exact number of n-step walks ending at ``point``.
+
+    A point out of reach (past distance n, or of the wrong parity) counts
+    0 without a pass; any other takes its count from ``endpoint_histogram``.
+    A zero goes into the table too, as the histogram stores only the points
+    it reaches, so no later call, nor one on a warm cache, runs a pass for
+    the same point.
+    """
+    coords = tuple(point)
     if len(coords) != dimension:
         raise ValueError("endpoint dimension mismatch")
     table = table or default_table(dimension)
@@ -668,11 +661,13 @@ def count_ending_at(dimension: int, n: int, point: Coords | LatticePoint, *,
     if cached is not None:
         return cached
     norm = sum(abs(c) for c in coords)
-    if norm > n or (norm - n) % 2 != 0:
+    value = 0
+    if norm <= n and (n - norm) % 2 == 0:
+        value = endpoint_histogram(dimension, n, table=table,
+                                   node_budget=node_budget).get(coords, 0)
+    if not value:
         table.put("end", n, coords, 0)
-        return 0
-    endpoint_histogram(dimension, n, table=table, node_budget=node_budget)
-    return table.get("end", n, coords) or 0
+    return value
 
 
 def count_extensions(dimension: int, n: int, prefix: Path, *,
@@ -768,7 +763,8 @@ def count_two_sided(dimension: int, m: int, n: int,
     symmetric in the sides, so the longer one is walked as the negative
     side: it has a step to fix for m = 0, and a turn to fix for m = 1 once
     n >= 2.  A nonempty ``xi`` breaks the symmetry, and its pass walks the
-    whole tree.
+    whole tree.  A middle whose sides are not self-avoiding or meet away
+    from the origin raises ``NotSelfAvoidingError``: no walk extends it.
     """
     if xi is None:
         xi = empty_two_sided(dimension)
@@ -776,6 +772,8 @@ def count_two_sided(dimension: int, m: int, n: int,
         raise ValueError("condition dimension mismatch")
     if xi.neg_length > m or xi.pos_length > n:
         raise ValueError("condition does not fit inside the requested lengths")
+    validate_two_sided(validate(xi.neg.steps, dimension),
+                       validate(xi.pos.steps, dimension))
     table = table or default_table(dimension)
     key = (m, n, xi.neg.steps, xi.pos.steps)
     cached = table.get("two_sided", m + n, key)
@@ -859,7 +857,7 @@ def prefix_histogram(dimension: int, m: int, k: int, *,
     return out
 
 
-def truncated_two_point(dimension: int, point: Coords | LatticePoint,
+def truncated_two_point(dimension: int, point: Coords,
                         max_length: int, mu_hat: float, *,
                         table: CountTable | None = None,
                         node_budget: int | None = None) -> float:
@@ -868,7 +866,7 @@ def truncated_two_point(dimension: int, point: Coords | LatticePoint,
         raise ValueError("length must be nonnegative")
     if mu_hat <= 0:
         raise ValueError("mu_hat must be positive")
-    coords = point.coords if isinstance(point, LatticePoint) else tuple(point)
+    coords = tuple(point)
     table = table or default_table(dimension)
     total = 0.0
     for n in range(max_length + 1):

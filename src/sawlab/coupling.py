@@ -74,10 +74,6 @@ class CouplingSchedule:
             level += 1
         return cls(start, tuple(values))
 
-    @classmethod
-    def explicit(cls, start: int, values) -> "CouplingSchedule":
-        return cls(start, tuple(values))
-
     def blocks(self, horizon: int) -> list[tuple[int, int]]:
         """(a_{l-1}, a_l) pairs clipped at the horizon, which the raw
         schedule must reach."""

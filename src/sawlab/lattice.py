@@ -52,24 +52,6 @@ def sub(a: Coords, b: Coords) -> Coords:
 
 
 @dataclass(frozen=True)
-class LatticePoint:
-    """A point of Z^d; ``coords`` has length d >= 1."""
-
-    coords: Coords
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("a lattice point needs at least one coordinate")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    def translated(self, by: Coords) -> "LatticePoint":
-        return LatticePoint(add(self.coords, by))
-
-
-@dataclass(frozen=True)
 class Path:
     """An origin-anchored self-avoiding walk stored as direction codes.
 
@@ -110,9 +92,6 @@ class Path:
     @property
     def end(self) -> Coords:
         return self.vertices[-1]
-
-    def endpoint(self) -> LatticePoint:
-        return LatticePoint(self.end)
 
     def re_anchored(self, anchor: Coords | None = None) -> "Path":
         return Path(self.dimension, self.steps, anchor or origin(self.dimension))

@@ -28,17 +28,14 @@ from .sampling import (SamplerConfig, SawSampler, _coords_from_keys,
                        _escapes_batch, _key_dtype)
 
 
-def exact_mean_density(dimension: int, n: int, pattern: Path, *,
-                       table: CountTable | None = None) -> Fraction:
-    """Exact E[pattern density over the uniform n-step walk]."""
-    return exact_mean_density_grid(dimension, n, pattern, table=table)[n]
-
-
 def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
-                            table: CountTable | None = None
+                            table: CountTable | None = None,
+                            node_budget: int | None = None
                             ) -> dict[int, Fraction]:
-    """Exact mean densities for every n in [max(k, 1), n_max]; one pass
-    over the first-turn-reduced tree."""
+    """Exact mean densities E[pattern density over the uniform n-step walk]
+    for every n in [max(k, 1), n_max]; one pass over the first-turn-reduced
+    tree, charged to ``node_budget`` as ``count_saws(dimension, n_max)``
+    is."""
     k = len(pattern)
     if k < 1:
         raise ValueError("pattern must have at least one step")
@@ -64,7 +61,7 @@ def exact_mean_density_grid(dimension: int, n_max: int, pattern: Path, *,
         totals = np.zeros((2, n_max + 1), dtype=np.int64)
         tally = _count_frontier(_moves(dimension, 2 * n_max + 1), (0,),
                                 np.zeros((1, 1), dtype=np.uint8), n_max,
-                                _budget(), run=True,
+                                _budget(node_budget), run=True,
                                 windows=(ids, weights, k, totals))
         counts, totals = tally[1].tolist(), totals[1].tolist()
     # the number of maps, not of distinct images: each map is a walk
@@ -123,14 +120,17 @@ def mc_density_stats(dimension: int, n: int, pattern: Path, trials: int,
 
 
 def two_sided_prefix_prob(dimension: int, m: int, n: int, pattern: Path, *,
-                          table: CountTable | None = None,
-                          workers: int = 1) -> Fraction:
+                          table: CountTable | None = None, workers: int = 1,
+                          node_budget: int | None = None) -> Fraction:
     """P(two-sided walk with sides (m, n) starts with the pattern on its
-    positive side), as an exact count ratio."""
+    positive side), as an exact count ratio; each count is charged to
+    ``node_budget`` on its own."""
     table = table or default_table(dimension)
     xi = TwoSidedPath(Path(dimension), pattern.re_anchored())
-    hits = count_two_sided(dimension, m, n, xi, table=table, workers=workers)
-    total = count_saws(dimension, m + n, table=table, workers=workers)
+    hits = count_two_sided(dimension, m, n, xi, table=table, workers=workers,
+                           node_budget=node_budget)
+    total = count_saws(dimension, m + n, table=table, workers=workers,
+                       node_budget=node_budget)
     return Fraction(hits, total)
 
 
@@ -216,8 +216,10 @@ def scalar_estimators(dimension: int, horizon: int, trials: int,
                       chunk_rows: int = 8192) -> ScalarEstimates:
     """Three estimators: the connective constant via the escape identity
     (2d times the chance a walk started next to the origin avoids it), the
-    ratio of the two largest cached exact counts, and the diffusive-scale
-    mean-square displacement."""
+    exact count ratio c_n / c_{n-1} at n = ``mu_ratio_length``, or at
+    min(7, max(2, horizon)) when that is None, and the diffusive-scale
+    mean-square displacement.  What the count table already holds changes
+    none of them."""
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be positive")
     table = table or default_table(dimension)
@@ -235,12 +237,8 @@ def scalar_estimators(dimension: int, horizon: int, trials: int,
         msd_sum += float((ends * ends).sum())
         remaining -= rows
 
-    if mu_ratio_length is not None:
-        n_star = mu_ratio_length
-    else:
-        n_star = table.largest_plain()
-        if n_star is None or n_star < 2 or table.get("plain", n_star - 1) is None:
-            n_star = min(7, max(2, horizon))
+    n_star = (mu_ratio_length if mu_ratio_length is not None
+              else min(7, max(2, horizon)))
     c_hi = count_saws(dimension, n_star, table=table)
     c_lo = count_saws(dimension, n_star - 1, table=table)
     avoid_fraction = avoided / trials
@@ -342,7 +340,10 @@ def build_density_report(dimension: int, pattern: Path, exact_lengths,
                          mc_lengths, trials: int,
                          cfg: SamplerConfig | None = None, *,
                          reference_sides: tuple[int, int] | None = None,
-                         table: CountTable | None = None) -> DensityReport:
+                         table: CountTable | None = None,
+                         node_budget: int | None = None) -> DensityReport:
+    """Exact means, Monte Carlo statistics and the two-sided reference
+    probability of one pattern; ``node_budget`` bounds each exact pass."""
     table = table or default_table(dimension)
     report = DensityReport(dimension, pattern.steps)
     exact_lengths = sorted(set(exact_lengths))
@@ -350,7 +351,7 @@ def build_density_report(dimension: int, pattern: Path, exact_lengths,
     grid: dict[int, Fraction] = {}
     if exact_lengths:
         grid = exact_mean_density_grid(dimension, max(exact_lengths), pattern,
-                                       table=table)
+                                       table=table, node_budget=node_budget)
     for n in sorted(set(exact_lengths) | set(mc_lengths)):
         exact = grid.get(n) if n in exact_lengths else None
         mc = (mc_density_stats(dimension, n, pattern, trials, cfg)
@@ -359,6 +360,6 @@ def build_density_report(dimension: int, pattern: Path, exact_lengths,
     if reference_sides is not None:
         m, n = reference_sides
         report.reference_sides = reference_sides
-        report.reference_prob = two_sided_prefix_prob(dimension, m, n, pattern,
-                                                      table=table)
+        report.reference_prob = two_sided_prefix_prob(
+            dimension, m, n, pattern, table=table, node_budget=node_budget)
     return report

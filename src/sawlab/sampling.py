@@ -776,25 +776,3 @@ class SawSampler:
         rows = table.shape[0]
         return ([self.rng.integers(rows)] if count == 1
                 else self.rng.integers(rows, size=(count,)))
-
-
-# -- one-shot functional forms ----------------------------------------------
-
-
-def sample_uniform(dimension: int, n: int, cfg: SamplerConfig | None = None) -> Path:
-    return SawSampler(dimension, cfg).uniform(n)
-
-
-def sample_two_sided(dimension: int, m: int, n: int,
-                     cfg: SamplerConfig | None = None) -> TwoSidedPath:
-    return SawSampler(dimension, cfg).two_sided(m, n)
-
-
-def sample_escaping(dimension: int, n: int, prefix: Path,
-                    cfg: SamplerConfig | None = None) -> Path:
-    return SawSampler(dimension, cfg).escaping(n, prefix)
-
-
-def sample_prefix_conditioned(dimension: int, n: int, prefix: Path,
-                              cfg: SamplerConfig | None = None) -> Path:
-    return SawSampler(dimension, cfg).prefix_conditioned(n, prefix)

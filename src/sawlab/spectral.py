@@ -252,8 +252,8 @@ class MarginalComparison:
 
 
 def compare_to_marginal(result: FixedPointResult, horizon: int, *,
-                        table: CountTable | None = None,
-                        workers: int = 1) -> MarginalComparison:
+                        table: CountTable | None = None, workers: int = 1,
+                        node_budget: int | None = None) -> MarginalComparison:
     """Total-variation distance between the fixed point and the length-n
     marginal of the uniform walk at the given horizon m >= n.
 
@@ -264,7 +264,8 @@ def compare_to_marginal(result: FixedPointResult, horizon: int, *,
     if horizon < n:
         raise ValueError("horizon must be at least the fixed-point length")
     table = table or default_table(d)
-    hist = prefix_histogram(d, horizon, n, table=table, workers=workers)
+    hist = prefix_histogram(d, horizon, n, table=table, workers=workers,
+                            node_budget=node_budget)
     total = sum(hist.values())  # c_m, without a second pass
     fixed_full = result.full_vector()
     rows = []

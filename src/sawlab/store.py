@@ -330,11 +330,11 @@ class ArtifactWriter:
 class RunConfig:
     """Budgets, seeding and paths for a command-line run.
 
-    Round-trips losslessly through the flat key=value config file; flags
-    given on the command line override file values.
+    Read from a flat key=value config file (``load_config``); flags given
+    on the command line override file values.  It holds no dimension:
+    every command takes ``-d``.
     """
 
-    dimension: int = 2
     seed: int = 0
     stream_id: int = 0
     workers: int = 1
@@ -346,7 +346,7 @@ class RunConfig:
     cache_path: str | None = None
 
     def __post_init__(self):
-        for name in ("dimension", "workers", "max_rejections", "max_matrix_paths"):
+        for name in ("workers", "max_rejections", "max_matrix_paths"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
@@ -356,13 +356,15 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
+# a key outside these sections, such as the ``dimension`` of older files, is
+# ignored
 _CONFIG_SECTIONS = {
-    "run": ("dimension", "seed", "stream_id", "workers", "outdir"),
+    "run": ("seed", "stream_id", "workers", "outdir"),
     "budgets": ("node_budget", "max_rejections", "max_matrix_paths"),
     "sampling": ("base_length",),
     "cache": ("cache_path",),
 }
-_INT_FIELDS = {"dimension", "seed", "stream_id", "workers", "node_budget",
+_INT_FIELDS = {"seed", "stream_id", "workers", "node_budget",
                "max_rejections", "max_matrix_paths", "base_length"}
 
 
@@ -389,16 +391,3 @@ def load_config(path: str) -> RunConfig:
                 else:
                     values[name] = raw
     return RunConfig(**values)
-
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    import configparser
-
-    parser = configparser.ConfigParser()
-    for section, names in _CONFIG_SECTIONS.items():
-        parser.add_section(section)
-        for name in names:
-            value = getattr(cfg, name)
-            parser.set(section, name, "" if value is None else str(value))
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)

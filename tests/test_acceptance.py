@@ -189,7 +189,7 @@ def test_criterion_07_coupling_marginals(d5_table):
         both += e1 and e2
         either += e1 or e2
     exact = both / either
-    one_block = CouplingSchedule.explicit(1, [horizon])
+    one_block = CouplingSchedule(1, (horizon,))
     batch = run_one_sided_couplings(d, z1, z2, one_block, horizon, trials,
                                     sampler=SawSampler(d, cfg, extra_key=(2,)))
     successes = int(batch.success[:, 0].sum())

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from sawlab import coupling
+from sawlab import coupling, reference
 from sawlab.cli import main
 from sawlab.coupling import run_one_sided_couplings
 from sawlab.counting import count_saws
-from sawlab.store import CorpusReader, save_config, RunConfig
+from sawlab.store import CorpusReader
 
 
 def run(capsys, *argv):
@@ -31,6 +31,29 @@ def test_count_with_prefix_and_endpoint(capsys):
     code, out, _ = run(capsys, "count", "-d", "5", "-n", "0",
                        "--two-sided", "1", "1")
     assert code == 0 and out.strip() == "90"
+    code, out, _ = run(capsys, "count", "-d", "2", "-n", "0", "--two-sided",
+                       "3", "3", "--neg-prefix", "1", "--pos-prefix", "0,2")
+    assert code == 0
+    assert int(out) == 26 == reference.naive_count_two_sided(
+        2, 3, 3, neg_prefix=(1,), pos_prefix=(0, 2))
+
+
+@pytest.mark.parametrize("neg, pos", [("0", "0"), ("2", "0,2,1")])
+def test_count_two_sided_refuses_a_middle_whose_sides_meet(capsys, neg, pos):
+    code, out, err = run(capsys, "count", "-d", "2", "-n", "0", "--two-sided",
+                         "3", "3", "--neg-prefix", neg, "--pos-prefix", pos)
+    assert code == 1 and not out and err.startswith("error:")
+    assert reference.naive_count_two_sided(
+        2, 3, 3, neg_prefix=tuple(map(int, neg.split(","))),
+        pos_prefix=tuple(map(int, pos.split(",")))) == 0
+
+
+def test_fixedpoint_that_does_not_converge_exit_1(tmp_path, capsys):
+    code, out, err = run(capsys, "fixedpoint", "-d", "2", "-n", "3",
+                         "--max-iters", "1", "--outdir", str(tmp_path))
+    assert code == 1 and not out
+    assert err.startswith("error:") and "did not converge in 1 iterations" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_invalid_input_exit_1(capsys):
@@ -43,6 +66,18 @@ def test_invalid_input_exit_1(capsys):
 def test_budget_exhaustion_exit_2(capsys):
     code, _, err = run(capsys, "--budget", "10", "count", "-d", "2", "-n", "12")
     assert code == 2 and "budget" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ("pattern", "-d", "2", "--pattern", "0,2", "--exact-max", "12"),
+    ("pattern", "-d", "2", "--pattern", "0,2", "--reference-sides", "6", "6"),
+    ("fixedpoint", "-d", "2", "-n", "3", "--marginal-horizon", "14"),
+], ids=["pattern-exact", "pattern-reference", "fixedpoint-marginal"])
+def test_budget_bounds_every_exact_pass(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "--budget", "1000", *argv,
+                       "--outdir", str(tmp_path))
+    assert code == 2 and "budget" in err.lower()
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_fixedpoint_artifact(tmp_path, capsys):
@@ -196,10 +231,19 @@ def test_verify_command_green(capsys):
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):
-    cfg_path = str(tmp_path / "run.cfg")
-    save_config(RunConfig(dimension=2, seed=123, outdir=str(tmp_path)), cfg_path)
-    code, out, _ = run(capsys, "count", "--config", cfg_path, "-d", "5", "-n", "1")
-    assert code == 0 and out.strip() == "10"  # -d flag overrides the file
+    cfg_path = tmp_path / "run.cfg"
+    # a file of an older version may still carry a dimension; -d decides
+    cfg_path.write_text(f"[run]\ndimension = 2\nseed = 123\noutdir = {tmp_path}\n"
+                        "[budgets]\nnode_budget = 10\n")
+    code, out, _ = run(capsys, "count", "--config", str(cfg_path), "-d", "5",
+                       "-n", "1")
+    assert code == 0 and out.strip() == "10"
+    code, _, _ = run(capsys, "count", "--config", str(cfg_path), "-d", "2",
+                     "-n", "12")
+    assert code == 2  # the file's budget holds
+    code, out, _ = run(capsys, "count", "--config", str(cfg_path), "--budget",
+                       "10000000", "-d", "2", "-n", "12")
+    assert code == 0 and int(out) == count_saws(2, 12)  # the flag overrides it
 
 
 @pytest.mark.parametrize("text", [

@@ -23,13 +23,15 @@ from sawlab.counting import (
     prefix_histogram,
     truncated_two_point,
 )
-from sawlab.errors import BudgetExceededError, CheckpointIgnoredWarning
+from sawlab.errors import (BudgetExceededError, CheckpointIgnoredWarning,
+                           NotSelfAvoidingError)
 from sawlab.lattice import (
     Path,
     TwoSidedPath,
     lattice_symmetries,
     validate,
 )
+from sawlab.store import CountCache
 
 TRAP = [3, 0, 0, 2, 2, 1, 3]  # d=2 walk whose head has no free neighbour
 # OEIS A001411: c_n on Z^2 for n = 0, 1, ...
@@ -140,6 +142,16 @@ def test_count_two_sided_examples():
     xi = TwoSidedPath(Path(2), validate([0], 2))
     assert count_two_sided(2, 2, 2, xi) == reference.naive_count_two_sided(
         2, 2, 2, pos_prefix=(0,))
+
+
+def test_count_two_sided_refuses_a_middle_no_walk_extends():
+    table = CountTable(2)
+    for neg, pos in (([0], [0]), ([2], [0, 2, 1]), ([0, 1], [])):
+        xi = TwoSidedPath(Path(2, bytes(neg)), Path(2, bytes(pos)))
+        # refused before the table is read: a value held there is not used
+        table.put("two_sided", 6, (3, 3, bytes(neg), bytes(pos)), 50)
+        with pytest.raises(NotSelfAvoidingError):
+            count_two_sided(2, 3, 3, xi, table=table)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
@@ -283,6 +295,25 @@ def test_truncated_two_point_examples():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def test_warm_cache_two_point_runs_no_endpoint_pass(tmp_path, monkeypatch):
+    path = str(tmp_path / "counts.jsonl")
+    cold = truncated_two_point(2, (0, 0), 8, 2.6,
+                               table=CountTable(2, CountCache(path)))
+    passes = []
+    histogram = counting.endpoint_histogram
+
+    def counted(*args, **kwargs):
+        passes.append(args[1])
+        return histogram(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "endpoint_histogram", counted)
+    warm = CountTable(2, CountCache(path))
+    assert truncated_two_point(2, (0, 0), 8, 2.6, table=warm) == cold == 1.0
+    assert passes == []
+    # the zeros the cold run derived are stored, reached or not
+    assert [warm.get("end", n, (0, 0)) for n in range(9)] == [1] + [0] * 8
+
+
 def test_asymptotic_table_values():
     table = asymptotic_table(5, 4)
     ratios = {r.n: r.ratio for r in table.rows}
@@ -381,7 +412,6 @@ def test_count_table_cache_hits():
     table = CountTable(2)
     first = count_saws(2, 6, table=table)
     assert table.get("plain", 6) == first
-    assert table.largest_plain() == 6
     # conditioned counts never exceed the plain count
     zeta = validate([0], 2)
     assert count_extensions(2, 6, zeta, table=table) <= first

@@ -37,13 +37,13 @@ def test_schedule_geometric_rule():
 
 
 def test_schedule_blocks_clip_to_horizon():
-    s = CouplingSchedule.explicit(1, [2, 4, 8])
+    s = CouplingSchedule(1, (2, 4, 8))
     assert s.blocks(6) == [(1, 2), (2, 4), (4, 6)]
     assert s.blocks(8) == [(1, 2), (2, 4), (4, 8)]
     with pytest.raises(ValueError):
         s.blocks(9)
     with pytest.raises(ValueError):
-        CouplingSchedule.explicit(2, [2])
+        CouplingSchedule(2, (2,))
 
 
 def test_identical_prefixes_always_couple():
@@ -78,7 +78,7 @@ def test_rejection_budget_is_per_row():
     # one block of 8 <= base_length steps: the proxy draws index the base
     # table, so only the coupling's own redraws count against the budget
     z1, z2 = validate([0, 2], 2), validate([0, 3], 2)
-    sched = CouplingSchedule.explicit(2, [10])
+    sched = CouplingSchedule(2, (10,))
     batch = run_one_sided_couplings(2, z1, z2, sched, 10, 400,
                                     SamplerConfig(seed=9))
     assert batch.resamples.max() >= 1
@@ -181,7 +181,7 @@ def test_one_block_success_frequency_matches_enumeration():
         either += e1 or e2
     exact = Fraction(both, either)
 
-    sched = CouplingSchedule.explicit(1, [horizon])
+    sched = CouplingSchedule(1, (horizon,))
     trials = 20_000
     batch = run_one_sided_couplings(d, z1, z2, sched, horizon, trials,
                                     SamplerConfig(seed=101))
@@ -250,7 +250,7 @@ def test_one_block_joint_law_matches_enumeration():
     escape0, escape1 = (
         {xi for xi in enumerate_paths(d, horizon - k) if escapes(Path(d, xi), z)}
         for z in prefixes)
-    batch = run_one_sided_couplings(d, *prefixes, CouplingSchedule.explicit(k, [horizon]),
+    batch = run_one_sided_couplings(d, *prefixes, CouplingSchedule(k, (horizon,)),
                                     horizon, trials, SamplerConfig(seed=404))
     pairs = list(zip((row.tobytes() for row in batch.codes1[:, k:]),
                      (row.tobytes() for row in batch.codes2[:, k:])))
@@ -269,7 +269,7 @@ def test_two_sided_one_block_joint_law_matches_enumeration():
         {(neg, pos) for neg in steps for pos in steps
          if _extends_two_sided(d, mid.neg.steps, mid.pos.steps, neg, pos)}
         for mid in middles)
-    sched = CouplingSchedule.explicit(1, [2])
+    sched = CouplingSchedule(1, (2,))
     sampler = SawSampler(d, SamplerConfig(seed=405))
     pairs = []
     for _ in range(trials):
@@ -305,7 +305,7 @@ def test_two_sided_one_block_success_matches_enumeration():
     d, m, n = 5, 3, 3
     mid1 = TwoSidedPath(validate([1], d), validate([0], d))
     mid2 = TwoSidedPath(validate([3], d), validate([2], d))
-    sched = CouplingSchedule.explicit(1, [3])
+    sched = CouplingSchedule(1, (3,))
 
     def fits(mid, neg_codes, pos_codes):
         try:

@@ -15,7 +15,6 @@ from sawlab.errors import (
     ShiftOutOfRangeError,
 )
 from sawlab.lattice import (
-    LatticePoint,
     Path,
     TwoSidedPath,
     concat,
@@ -50,14 +49,6 @@ def test_validate_bad_direction():
     with pytest.raises(BadDirectionError) as err:
         validate([0, 7], 3)
     assert err.value.code == 7 and err.value.index == 1
-
-
-def test_lattice_point_dimensions():
-    p = LatticePoint((1, -2, 0))
-    assert p.dimension == 3
-    assert p.translated((1, 1, 1)).coords == (2, -1, 1)
-    with pytest.raises(ValueError):
-        LatticePoint(())
 
 
 def test_shift_identity_and_examples():

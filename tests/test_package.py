@@ -37,6 +37,12 @@ def test_every_export_is_its_defining_modules_object():
         assert getattr(importlib.import_module(obj.__module__), name) is obj
 
 
+# names the package once exported, with no alias left behind
+DELETED = ("sample_uniform", "sample_two_sided", "sample_escaping",
+           "sample_prefix_conditioned", "exact_mean_density", "LatticePoint",
+           "save_config")
+
+
 def test_dir_and_star_import_list_every_export():
     out = fresh("import sawlab\n"
                 "listed = dir(sawlab)\n"
@@ -45,8 +51,10 @@ def test_dir_and_star_import_list_every_export():
                 "print(len(sawlab.__all__))\n"
                 "print(*(n for n in sawlab.__all__ if n not in listed))\n"
                 "print(*(n for n in sawlab.__all__ if ns.get(n) is not "
-                "getattr(sawlab, n)))")
-    count, not_listed, not_bound = out.split("\n")[:3]
+                "getattr(sawlab, n)))\n"
+                f"print(*(n for n in {DELETED!r} if n in listed or n in ns))")
+    count, not_listed, not_bound, deleted = out.split("\n")[:4]
     assert int(count) == len(sawlab.__all__)
     assert not_listed == "" and not_bound == ""
+    assert deleted == "" and not set(DELETED) & set(sawlab.__all__)
     assert "count_saws" in sawlab.__all__ and "run_verify" in sawlab.__all__

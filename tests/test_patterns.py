@@ -5,14 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sawlab import reference
+from sawlab import counting, reference
 from sawlab.counting import (CountTable, count_extensions, count_saws,
                              enumerate_paths)
+from sawlab.errors import BudgetExceededError
 from sawlab.lattice import Path, lattice_symmetries, pattern_density, validate
 from sawlab.patterns import (
     build_density_report,
     escape_power_estimate,
-    exact_mean_density,
     exact_mean_density_grid,
     is_proper_internal_pattern,
     mc_density_stats,
@@ -28,7 +28,7 @@ def test_single_step_mean_is_inverse_degree():
     for d in (1, 2, 3, 5):
         step = validate([0], d)
         for n in (1, 2, 5, 7):
-            assert exact_mean_density(d, n, step) == Fraction(1, 2 * d)
+            assert exact_mean_density_grid(d, n, step)[n] == Fraction(1, 2 * d)
 
 
 def test_exact_mean_matches_full_enumeration():
@@ -38,7 +38,7 @@ def test_exact_mean_matches_full_enumeration():
         paths = enumerate_paths(d, n)
         total = sum((pattern_density(Path(d, codes), zeta) for codes in paths),
                     Fraction(0))
-        assert exact_mean_density(d, n, zeta) == total / len(paths)
+        assert exact_mean_density_grid(d, n, zeta)[n] == total / len(paths)
 
 
 @pytest.mark.parametrize("d, n_max, patterns", [
@@ -81,7 +81,37 @@ def test_exact_mean_symmetry():
     zeta = validate([0, 2], d)
     for g in lattice_symmetries(d):
         image = g.apply_path(zeta).re_anchored()
-        assert exact_mean_density(d, 5, image) == exact_mean_density(d, 5, zeta)
+        assert (exact_mean_density_grid(d, 5, image)[5]
+                == exact_mean_density_grid(d, 5, zeta)[5])
+
+
+@pytest.mark.parametrize("d, n, codes", [(2, 8, [0, 2]), (3, 6, [0]),
+                                         (5, 4, [0, 2, 0])])
+def test_exact_grid_is_charged_as_count_saws(monkeypatch, d, n, codes):
+    charged = []
+    engine = counting._run_engine
+
+    def recorded(*args, **kwargs):
+        counts, nodes = engine(*args, **kwargs)
+        charged.append(nodes)
+        return counts, nodes
+
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_run_engine", recorded)
+        count_saws(d, n, table=CountTable(d))
+    [nodes] = charged
+    pattern = validate(codes, d)
+    for budget in (nodes - 1, nodes):
+        for call in (lambda: count_saws(d, n, table=CountTable(d),
+                                        node_budget=budget),
+                     lambda: exact_mean_density_grid(d, n, pattern,
+                                                     table=CountTable(d),
+                                                     node_budget=budget)):
+            if budget < nodes:
+                with pytest.raises(BudgetExceededError):
+                    call()
+            else:
+                call()
 
 
 def test_trapped_pattern_mean_small_and_shrinking():
@@ -101,13 +131,13 @@ def test_grid_agrees_with_single_calls():
     zeta = validate([0, 2], d)
     grid = exact_mean_density_grid(d, 5, zeta)
     for n in (2, 4, 5):
-        assert grid[n] == exact_mean_density(d, n, zeta)
+        assert grid[n] == exact_mean_density_grid(d, n, zeta)[n]
 
 
 def test_mc_mean_within_4_sigma_of_exact():
     d, n, trials = 5, 6, 20_000
     zeta = validate([0, 2], d)
-    exact = float(exact_mean_density(d, n, zeta))
+    exact = float(exact_mean_density_grid(d, n, zeta)[n])
     st = mc_density_stats(d, n, zeta, trials, SamplerConfig(seed=11))
     sigma = (st.variance / trials) ** 0.5
     assert abs(st.mean - exact) <= 4 * sigma
@@ -196,6 +226,15 @@ def test_scalar_estimators_consistency_d5():
     assert abs(est.mu_escape - est.mu_ratio) / est.mu_ratio < 0.05
     assert 1.0 < est.msd_over_n < 2.0  # diffusive scale, not ballistic
     assert est.avoid_fraction == pytest.approx(est.mu_escape / 10)
+
+
+def test_mu_ratio_does_not_depend_on_what_the_table_holds():
+    table = CountTable(2)
+    before = scalar_estimators(2, 10, 200, SamplerConfig(seed=3), table=table)
+    count_saws(2, 12, table=table)
+    after = scalar_estimators(2, 10, 200, SamplerConfig(seed=3), table=table)
+    assert before == after
+    assert before.mu_ratio == 2172 / 780  # c_7 / c_6 at horizon 10
 
 
 def test_escape_power_estimate_second_order():

@@ -33,8 +33,6 @@ from sawlab.sampling import (
     _packing,
     _pairs_distinct,
     _rows_distinct,
-    sample_prefix_conditioned,
-    sample_uniform,
 )
 
 TRAP = validate([3, 0, 0, 2, 2, 1, 3], 2)
@@ -929,11 +927,3 @@ def test_small_rejection_budget_admits_an_accepting_first_round():
         cfg = SamplerConfig(seed=seed, max_rejections=8)
         assert len(SawSampler(2, cfg).uniform(16)) == 16
         assert SawSampler(2, cfg).uniform_batch(16, 1).shape == (1, 16)
-
-
-def test_one_shot_functions():
-    p = sample_uniform(2, 7, SamplerConfig(seed=43))
-    assert len(p) == 7
-    assert sample_uniform(2, 7, SamplerConfig(seed=43)).steps == p.steps
-    q = sample_prefix_conditioned(2, 5, validate([0], 2), SamplerConfig(seed=47))
-    assert q.steps[0] == 0

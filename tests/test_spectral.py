@@ -5,7 +5,8 @@ import pytest
 
 from sawlab import counting, reference, spectral
 from sawlab.counting import CountTable, count_saws
-from sawlab.errors import BudgetExceededError, ZeroTotalMassError
+from sawlab.errors import (BudgetExceededError, NoConvergenceError,
+                           ZeroTotalMassError)
 from sawlab.lattice import lattice_symmetries
 from sawlab.spectral import (
     MeasureVector,
@@ -91,6 +92,19 @@ def test_fixed_point_n1_uniform():
         assert result.eigenvalue == pytest.approx(2 * d - 1, abs=1e-10)
         assert result.residual <= 1e-12
         assert result.primitivity_power is not None
+
+
+def test_primitivity_cap_below_the_witness_reports_none():
+    m = build_escape_matrix(2, 3)
+    assert perron_fixed_point(m).primitivity_power == 2
+    assert perron_fixed_point(m, primitivity_cap=1).primitivity_power is None
+
+
+def test_power_iteration_past_max_iters_raises():
+    with pytest.raises(NoConvergenceError) as err:
+        perron_fixed_point(build_escape_matrix(2, 3), max_iters=1)
+    assert err.value.iterations == 1 and err.value.residual > 1e-12
+    assert "did not converge in 1 iterations" in str(err.value)
 
 
 def test_fixed_point_matches_dense_eigensolver():

@@ -1,5 +1,6 @@
 """Cache, corpus, artifact and config storage."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,6 @@ from sawlab.store import (
     RunConfig,
     load_config,
     resolve_cache_path,
-    save_config,
 )
 
 
@@ -145,6 +145,28 @@ def test_batched_puts_write_what_single_puts_write(tmp_path):
     batched, single = (p.read_text(encoding="utf-8").splitlines() for p in paths)
     assert batched == single
     assert len(batched) == 10 + len(endpoint_histogram(2, 7))
+
+
+def test_cache_appends_no_entry_it_already_holds(tmp_path, monkeypatch):
+    enters = []
+
+    class CountingLock(FileLock):
+        def __enter__(self):
+            enters.append(self.target)
+            return super().__enter__()
+
+    monkeypatch.setattr(store, "FileLock", CountingLock)
+    path = str(tmp_path / "counts.jsonl")
+    entries = [("plain", 4, None, 100), ("end", 3, (2, 1), 2)]
+    cache = CountCache(path)
+    cache.put_many(2, entries)
+    cache.put_many(2, entries)  # in the same process
+    CountCache(path).put_many(2, entries)  # after a reload
+    assert enters == [path]  # a pass whose entries are all held takes no lock
+    cache.put_many(2, entries + [("plain", 5, None, 284)])
+    with open(path, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 3
+    assert enters == [path, path]
 
 
 def test_cache_skips_a_batch_torn_mid_line(tmp_path):
@@ -322,18 +344,37 @@ def test_artifact_meta_goes_to_the_sidecar_only(tmp_path):
         assert json.load(fh)["levels"] == []
 
 
-def test_run_config_round_trip(tmp_path):
-    cfg = RunConfig(dimension=5, seed=42, stream_id=3, workers=2,
-                    node_budget=1000, max_rejections=500,
-                    max_matrix_paths=999, base_length=4,
-                    outdir="out", cache_path="cache.jsonl")
-    path = str(tmp_path / "run.cfg")
-    save_config(cfg, path)
-    assert load_config(path) == cfg
-    # defaults: None fields survive the trip
-    cfg2 = RunConfig()
-    save_config(cfg2, path)
-    assert load_config(path) == cfg2
+def test_config_sections_name_every_run_config_field():
+    names = [name for section in store._CONFIG_SECTIONS.values()
+             for name in section]
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(names) == sorted(fields) and len(set(names)) == len(names)
+    assert store._INT_FIELDS <= set(fields)
+
+
+def test_config_file_with_every_key_loads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\nseed = 42\nstream_id = 3\nworkers = 2\n"
+                    "outdir = out\n"
+                    "[budgets]\nnode_budget = 1000\nmax_rejections = 500\n"
+                    "max_matrix_paths = 999\n"
+                    "[sampling]\nbase_length = 4\n"
+                    "[cache]\ncache_path = cache.jsonl\n")
+    assert load_config(str(path)) == RunConfig(
+        seed=42, stream_id=3, workers=2, node_budget=1000, max_rejections=500,
+        max_matrix_paths=999, base_length=4, outdir="out",
+        cache_path="cache.jsonl")
+    # an empty value is None, as the defaults of these keys are
+    path.write_text("[budgets]\nnode_budget =\n[sampling]\nbase_length =\n"
+                    "[cache]\ncache_path =\n")
+    assert load_config(str(path)) == RunConfig()
+
+
+def test_config_file_with_the_old_dimension_key_loads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\ndimension = 5\nseed = 7\n")
+    assert load_config(str(path)) == RunConfig(seed=7)
+    assert not hasattr(load_config(str(path)), "dimension")
 
 
 def test_run_config_validation():
@@ -341,8 +382,6 @@ def test_run_config_validation():
         RunConfig(workers=0)
     with pytest.raises(ValueError):
         RunConfig(node_budget=-5)
-    with pytest.raises(ValueError, match="dimension"):
-        RunConfig(dimension=0)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
